@@ -52,12 +52,6 @@ N_LEVELS = 8
 M_J = np.array([-0.5, 0.5, -0.5, 0.5, -1.5, -0.5, 0.5, 1.5])
 G_J = np.array([2.0, 2.0, 2.0 / 3.0, 2.0 / 3.0, 0.8, 0.8, 0.8, 0.8])
 
-LEVEL_NAMES = (
-    "S1/2 m=-1/2", "S1/2 m=+1/2",
-    "P1/2 m=-1/2", "P1/2 m=+1/2",
-    "D3/2 m=-3/2", "D3/2 m=-1/2", "D3/2 m=+1/2", "D3/2 m=+3/2",
-)
-
 # Photon tags used by the trajectory sampler and the binary stream format.
 POL_SIGMA_MINUS, POL_PI, POL_SIGMA_PLUS = 0, 1, 2   # tag == q + 1
 WL_397, WL_866 = 0, 1
@@ -192,10 +186,6 @@ class Liouvillian:
 
     matrix: np.ndarray
     params: ExperimentParams
-
-    @property
-    def dim(self) -> int:
-        return N_LEVELS
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """d(rho)/dt for an 8x8 density matrix."""

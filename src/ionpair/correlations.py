@@ -69,9 +69,6 @@ class CorrelationCurve:
         i = int(np.argmax(self.values))
         return float(self.tau[i]), float(self.values[i])
 
-    def value_at(self, tau: float) -> float:
-        return float(np.interp(tau, self.tau, self.values))
-
 
 def default_grid(t_max: float = 1000e-9, dt: float = 0.5e-9) -> np.ndarray:
     if dt <= 0 or t_max < dt:
@@ -316,13 +313,16 @@ class SpectrumCurve:
     meta: dict = field(default_factory=dict)
 
 
-def _detuning_generator() -> np.ndarray:
-    """Superoperator d L / d delta_866 (row-major)."""
-    k = np.zeros((atom.N_LEVELS, atom.N_LEVELS))
-    for i in atom.D_LEVELS:
-        k[i, i] = 1.0
-    eye = np.eye(atom.N_LEVELS)
-    return -1j * (np.kron(k, eye) - np.kron(eye, k))
+def _detuning_slope() -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero part of d L / d delta_866 (row-major), which is diagonal:
+    the indices of the 32 coherences between a D level and any other
+    level, and the diagonal values -i(k_i - k_j) there."""
+    n = atom.N_LEVELS
+    k = np.zeros(n)
+    k[list(atom.D_LEVELS)] = 1.0
+    diag = -1j * (k[:, None] - k[None, :]).reshape(-1)
+    cols = np.flatnonzero(diag)
+    return cols, diag[cols]
 
 
 def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
@@ -330,33 +330,51 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
                         ) -> SpectrumCurve:
     """Steady 397 fluorescence for each repumper detuning in delta_grid.
 
-    The Liouvillian is linear in delta_866, so one base matrix is reused
-    for every grid point.  Points where the linear solve fails are
-    flagged in `ok` and carry NaN, they do not raise.
+    The steady state at detuning d solves A(d) x = e_0, where A(d) is the
+    Liouvillian with its first row replaced by the trace row.  A(d) =
+    A0 + d P E P^T: the detuning enters only the diagonal of the 32 D
+    coherences, selected by P with slopes E, and never the trace row.
+    The Woodbury identity (Hager, SIAM Rev. 31, 221, 1989) with the
+    eigendecomposition K = E P^T A0^-1 P = W diag(theta) W^-1 makes the
+    fluorescence a rational function of d,
+
+        f(d) = f0 - d * sum_k r_k / (1 + d theta_k),
+
+    so one solve at A0 for [e_0 | P], one 32x32 eigendecomposition and
+    one vectorized evaluation serve the whole grid.  W grows
+    ill-conditioned as B -> 0, where Zeeman pairs of poles merge: the
+    deviation from a direct solve is ~1e-11 of the curve maximum for
+    B >= 0.05 G and ~2e-8 at 0.01 G.
+
+    A point whose fluorescence is non-finite or below -1e-9 is flagged in
+    `ok` and carries NaN; if the anchor solve or the eigendecomposition
+    fails (no unique steady state, e.g. omega_866 = 0), every point is
+    flagged.  Failures never raise.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
-    base = atom.build_liouvillian(params.replace(delta_866=0.0)).matrix
-    slope = _detuning_generator()
     n = atom.N_LEVELS
-    trace_row = np.zeros(n * n, dtype=complex)
-    trace_row[:: n + 1] = 1.0
-    b = np.zeros(n * n, dtype=complex)
-    b[0] = 1.0
-    values = np.empty(delta_grid.size)
-    ok = np.ones(delta_grid.size, dtype=bool)
-    for i, d in enumerate(delta_grid):
-        a = base + d * slope
-        a[0] = trace_row
-        try:
-            v = np.linalg.solve(a, b)
-            pops = v.reshape(n, n).diagonal().real
-            fluor = pops[P_MINUS] + pops[P_PLUS]
-            if not np.isfinite(fluor) or fluor < -1e-9:
-                raise np.linalg.LinAlgError("unphysical solution")
-            values[i] = background + scale * fluor
-        except np.linalg.LinAlgError:
-            values[i] = np.nan
-            ok[i] = False
+    cols, slope = _detuning_slope()
+    readout = [P_MINUS * (n + 1), P_PLUS * (n + 1)]
+    a0 = atom.build_liouvillian(params.replace(delta_866=0.0)).matrix
+    a0[0] = 0.0
+    a0[0, :: n + 1] = 1.0
+    rhs = np.zeros((n * n, 1 + cols.size), dtype=complex)
+    rhs[0, 0] = 1.0
+    rhs[cols, np.arange(1, 1 + cols.size)] = 1.0
+    try:
+        x = np.linalg.solve(a0, rhs)
+        x0, z = x[:, 0], x[:, 1:]
+        theta, w = np.linalg.eig(slope[:, None] * z[cols])
+        r = (z[readout].sum(axis=0) @ w) * np.linalg.solve(w, slope * x0[cols])
+    except np.linalg.LinAlgError:
+        fluor = np.full(delta_grid.size, np.nan)
+    else:
+        with np.errstate(all="ignore"):
+            resolvent = 1.0 / (1.0 + np.outer(delta_grid, theta))
+            fluor = (x0[readout].sum().real
+                     - (delta_grid * (resolvent @ r)).real)
+    ok = np.isfinite(fluor) & (fluor >= -1e-9)
+    values = np.where(ok, background + scale * fluor, np.nan)
     return SpectrumCurve(delta_866=delta_grid.copy(), values=values, ok=ok,
                          meta={"params": params.fingerprint(),
                                "scale": scale, "background": background})

@@ -65,9 +65,6 @@ class Correlogram:
     flagged: bool = False        # empty input, normalization impossible
     meta: dict = field(default_factory=dict)
 
-    def centers_ns(self) -> np.ndarray:
-        return self.config.bin_centers_ps() / 1000.0
-
 
 def _window_counts(a: np.ndarray, b: np.ndarray, window: int):
     # slice of b with tau = b - a in [-window, +window)

@@ -93,17 +93,21 @@ class ClickStream:
             meta=dict(self.meta, selection=f"pol={pol},wavelength={wavelength}"))
 
 
-def _bump(ts: np.ndarray) -> np.ndarray:
-    """Resolve duplicate integer timestamps by pushing later ones up.
+def _bump(ts: np.ndarray, limit: int) -> np.ndarray:
+    """Resolve duplicate sorted integer timestamps inside [0, limit).
 
-    Equivalent to out[i] = max(out[i-1] + 1, ts[i]) but vectorized:
-    subtracting the index turns "strictly increasing" into
-    "non-decreasing", which running-max enforces.
+    Equivalent to out[i] = max(out[i-1] + 1, ts[i]) followed by
+    out[i] = min(out[i], out[i+1] - 1) with out[-1] <= limit - 1, but
+    vectorized: subtracting the index turns "strictly increasing" into
+    "non-decreasing", which running-max enforces, and the cap limit - n
+    on that form pulls a tail pushed to or past `limit` back below it.
     """
-    if ts.size < 2:
-        return ts
-    idx = np.arange(ts.size, dtype=np.int64)
-    return np.maximum.accumulate(ts - idx) + idx
+    n = ts.size
+    if n > limit:
+        raise ValueError(f"{n} events do not fit into the {limit} distinct "
+                         "picosecond timestamps of the stream")
+    idx = np.arange(n, dtype=np.int64)
+    return np.minimum(np.maximum.accumulate(ts - idx), limit - n) + idx
 
 
 class _JumpSampler:
@@ -276,12 +280,15 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
             duration = t + 1e-12
             break
 
-    ts = _bump(np.round(np.array(ts_out) * PS_PER_S).astype(np.int64))
+    # an event within 0.5 ps of the end rounds onto duration_ps
+    duration_ps = int(math.ceil(duration * PS_PER_S))
+    ts = _bump(np.round(np.array(ts_out) * PS_PER_S).astype(np.int64),
+               duration_ps)
     return ClickStream(
         timestamps_ps=ts,
         pol=np.array(pol_out, dtype=np.uint8),
         wavelength=np.array(wl_out, dtype=np.uint8),
-        duration_ps=int(math.ceil(duration * PS_PER_S)),
+        duration_ps=duration_ps,
         channel=EMISSION_CHANNEL,
         meta={"seed": seed, "params": params.fingerprint(),
               "start_level": start_level, "kind": "emissions"})
@@ -376,6 +383,11 @@ def detect(emissions: ClickStream, config: DetectionConfig,
             ts, pol, wav = ts[keep], pol[keep], wav[keep]
         if chan_cfg.dark_rate > 0.0:
             n_dark = rng.poisson(chan_cfg.dark_rate * emissions.duration_s)
+            if ts.size + n_dark > emissions.duration_ps:
+                raise ValueError(
+                    f"dark rate {chan_cfg.dark_rate:g}/s puts {n_dark} dark "
+                    f"counts into a {emissions.duration_ps} ps stream: more "
+                    "clicks than picosecond timestamps")
             dark_ts = rng.integers(0, emissions.duration_ps, size=n_dark)
             dark_pol = np.full(n_dark, atom.POL_TAGS.get(
                 chan_cfg.accepted_pol, atom.POL_PI), dtype=np.uint8)
@@ -385,7 +397,7 @@ def detect(emissions: ClickStream, config: DetectionConfig,
             ts = np.concatenate([ts, dark_ts])[order]
             pol = np.concatenate([pol, dark_pol])[order]
             wav = np.concatenate([wav, dark_wl])[order]
-            ts = _bump(ts.astype(np.int64))
+            ts = _bump(ts.astype(np.int64), emissions.duration_ps)
         out.append(ClickStream(
             timestamps_ps=ts, pol=pol, wavelength=wav,
             duration_ps=emissions.duration_ps,

@@ -1,12 +1,15 @@
 """Command line interface: option parsing, outputs, exit codes."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ionpair
 from ionpair.cli import main, parse_freq, parse_time, parse_time_ps
 from ionpair.correlations import read_table_csv
 from ionpair.params import TWO_PI, get_preset
@@ -234,9 +237,14 @@ class TestExitCodes:
         assert "all checks passed" in stdout
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same package as this process, also when
+        # pytest put it on sys.path rather than PYTHONPATH
+        package_root = str(Path(ionpair.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "ionpair.cli", "purity",
              "--t-window", "24ns"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "pair purity" in proc.stdout

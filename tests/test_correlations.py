@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ionpair.correlations as C
 from ionpair import atom
@@ -302,6 +303,76 @@ class TestPhotonBudget:
 def spectrum():
     return C.excitation_spectrum(get_preset("spectrum"),
                                  C.default_spectrum_grid())
+
+
+def _spectrum_oracle(params, grid):
+    """Direct steady-state solve of the full Liouvillian at every point."""
+    n = atom.N_LEVELS
+    b = np.zeros(n * n, dtype=complex)
+    b[0] = 1.0
+    values, ok = np.full(grid.size, np.nan), np.zeros(grid.size, dtype=bool)
+    for i, d in enumerate(grid):
+        a = atom.build_liouvillian(params.replace(delta_866=d)).matrix
+        a[0] = 0.0
+        a[0, :: n + 1] = 1.0
+        try:
+            pops = np.linalg.solve(a, b).reshape(n, n).diagonal().real
+        except np.linalg.LinAlgError:
+            continue
+        f = pops[atom.P_MINUS] + pops[atom.P_PLUS]
+        if np.isfinite(f) and f >= -1e-9:
+            values[i], ok[i] = f, True
+    return values, ok
+
+
+def _assert_matches_oracle(params, grid):
+    curve = C.excitation_spectrum(params, grid)
+    ref, ref_ok = _spectrum_oracle(params, grid)
+    assert np.array_equal(curve.ok, ref_ok)
+    assert np.all(np.isnan(curve.values[~curve.ok]))
+    if ref_ok.any():
+        dev = np.abs(curve.values[ref_ok] - ref[ref_ok]).max()
+        assert dev <= 1e-9 * ref[ref_ok].max()
+
+
+_FAR = np.array([-TWO_PI * 4000e6, TWO_PI * 4000e6])
+
+
+class TestSpectrumAgainstDirectSolve:
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_default_grid_and_far_points(self, preset):
+        grid = np.concatenate([C.default_spectrum_grid(), _FAR])
+        _assert_matches_oracle(get_preset(preset), grid)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(b_field=st.floats(0.5, 10.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.0, 1.0),
+           alpha_866_pi=st.floats(0.1, 0.9))
+    def test_random_parameters(self, b_field, delta_397_mhz, omega_397_mhz,
+                               omega_866_mhz, alpha_397_pi, alpha_866_pi):
+        params = get_preset("spectrum").replace(
+            b_field=b_field, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi)
+        grid = np.concatenate(
+            [np.linspace(-TWO_PI * 40e6, TWO_PI * 40e6, 41), _FAR])
+        _assert_matches_oracle(params, grid)
+
+    @pytest.mark.parametrize("change", [{"omega_866": 0.0},
+                                        {"alpha_866": 0.0}])
+    def test_no_unique_steady_state_fails_every_point(self, change):
+        params = get_preset("spectrum").replace(**change)
+        grid = C.default_spectrum_grid(points=21)
+        curve = C.excitation_spectrum(params, grid)
+        assert not curve.ok.any()
+        assert np.all(np.isnan(curve.values))
+        assert not _spectrum_oracle(params, grid)[1].any()
 
 
 class TestSpectrum:

@@ -23,24 +23,45 @@ def weak_emissions():
 class TestBump:
     def test_duplicates_pushed_minimally(self):
         ts = np.array([5, 5, 5], dtype=np.int64)
-        assert _bump(ts).tolist() == [5, 6, 7]
+        assert _bump(ts, 100).tolist() == [5, 6, 7]
         ts = np.array([3, 7, 7, 8], dtype=np.int64)
-        assert _bump(ts).tolist() == [3, 7, 8, 9]
+        assert _bump(ts, 100).tolist() == [3, 7, 8, 9]
 
     def test_already_strict_untouched(self):
         ts = np.array([1, 4, 9], dtype=np.int64)
-        assert _bump(ts).tolist() == [1, 4, 9]
+        assert _bump(ts, 100).tolist() == [1, 4, 9]
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             ts = np.sort(rng.integers(0, 50, size=40)).astype(np.int64)
-            out = _bump(ts)
+            out = _bump(ts, 100)
             ref = ts.copy()
             for i in range(1, ref.size):
                 if ref[i] <= ref[i - 1]:
                     ref[i] = ref[i - 1] + 1
             assert np.array_equal(out, ref)
+
+    def test_tail_pulled_below_limit(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            limit = 50
+            ts = np.sort(rng.integers(30, limit, size=18)).astype(np.int64)
+            out = _bump(ts, limit)
+            ref = ts.copy()
+            for i in range(1, ref.size):
+                ref[i] = max(ref[i], ref[i - 1] + 1)
+            ref[-1] = min(ref[-1], limit - 1)
+            for i in range(ref.size - 2, -1, -1):
+                ref[i] = min(ref[i], ref[i + 1] - 1)
+            assert np.array_equal(out, ref)
+            assert np.all(np.diff(out) > 0) and 0 <= out[0] and out[-1] < limit
+        assert _bump(np.array([0, 4, 4, 4], dtype=np.int64), 4).tolist() \
+            == [0, 1, 2, 3]
+
+    def test_more_events_than_slots_rejected(self):
+        with pytest.raises(ValueError, match="picosecond"):
+            _bump(np.array([0, 1, 2], dtype=np.int64), 2)
 
 
 class TestClickStream:
@@ -166,6 +187,16 @@ class TestSimulateEmissions:
         blue_pi = weak_emissions.select(pol="pi", wavelength="397")
         assert len(blue_pi) > 0
 
+    def test_event_in_last_half_picosecond_stays_inside(self):
+        # ending the run on an event's rounded timestamp puts that event
+        # within 0.5 ps of the end for about half the events
+        base = simulate_emissions(WEAK, 2e-6, seed=3)
+        assert len(base) >= 4
+        for end_ps in base.timestamps_ps:
+            em = simulate_emissions(WEAK, int(end_ps) / T.PS_PER_S, seed=3)
+            assert em.timestamps_ps[-1] < em.duration_ps
+            assert np.all(np.diff(em.timestamps_ps) > 0)
+
     def test_max_events_cap(self):
         em = simulate_emissions(WEAK, 1.0, seed=3, max_events=500)
         assert len(em) == 500
@@ -232,6 +263,22 @@ class TestDetect:
         assert np.all(d1.pol == atom.POL_SIGMA_MINUS)
         assert len(d2) == 0
         assert np.all(np.diff(d1.timestamps_ps) > 0)
+
+    def test_dark_count_never_lands_on_duration(self):
+        em = ClickStream([10, 99], [0, 0], [0, 0], duration_ps=100)
+        cfg = DetectionConfig(DetectorChannel(1.0, "sigma-", dark_rate=2e10),
+                              DetectorChannel(0.0))
+        for seed in range(20):
+            d1, _ = detect(em, cfg, seed=seed)
+            assert d1.timestamps_ps[-1] < d1.duration_ps
+            assert np.all(np.diff(d1.timestamps_ps) > 0)
+
+    def test_more_dark_counts_than_slots_rejected(self):
+        em = ClickStream([10, 99], [0, 0], [0, 0], duration_ps=100)
+        cfg = DetectionConfig(DetectorChannel(1.0, "sigma-", dark_rate=1e13),
+                              DetectorChannel(0.0))
+        with pytest.raises(ValueError, match="dark rate"):
+            detect(em, cfg, seed=1)
 
     def test_deterministic_per_seed(self, weak_emissions):
         cfg = ideal_pair_config(0.4)
