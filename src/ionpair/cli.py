@@ -520,9 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-init", type=float, default=0.0)
     p.add_argument("--eps-minus", type=float, default=0.0)
     p.add_argument("--eps-plus", type=float, default=0.0)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--restarts", type=int, default=5,
+                   help="optimizer starts, the first from --params and "
+                        "the rest perturbed from it (>= 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--maxfev", type=int, default=2000)
+    p.add_argument("--maxfev", type=int, default=2000,
+                   help="model-solve budget per start, not counting "
+                        "finite-difference Jacobian steps (>= 1)")
     p.add_argument("--save-params", help="write fitted parameters as JSON")
     p.set_defaults(func=cmd_fit)
 

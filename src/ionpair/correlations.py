@@ -332,19 +332,22 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
 
     The steady state at detuning d solves A(d) x = e_0, where A(d) is the
     Liouvillian with its first row replaced by the trace row.  A(d) =
-    A0 + d P E P^T: the detuning enters only the diagonal of the 32 D
-    coherences, selected by P with slopes E, and never the trace row.
-    The Woodbury identity (Hager, SIAM Rev. 31, 221, 1989) with the
-    eigendecomposition K = E P^T A0^-1 P = W diag(theta) W^-1 makes the
-    fluorescence a rational function of d,
+    A0 + u P E P^T with u = d - d0: the detuning enters only the diagonal
+    of the 32 D coherences, selected by P with slopes E, and never the
+    trace row.  The Woodbury identity (Hager, SIAM Rev. 31, 221, 1989)
+    with the eigendecomposition K = E P^T A0^-1 P = W diag(theta) W^-1
+    makes the fluorescence a rational function of u,
 
-        f(d) = f0 - d * sum_k r_k / (1 + d theta_k),
+        f(d) = f0 - u * sum_k r_k / (1 + u theta_k),
 
     so one solve at A0 for [e_0 | P], one 32x32 eigendecomposition and
-    one vectorized evaluation serve the whole grid.  W grows
-    ill-conditioned as B -> 0, where Zeeman pairs of poles merge: the
-    deviation from a direct solve is ~1e-11 of the curve maximum for
-    B >= 0.05 G and ~2e-8 at 0.01 G.
+    one vectorized evaluation serve the whole grid.  The anchor d0 lies
+    one P linewidth beyond every two-photon resonance delta_397 +
+    zeeman(S) - zeeman(D), where A(d) can be singular (dark states at
+    B = 0), so a degenerate resonance flags only the points on it.  W
+    grows ill-conditioned as B -> 0, where Zeeman pairs of poles merge:
+    the deviation from a direct solve stays below 1e-10 of the curve
+    maximum for B >= 0.05 G and grows at smaller fields.
 
     A point whose fluorescence is non-finite or below -1e-9 is flagged in
     `ok` and carries NaN; if the anchor solve or the eigendecomposition
@@ -355,7 +358,9 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     n = atom.N_LEVELS
     cols, slope = _detuning_slope()
     readout = [P_MINUS * (n + 1), P_PLUS * (n + 1)]
-    a0 = atom.build_liouvillian(params.replace(delta_866=0.0)).matrix
+    d0 = (params.delta_397 + np.ptp(atom.zeeman_shifts(params.b_field))
+          + params.gamma_sp + params.gamma_dp)
+    a0 = atom.build_liouvillian(params.replace(delta_866=d0)).matrix
     a0[0] = 0.0
     a0[0, :: n + 1] = 1.0
     rhs = np.zeros((n * n, 1 + cols.size), dtype=complex)
@@ -369,10 +374,10 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     except np.linalg.LinAlgError:
         fluor = np.full(delta_grid.size, np.nan)
     else:
+        u = delta_grid - d0
         with np.errstate(all="ignore"):
-            resolvent = 1.0 / (1.0 + np.outer(delta_grid, theta))
-            fluor = (x0[readout].sum().real
-                     - (delta_grid * (resolvent @ r)).real)
+            resolvent = 1.0 / (1.0 + np.outer(u, theta))
+            fluor = x0[readout].sum().real - (u * (resolvent @ r)).real
     ok = np.isfinite(fluor) & (fluor >= -1e-9)
     values = np.where(ok, background + scale * fluor, np.nan)
     return SpectrumCurve(delta_866=delta_grid.copy(), values=values, ok=ok,

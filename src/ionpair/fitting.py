@@ -1,20 +1,22 @@
 """Least-squares parameter estimation from measured curves.
 
 Physics parameters enter only through the eight-level model, so every
-objective evaluation re-solves the master equation.  Fits therefore run
-Nelder-Mead over a small set of named free parameters, in rescaled
+residual evaluation re-solves the master equation.  Fits minimize the
+residual vector (y - model) / err by bounded trust-region least squares
+(scipy.optimize.least_squares, method "trf"; Branch, Coleman & Li, SIAM
+J. Sci. Comput. 21, 1999) over a few named free parameters, in rescaled
 coordinates so frequencies (1e8 rad/s) and angles (order 1) live on the
 same footing.  For spectra the affine nuisance pair (scale, background)
 is profiled out analytically at every step instead of being searched.
 Restarts from perturbed starting points guard against local minima;
-uncertainties come from the curvature of chi^2 at the optimum,
-cov = 2 H^-1 with H the finite-difference Hessian.
+uncertainties come from cov = (J^T J)^-1, with J the Jacobian of the
+residuals over all free parameters at the optimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -52,6 +54,12 @@ _UNIT = {
     "b_field": 1.0, "alpha_397": 1.0, "alpha_866": 1.0,
     "eps_init": 1.0, "eps_minus": 1.0, "eps_plus": 1.0,
 }
+
+# relative finite-difference step of the Jacobian in optimizer units
+_DIFF_STEP = 1e-7
+
+# residual of a point whose model could not be solved
+_FAILED = 1e3
 
 # additive spread used when drawing restart points
 _RESTART_SCALE = {
@@ -114,9 +122,9 @@ class FitResult:
     chi2: float
     dof: int
     cov: np.ndarray | None        # ordered like `params`; None if singular
-    sigma: dict | None            # one-sigma errors from the curvature
+    sigma: dict | None            # one-sigma errors, sqrt(diag(cov))
     converged: bool
-    nfev: int
+    nfev: int                     # model solves, Jacobian steps included
     message: str
     errors: ErrorModel | None = None
 
@@ -152,9 +160,10 @@ def _with_physics(params: ExperimentParams, vals: dict) -> ExperimentParams:
     return params.replace(**upd) if upd else params
 
 
-def _chi2(y: np.ndarray, err: np.ndarray, model: np.ndarray) -> float:
-    r = (y - model) / err
-    return float(np.dot(r, r))
+def _check_budget(restarts: int, maxfev: int) -> None:
+    if restarts < 1 or maxfev < 1:
+        raise ValueError(f"restarts and maxfev must be >= 1, got "
+                         f"{restarts} and {maxfev}")
 
 
 def _clip(name: str, value: float) -> float:
@@ -163,80 +172,54 @@ def _clip(name: str, value: float) -> float:
 
 
 def _perturb(x0, names, rng):
-    out = np.empty(len(x0))
-    for i, (v, n) in enumerate(zip(x0, names)):
-        w = v + (0.25 * abs(v) + _RESTART_SCALE[n]) * rng.standard_normal()
-        lo, hi = _BOUNDS[n]
-        if math.isfinite(hi):
-            w = min(w, hi - 1e-9 * (hi - lo))
-        out[i] = max(w, lo)
-    return out
+    spread = np.array([_RESTART_SCALE[n] for n in names])
+    return x0 + (0.25 * np.abs(x0) + spread) * rng.standard_normal(x0.size)
 
 
-def _minimize(objective, x0, names, maxfev, restarts, seed, target):
-    """Nelder-Mead in scaled coordinates with seeded restarts.
+def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
+    """Bounded trust-region least squares in scaled coordinates with
+    seeded restarts (starts are clipped into the bounds).
 
-    Stops early once chi^2 drops below `target` (a statistically perfect
-    fit); otherwise keeps the best of all starts.
+    `residuals` maps a dict of parameter values to the residual vector;
+    a NumericalError counts as `size` residuals of _FAILED.  Stops early
+    once chi^2 <= dof + sqrt(2 dof) (a statistically perfect fit);
+    otherwise keeps the best start.  Returns its values, chi^2, success
+    flag, message and the Jacobian d residual / d parameter.
     """
     units = np.array([_UNIT[n] for n in names])
-    bounds = scipy.optimize.Bounds(
-        np.array([_BOUNDS[n][0] for n in names]) / units,
-        np.array([_BOUNDS[n][1] for n in names]) / units)
+    lo, hi = np.array([_BOUNDS[n] for n in names]).T / units
+
+    def to_vals(t) -> dict:
+        return {n: _clip(n, v) for n, v in zip(names, t * units)}
+
+    def fun(t):
+        try:
+            return residuals(to_vals(t))
+        except NumericalError:
+            return np.full(size, _FAILED)
+
+    target = dof + math.sqrt(2.0 * max(dof, 1))
     rng = np.random.default_rng(seed)
     x0 = np.asarray(x0, dtype=float)
-    starts = [x0] + [_perturb(x0, names, rng)
-                     for _ in range(max(restarts - 1, 0))]
     best = None
-    nfev = 0
-    for start in starts:
-        res = scipy.optimize.minimize(
-            lambda t: objective(t * units), start / units,
-            method="Nelder-Mead", bounds=bounds,
-            options={"maxfev": maxfev, "xatol": 1e-3, "fatol": 1e-3,
-                     "adaptive": len(names) > 2})
-        nfev += res.nfev
-        if best is None or res.fun < best.fun:
+    for k in range(restarts):
+        start = x0 if k == 0 else _perturb(x0, names, rng)
+        res = scipy.optimize.least_squares(
+            fun, np.clip(start / units, lo, hi), bounds=(lo, hi),
+            method="trf", diff_step=_DIFF_STEP, max_nfev=maxfev)
+        if best is None or res.cost < best.cost:
             best = res
-        if best.fun <= target:
+        if 2.0 * best.cost <= target:
             break
-    return best.x * units, float(best.fun), bool(best.success), nfev, \
-        str(best.message)
+    return to_vals(best.x), 2.0 * best.cost, bool(best.success), \
+        str(best.message), best.jac / units
 
 
-def _step(name: str, value: float) -> float:
-    floor = {"omega_397": TWO_PI * 100.0, "omega_866": TWO_PI * 100.0,
-             "delta_397": TWO_PI * 100.0, "delta_866": TWO_PI * 100.0,
-             "b_field": 1e-5, "alpha_397": 1e-5, "alpha_866": 1e-5,
-             "eps_init": 1e-5, "eps_minus": 1e-5, "eps_plus": 1e-5,
-             "scale": 1e-12, "background": 1e-6}[name]
-    return max(1e-4 * abs(value), floor)
-
-
-def _covariance(fun, theta, names):
-    """cov = 2 H^-1 from a central-difference Hessian of chi^2."""
-    n = len(theta)
-    theta = np.asarray(theta, dtype=float)
-    h = np.array([_step(nm, v) for nm, v in zip(names, theta)])
-    hess = np.empty((n, n))
+def _covariance(jac, names):
+    """cov = (J^T J)^-1 for J = d residual / d parameter at the optimum."""
     try:
-        f0 = fun(theta)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h[i]
-            hess[i, i] = (fun(theta + e) - 2.0 * f0 + fun(theta - e)) / h[i] ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h[i]
-                ej[j] = h[j]
-                hess[i, j] = hess[j, i] = (
-                    fun(theta + ei + ej) - fun(theta + ei - ej)
-                    - fun(theta - ei + ej) + fun(theta - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-        cov = 2.0 * np.linalg.inv(hess)
-    except (np.linalg.LinAlgError, NumericalError):
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
         return None, None
     diag = np.diag(cov)
     if not np.all(np.isfinite(cov)) or np.any(diag <= 0.0):
@@ -289,28 +272,33 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
     data.x is the absolute repumper detuning axis in rad/s; a free
     "delta_866" acts as a calibration offset added to that axis.  When
     "scale" or "background" are free they are profiled out analytically,
-    so Nelder-Mead only searches the physics parameters.  `scale` and
-    `background` arguments are the fixed values when not free.
+    so the optimizer only searches the physics parameters.  `scale` and
+    `background` arguments are the fixed values when not free.  The
+    covariance takes the affine columns of J analytically and the
+    physics columns from one forward difference each.
     """
     if _parse_kind(data.kind)[0] != "spectrum":
         raise ValueError(f"fit_spectrum needs a spectrum dataset, "
                          f"got kind {data.kind!r}")
     free = _check_free(free, PHYSICS_PARAMS + AFFINE_PARAMS)
+    _check_budget(restarts, maxfev)
     phys = [n for n in free if n in PHYSICS_PARAMS]
     fit_scale = "scale" in free
     fit_bg = "background" in free
     w = 1.0 / data.err ** 2
-    penalty = data.y + 1e3 * data.err   # stands in for failed solver points
+    penalty = data.y + _FAILED * data.err   # stands in for failed points
+    nfev = 0
 
     def shape_curve(vals: dict) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
         p = _with_physics(params_init, vals)
         grid = data.x + vals.get("delta_866", 0.0)
         return excitation_spectrum(p, grid).values
 
-    def model_curve(vals: dict, a: float, b: float) -> np.ndarray:
-        s = shape_curve(vals)
-        good = np.isfinite(s)
-        return np.where(good, a * s + b, penalty), s, good
+    def residuals(s: np.ndarray, a: float, b: float) -> np.ndarray:
+        return (data.y - np.where(np.isfinite(s), a * s + b, penalty)) \
+            / data.err
 
     def profiled(vals: dict):
         s = shape_curve(vals)
@@ -320,46 +308,33 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
                                  scale, background, fit_scale, fit_bg)
         else:
             a, b = scale, background
-        model = np.where(good, a * s + b, penalty)
-        return _chi2(data.y, data.err, model), a, b
+        return residuals(s, a, b), a, b, s
 
     dof = len(data) - len(free)
-    target = dof + math.sqrt(2.0 * max(dof, 1))
-
     if phys:
-        def objective(theta):
-            try:
-                return profiled(dict(zip(phys, theta)))[0]
-            except NumericalError:
-                return 1e30
-
         x0 = [getattr(params_init, n) for n in phys]
-        theta, chi2, ok, nfev, message = _minimize(
-            objective, x0, phys, maxfev, restarts, seed, target)
-        vals = dict(zip(phys, theta))
+        vals, _, ok, message, _ = _minimize(
+            lambda v: profiled(v)[0], x0, phys, maxfev, restarts, seed,
+            dof, len(data))
     else:
-        vals = {}
-        chi2, ok, nfev, message = math.nan, True, 1, "profiled affine solve"
-    chi2, a_fit, b_fit = profiled(vals)
+        vals, ok, message = {}, True, "profiled affine solve"
+    r, a_fit, b_fit, s = profiled(vals)
 
-    fitted = dict(vals)
-    if fit_scale:
-        fitted["scale"] = a_fit
-    if fit_bg:
-        fitted["background"] = b_fit
-    theta_full = np.array([fitted[n] for n in free])
-
-    def chi2_full(vec):
-        v = {n: _clip(n, x) for n, x in zip(free, vec)}
-        model, _, _ = model_curve(v, v.get("scale", scale),
-                                  v.get("background", background))
-        return _chi2(data.y, data.err, model)
-
-    cov, sigma = _covariance(chi2_full, theta_full, free)
+    good = np.isfinite(s)
+    columns = {"scale": np.where(good, -s, 0.0) / data.err,
+               "background": np.where(good, -1.0, 0.0) / data.err}
+    for n in phys:   # forward differences with the step of _minimize
+        h = _DIFF_STEP * max(_UNIT[n], abs(vals[n]))
+        h = -h if vals[n] + h > _BOUNDS[n][1] else h
+        s_h = shape_curve({**vals, n: vals[n] + h})
+        columns[n] = (residuals(s_h, a_fit, b_fit) - r) / h
+    cov, sigma = _covariance(np.column_stack([columns[n] for n in free]),
+                             free)
+    fitted = dict(vals, scale=a_fit, background=b_fit)
     return FitResult(
         params={n: float(fitted[n]) for n in free},
         experiment=_with_physics(params_init, fitted),
-        chi2=chi2, dof=dof, cov=cov, sigma=sigma,
+        chi2=float(r @ r), dof=dof, cov=cov, sigma=sigma,
         converged=ok, nfev=nfev, message=message)
 
 
@@ -376,84 +351,68 @@ def fit_g2_joint(datasets, params_init: ExperimentParams,
     carry the three detection error parameters as free names; they apply
     to pair curves only, never to a "total" dataset.  Delay grids are
     used exactly as given (a tau = 0 point is prepended internally when
-    missing, the propagator needs it).
+    missing, the propagator needs it).  The covariance reuses the
+    optimizer's Jacobian at the optimum.
     """
     if isinstance(datasets, DataSet):
         datasets = [datasets]
     datasets = list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")
-    specs = []
+    # deduplicate model grids so curves sharing first photon and delays
+    # cost one propagation per residual evaluation
+    grids: dict[bytes, np.ndarray] = {}
+    layout = []   # per dataset: (mode, first, second, grid key, slice)
     for d in datasets:
         mode, pair = _parse_kind(d.kind)
         if mode == "spectrum":
             raise ValueError("spectrum data belongs in fit_spectrum")
-        specs.append((mode, pair, d))
+        grid = d.x if d.x[0] == 0.0 else np.concatenate([[0.0], d.x])
+        key = grid.tobytes()
+        grids.setdefault(key, grid)
+        first, second = pair if pair else (None, None)
+        layout.append((mode, first, second, key,
+                       slice(grid.size - d.x.size, None), d))
     free = _check_free(free, PHYSICS_PARAMS + ERROR_PARAMS)
+    _check_budget(restarts, maxfev)
     base_err = errors if errors is not None else ErrorModel()
     use_err = errors is not None or any(n in ERROR_PARAMS for n in free)
 
-    # deduplicate model grids so curves sharing first photon and delays
-    # cost one propagation per objective evaluation
-    unique: list[np.ndarray] = []
-    layout = []   # per dataset: (mode, first, second, grid index, slice)
-    for mode, pair, d in specs:
-        grid = d.x if d.x[0] == 0.0 else np.concatenate([[0.0], d.x])
-        sl = slice(0, None) if d.x[0] == 0.0 else slice(1, None)
-        for gi, g in enumerate(unique):
-            if np.array_equal(g, grid):
-                break
-        else:
-            unique.append(grid)
-            gi = len(unique) - 1
-        first, second = pair if pair else (None, None)
-        layout.append((mode, first, second, gi, sl, d))
-
     def error_model(vals: dict) -> ErrorModel:
-        return ErrorModel(
-            eps_init=_clip("eps_init", vals.get("eps_init",
-                                                base_err.eps_init)),
-            eps_minus=_clip("eps_minus", vals.get("eps_minus",
-                                                  base_err.eps_minus)),
-            eps_plus=_clip("eps_plus", vals.get("eps_plus",
-                                                base_err.eps_plus)))
+        return ErrorModel(**{n: vals.get(n, getattr(base_err, n))
+                             for n in ERROR_PARAMS})
 
-    def chi2_of(vals: dict) -> float:
+    nfev = 0
+
+    def residuals(vals: dict) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
         p = _with_physics(params_init, vals)
         em = error_model(vals) if use_err else None
         cache: dict = {}
-        total = 0.0
-        for mode, first, second, gi, sl, d in layout:
-            key = (mode, first, gi)
+        out = []
+        for mode, first, second, gk, sl, d in layout:
+            key = (mode, first, gk)
             if key not in cache:
                 if mode == "total":
-                    cache[key] = (g2_total(p, unique[gi]),)
+                    cache[key] = (g2_total(p, grids[gk]),)
                 elif em is not None:
-                    cache[key] = apply_error_model(p, em, unique[gi], first)
+                    cache[key] = apply_error_model(p, em, grids[gk], first)
                 else:
-                    cache[key] = g2_pair(p, first, unique[gi])
+                    cache[key] = g2_pair(p, first, grids[gk])
             got = cache[key]
             curve = got[0] if mode == "total" or second == SIGMA_MINUS \
                 else got[1]
-            total += _chi2(d.y, d.err, curve.values[sl])
-        return total
-
-    def objective(theta):
-        try:
-            return chi2_of({n: _clip(n, v) for n, v in zip(free, theta)})
-        except NumericalError:
-            return 1e30
+            out.append((d.y - curve.values[sl]) / d.err)
+        return np.concatenate(out)
 
     n_points = sum(len(d) for d in datasets)
     dof = n_points - len(free)
-    target = dof + math.sqrt(2.0 * max(dof, 1))
     x0 = [getattr(params_init, n) if n in PHYSICS_PARAMS
           else getattr(base_err, n) for n in free]
-    theta, chi2, ok, nfev, message = _minimize(
-        objective, x0, free, maxfev, restarts, seed, target)
-    vals = dict(zip(free, theta))
-
-    cov, sigma = _covariance(objective, theta, free)
+    vals, chi2, ok, message, jac = _minimize(
+        residuals, x0, free, maxfev, restarts, seed, dof, n_points)
+    cov, sigma = _covariance(jac, free)
     return FitResult(
         params={n: float(v) for n, v in vals.items()},
         experiment=_with_physics(params_init, vals),

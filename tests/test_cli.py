@@ -190,6 +190,18 @@ class TestFitCommand:
         fitted = ExperimentParams.load(saved)
         assert fitted.omega_397 == pytest.approx(truth.omega_397, rel=0.01)
 
+    def test_small_maxfev_reports_no_convergence(self, capsys, tmp_path):
+        data = tmp_path / "g2.csv"
+        run(capsys, "g2", "--params", "weak", "--first", "sigma-",
+            "--second", "sigma-", "--t-max", "100ns", "--dt", "2ns",
+            "-o", str(data))
+        code, stdout, _ = run(capsys, "fit", "g2", str(data),
+                              "--params", "strong", "--kinds", "sigma-|sigma-",
+                              "--free", "omega_397", "--restarts", "1",
+                              "--maxfev", "1")
+        assert code == 0
+        assert stdout.startswith("did not converge")
+
     def test_kinds_mismatch_is_usage_error(self, capsys, tmp_path):
         data = tmp_path / "g2.csv"
         run(capsys, "g2", "--t-max", "100ns", "--dt", "2ns", "-o", str(data))
@@ -226,6 +238,17 @@ class TestExitCodes:
                            "--t-max", "100ns", "--dt", "1ns")
         assert code == 3
         assert "numerical" in err
+
+    def test_bad_fit_budget(self, capsys, tmp_path):
+        spec = tmp_path / "spec.csv"
+        run(capsys, "spectrum", "--params", "spectrum", "--points", "21",
+            "-o", str(spec))
+        for option in ("--restarts", "--maxfev"):
+            code, _, err = run(capsys, "fit", "spectrum", str(spec),
+                               "--params", "spectrum",
+                               "--free", "scale,background", option, "0")
+            assert code == 1
+            assert option[2:] in err
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -364,6 +364,21 @@ class TestSpectrumAgainstDirectSolve:
             [np.linspace(-TWO_PI * 40e6, TWO_PI * 40e6, 41), _FAR])
         _assert_matches_oracle(params, grid)
 
+    def test_degenerate_two_photon_resonance_flags_only_its_point(self):
+        # B = 0 and delta_397 = 0 put every two-photon resonance at
+        # delta_866 = 0, where the steady state is not unique
+        params = get_preset("spectrum").replace(
+            b_field=0.0, delta_397=0.0, alpha_397=math.pi / 4,
+            alpha_866=math.pi / 2)
+        grid = np.linspace(-TWO_PI * 40e6, TWO_PI * 40e6, 81)
+        curve = C.excitation_spectrum(params, grid)
+        ref, ref_ok = _spectrum_oracle(params, grid)
+        off = np.abs(grid) > TWO_PI * 1e3
+        assert ref_ok[off].all()
+        assert np.array_equal(curve.ok[off], ref_ok[off])
+        np.testing.assert_allclose(curve.values[off], ref[off], rtol=0,
+                                   atol=1e-12)
+
     @pytest.mark.parametrize("change", [{"omega_866": 0.0},
                                         {"alpha_866": 0.0}])
     def test_no_unique_steady_state_fails_every_point(self, change):

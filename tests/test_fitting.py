@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ionpair import fitting
 from ionpair.correlations import ErrorModel, apply_error_model, \
     excitation_spectrum, g2_pair
 from ionpair.fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
@@ -94,6 +95,32 @@ class TestFitSpectrum:
         assert res.params["background"] == pytest.approx(background, abs=15.0)
         assert res.dof == len(data) - 2
 
+    def test_linear_case_covariance_is_weighted_regression(
+            self, spectrum_truth):
+        truth, data, _, _ = spectrum_truth
+        res = fit_spectrum(data, truth, free=("scale", "background"),
+                           restarts=1)
+        shape = excitation_spectrum(truth, data.x).values
+        x = np.column_stack([shape, np.ones_like(shape)])
+        expected = np.linalg.inv(x.T @ (x / data.err[:, None] ** 2))
+        np.testing.assert_allclose(res.cov, expected, rtol=1e-8)
+        assert res.sigma["scale"] == pytest.approx(
+            math.sqrt(expected[0, 0]), rel=1e-8)
+
+    def test_same_seed_same_restarts(self, spectrum_truth):
+        truth, data, _, _ = spectrum_truth
+        # halved errors keep chi^2 above the stop target, so every
+        # restart runs
+        tight = DataSet("spectrum", data.x, data.y, err=0.5 * data.err)
+        init = truth.replace(omega_866=truth.omega_866 * 1.2, b_field=3.0)
+        fits = [fit_spectrum(tight, init, free=("omega_866", "b_field",
+                                                "scale"),
+                             restarts=restarts, seed=2)
+                for restarts in (3, 3, 1)]
+        assert fits[0].params == fits[1].params
+        assert fits[0].chi2 == fits[1].chi2
+        assert fits[0].nfev == fits[1].nfev > fits[2].nfev
+
     def test_rejects_wrong_kind_and_names(self, spectrum_truth):
         truth, data, _, _ = spectrum_truth
         g2data = DataSet("sigma-|sigma+", [0.0, 1e-9], [1.0, 2.0])
@@ -177,3 +204,48 @@ class TestFitG2Joint:
             fit_g2_joint(sets, truth, free=("scale",))
         with pytest.raises(ValueError):
             fit_g2_joint([], truth)
+
+
+class TestBudget:
+    def test_rejects_bad_restarts_and_maxfev(self, spectrum_truth,
+                                             g2_truth):
+        truth, data, _, _ = spectrum_truth
+        g2_params, sets = g2_truth
+        for bad in ({"restarts": 0}, {"restarts": -1}, {"maxfev": 0}):
+            with pytest.raises(ValueError):
+                fit_spectrum(data, truth, free=("scale", "background"),
+                             **bad)
+            with pytest.raises(ValueError):
+                fit_g2_joint(sets, g2_params, **bad)
+
+    def test_small_maxfev_does_not_converge(self, g2_truth):
+        truth, sets = g2_truth
+        init = truth.replace(omega_397=truth.omega_397 * 1.25)
+        res = fit_g2_joint(sets, init, free=("omega_397", "omega_866"),
+                           restarts=1, maxfev=2)
+        assert not res.converged
+
+    def test_nfev_counts_every_model_solve(self, spectrum_truth, g2_truth,
+                                           monkeypatch):
+        calls = []
+
+        def counted(func):
+            def wrapper(*args, **kwargs):
+                calls.append(func.__name__)
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fitting, "excitation_spectrum",
+                            counted(excitation_spectrum))
+        monkeypatch.setattr(fitting, "g2_pair", counted(g2_pair))
+        truth, data, _, _ = spectrum_truth
+        init = truth.replace(omega_866=truth.omega_866 * 1.2)
+        res = fit_spectrum(data, init, free=("omega_866", "scale"),
+                           restarts=1)
+        assert res.nfev == calls.count("excitation_spectrum")
+        g2_params, sets = g2_truth
+        res = fit_g2_joint(sets, g2_params.replace(
+            omega_397=g2_params.omega_397 * 1.1), free=("omega_397",),
+            restarts=1, maxfev=3)
+        # residual evaluations plus the Jacobian steps scipy leaves out
+        assert res.nfev == calls.count("g2_pair") > 3
