@@ -136,6 +136,8 @@ def cmd_g2(args) -> int:
 # -- spectrum ------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    if args.points < 1:
+        raise _UsageError(f"--points must be at least 1, got {args.points}")
     params = _load_params(args.params)
     grid = np.linspace(args.lo, args.hi, args.points)
     sc = corr.excitation_spectrum(params, grid, scale=args.scale,

@@ -1,9 +1,13 @@
 """Fast coincidence histograms between timestamp streams.
 
 correlate() bins all pairwise delays tau = t_b - t_a falling in
-[-window, +window) using searchsorted to find, for every event of stream
-a, the compact slice of stream b inside the window: O((N_a + N_b) log N_b
-+ pairs).  Histogram counts are bin-exact, integer arithmetic throughout.
+[-window, +window).  Two searchsorted calls give each event of stream a
+its slice [lo, hi) of stream b inside the window; pass j then bins
+b[lo + j] - a for every event whose slice is longer than j (the offset
+loop of Laurence, Fore & Huser, Opt. Lett. 31, 829, 2006).  Work is
+O((N_a + N_b) log N_b + pairs), scratch memory O(N_a), one pass per
+offset up to the longest slice.  Counts are bin-exact, integer
+arithmetic throughout.
 
 Normalization divides each bin by rate_a * rate_b * T * bin_width, the
 expectation for uncorrelated streams, turning the histogram into a g2
@@ -12,7 +16,6 @@ estimate.  For autocorrelation the N zero-delay self-pairs are removed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,20 +69,12 @@ class Correlogram:
     meta: dict = field(default_factory=dict)
 
 
-def _window_counts(a: np.ndarray, b: np.ndarray, window: int):
-    # slice of b with tau = b - a in [-window, +window)
-    lo = np.searchsorted(b, a - window, side="left")
-    hi = np.searchsorted(b, a + window, side="left")
-    return lo, hi
-
-
 def correlate(a: ClickStream, b: ClickStream | None = None,
-              config: CorrelatorConfig | None = None,
-              max_chunk_pairs: int = 4_000_000) -> Correlogram:
+              config: CorrelatorConfig | None = None) -> Correlogram:
     """Histogram of delays t_b - t_a; b = None autocorrelates a.
 
-    Pairs are accumulated in chunks of a-events so the scratch arrays
-    stay below max_chunk_pairs entries regardless of stream size.
+    Costs O((N_a + N_b) log N_b + pairs) work and O(N_a) scratch memory,
+    in one pass per offset up to the longest slice of b in the window.
     """
     if config is None:
         config = CorrelatorConfig()
@@ -100,31 +95,17 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
     rate_b = n_b_overlap / overlap_s
 
     counts = np.zeros(n_bins, dtype=np.int64)
-    lo, hi = _window_counts(ts_a, ts_b, window)
-    per_event = hi - lo
-    total = int(per_event.sum())
-    if total:
-        # chunk boundaries keeping sum(per_event) per chunk bounded
-        cum = np.cumsum(per_event)
-        starts = [0]
-        while True:
-            budget = cum[starts[-1] - 1] if starts[-1] else 0
-            nxt = int(np.searchsorted(cum, budget + max_chunk_pairs,
-                                      side="left"))
-            if nxt >= ts_a.size:
-                break
-            starts.append(max(nxt, starts[-1] + 1))
-        starts.append(ts_a.size)
-        for s, e in zip(starts[:-1], starts[1:]):
-            cnt = per_event[s:e]
-            m = int(cnt.sum())
-            if m == 0:
-                continue
-            # ragged expansion: for each a-event, its slice of b
-            idx_b = np.repeat(lo[s:e], cnt) + _ragged_arange(cnt)
-            tau = ts_b[idx_b] - np.repeat(ts_a[s:e], cnt)
-            bins = (tau + window) // width
-            counts += np.bincount(bins, minlength=n_bins).astype(np.int64)
+    # slice [lo, hi) of b with tau = b - a in [-window, +window)
+    lo = np.searchsorted(ts_b, ts_a - window, side="left")
+    hi = np.searchsorted(ts_b, ts_a + window, side="left")
+    total = int((hi - lo).sum())
+    idx = np.flatnonzero(hi > lo)
+    j = 0
+    while idx.size:
+        tau = ts_b[lo[idx] + j] - ts_a[idx]
+        counts += np.bincount((tau + window) // width, minlength=n_bins)
+        j += 1
+        idx = idx[lo[idx] + j < hi[idx]]
 
     if same:
         # remove the N zero-delay self pairs
@@ -142,15 +123,6 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
         rate_a=rate_a, rate_b=rate_b, overlap_s=overlap_s, flagged=flagged,
         meta={"channel_a": a.channel, "channel_b": b.channel,
               "auto": same})
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """[0..c0), [0..c1), ... concatenated; zero-count segments vanish."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
 def correlate_brute_force(a: ClickStream, b: ClickStream | None = None,
@@ -190,9 +162,9 @@ def conditioned_g2_estimate(stream_1: ClickStream, stream_2: ClickStream,
     stream twice with the same filter is treated as autocorrelation
     (self-pairs removed).
     """
-    if stream_1 is stream_2 and pol_1 == pol_2:
-        s = stream_1.select(pol=pol_1) if pol_1 else stream_1
-        return correlate(s, None, config)
     s1 = stream_1.select(pol=pol_1) if pol_1 else stream_1
-    s2 = stream_2.select(pol=pol_2) if pol_2 else stream_2
+    if stream_1 is stream_2 and pol_1 == pol_2:
+        s2 = None
+    else:
+        s2 = stream_2.select(pol=pol_2) if pol_2 else stream_2
     return correlate(s1, s2, config)

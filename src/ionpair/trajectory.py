@@ -253,6 +253,8 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
         raise ValueError("duration must be positive")
     if not 0 <= start_level < atom.N_LEVELS:
         raise ValueError(f"start_level must be 0..7, got {start_level}")
+    if max_events is not None and max_events < 1:
+        raise ValueError(f"max_events must be at least 1, got {max_events}")
     sampler = _JumpSampler(params)
     pools: dict[int, _Pool] = {}
     lower = sampler.ch_lower.tolist()

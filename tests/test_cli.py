@@ -250,6 +250,22 @@ class TestExitCodes:
             assert code == 1
             assert option[2:] in err
 
+    def test_bad_event_cap(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--duration", "1us",
+                           "--max-events", "0", "-o", str(tmp_path / "x.bin"))
+        assert code == 1
+        assert "max_events" in err
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_empty_spectrum_scan(self, capsys, tmp_path):
+        out = tmp_path / "spec.csv"
+        for extra in ([], ["--dips"]):
+            code, _, err = run(capsys, "spectrum", "--points", "0",
+                               "-o", str(out), *extra)
+            assert code == 1
+            assert "--points" in err
+            assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "g2", "--help")[0] == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionpair.correlator import (CorrelatorConfig, conditioned_g2_estimate,
                                 correlate, correlate_brute_force)
@@ -72,14 +73,70 @@ class TestAgainstBruteForce:
             assert np.array_equal(got.counts, want), context
             assert got.total_pairs == int(want.sum()), context
 
-    def test_chunking_does_not_change_counts(self):
+    def test_dense_streams_need_many_offsets(self):
+        # a 5 ns window over 20 ps gaps puts ~500 b-events in each slice,
+        # so the correlator runs ~500 offset passes
         rng = np.random.default_rng(1)
         a = stream_from_gaps(rng, 1500, 20)
+        b = stream_from_gaps(rng, 1500, 20)
         cfg = CorrelatorConfig(bin_width_ps=100, window_ps=5000)
-        ref = correlate(a, None, cfg)
-        chunked = correlate(a, None, cfg, max_chunk_pairs=97)
-        assert np.array_equal(ref.counts, chunked.counts)
-        assert ref.total_pairs == chunked.total_pairs
+        for other in (None, b):
+            got = correlate(a, other, cfg)
+            want = correlate_brute_force(a, other, cfg)
+            assert np.array_equal(got.counts, want)
+            assert got.total_pairs == int(want.sum())
+
+
+@st.composite
+def _timestamps(draw, window, shared=()):
+    """0-300 strictly increasing stamps: 1-2 ps bursts, gaps of up to
+    four windows, and optionally some stamps equal to `shared`."""
+    gaps = draw(st.lists(st.one_of(st.integers(1, 2),
+                                   st.integers(1, 4 * window)),
+                         max_size=300))
+    ts = np.cumsum(np.asarray(gaps, dtype=np.int64)) - 1
+    if len(shared):
+        picks = draw(st.lists(st.sampled_from(list(shared)), max_size=50))
+        ts = np.union1d(ts, np.asarray(picks, dtype=np.int64))
+    return ts
+
+
+def _stream(ts, pol):
+    n = ts.size
+    return ClickStream(ts, np.resize(np.asarray(pol, dtype=np.uint8), n),
+                       np.zeros(n), duration_ps=int(ts[-1]) + 1 if n else 1)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), width=st.integers(1, 50),
+           n_half=st.integers(1, 20),
+           mode=st.sampled_from(["auto", "same object", "cross"]),
+           pol=st.lists(st.integers(0, 2), min_size=1, max_size=7),
+           pol_filter=st.sampled_from([None, "sigma-", "pi", "sigma+"]))
+    def test_matches_brute_force(self, data, width, n_half, mode, pol,
+                                 pol_filter):
+        cfg = CorrelatorConfig(bin_width_ps=width, window_ps=width * n_half)
+        ts_a = data.draw(_timestamps(cfg.window_ps))
+        a = _stream(ts_a, pol)
+        if mode == "cross":
+            b = _stream(data.draw(_timestamps(cfg.window_ps, ts_a)), pol[::-1])
+        else:
+            b = None if mode == "auto" else a
+        got = correlate(a, b, cfg)
+        want = correlate_brute_force(a, b, cfg)
+        assert np.array_equal(got.counts, want)
+        assert got.total_pairs == int(want.sum())
+        assert got.meta["auto"] is (mode != "cross")
+
+        # same stream, same filter: autocorrelation of the selection
+        got = conditioned_g2_estimate(a, a, cfg, pol_filter, pol_filter)
+        selected = a.select(pol=pol_filter) if pol_filter else a
+        want = correlate_brute_force(selected, None, cfg)
+        assert got.meta["auto"] is True
+        assert np.array_equal(got.counts, want)
+        assert got.total_pairs == int(want.sum())
 
 
 class TestAnalyticCases:

@@ -202,6 +202,12 @@ class TestSimulateEmissions:
         assert len(em) == 500
         assert em.duration_ps <= 1_000_000_000_000
 
+    def test_max_events_below_one_rejected(self):
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_events"):
+                simulate_emissions(WEAK, 1e-6, seed=1, max_events=cap)
+        assert len(simulate_emissions(WEAK, 1e-3, seed=1, max_events=1)) == 1
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             simulate_emissions(WEAK, 0.0, seed=1)
