@@ -180,33 +180,11 @@ def _dissipator(a: np.ndarray) -> np.ndarray:
             - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T)))
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    """Generator of the master equation, acting on row-major vec(rho)."""
-
-    matrix: np.ndarray
-    params: ExperimentParams
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """d(rho)/dt for an 8x8 density matrix."""
-        return (self.matrix @ rho.reshape(-1)).reshape(N_LEVELS, N_LEVELS)
-
-
-def build_liouvillian(params: ExperimentParams) -> Liouvillian:
-    """Full 64x64 generator: coherent part plus all decay channels."""
+def build_liouvillian(params: ExperimentParams) -> np.ndarray:
+    """Full 64x64 generator on row-major vec(rho), all decays included."""
     h = build_hamiltonian(params)
     eye = np.eye(N_LEVELS)
     mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for a in collapse_operators(params):
         mat += _dissipator(a)
-    return Liouvillian(matrix=mat, params=params)
-
-
-def liouvillian_matrix(lv) -> np.ndarray:
-    """Accept either a Liouvillian or a bare 64x64 matrix."""
-    if isinstance(lv, Liouvillian):
-        return lv.matrix
-    mat = np.asarray(lv)
-    if mat.shape != (N_LEVELS * N_LEVELS, N_LEVELS * N_LEVELS):
-        raise ValueError(f"expected a 64x64 generator, got shape {mat.shape}")
     return mat

@@ -341,7 +341,7 @@ def _selftest_checks():
 
     def liouvillian_traceless():
         p = get_preset("weak")
-        lmat = atom.build_liouvillian(p).matrix
+        lmat = atom.build_liouvillian(p)
         rng = np.random.default_rng(0)
         r = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = r @ r.conj().T
@@ -352,8 +352,7 @@ def _selftest_checks():
 
     def steady_state_sane():
         p = get_preset("weak")
-        lv = atom.build_liouvillian(p)
-        rho = steady_state(lv)
+        rho = steady_state(atom.build_liouvillian(p))
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.all(np.diag(rho).real > -1e-12)
 

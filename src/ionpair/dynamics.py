@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .atom import N_LEVELS, liouvillian_matrix
+from .atom import N_LEVELS
 
 # Relative residual allowed on ||L rho_ss|| and on trace conservation.
 RESIDUAL_TOL = 1e-10
@@ -23,7 +22,7 @@ class DegenerateSteadyStateError(NumericalError):
     """
 
 
-def steady_state(lv, check_unique: bool = False) -> np.ndarray:
+def steady_state(mat: np.ndarray, check_unique: bool = False) -> np.ndarray:
     """Unique stationary density matrix of the generator.
 
     Solves L v = 0 with one row replaced by the trace condition.  The
@@ -32,7 +31,6 @@ def steady_state(lv, check_unique: bool = False) -> np.ndarray:
     check_unique=True an SVD confirms the nullspace is one-dimensional
     first, raising DegenerateSteadyStateError otherwise.
     """
-    mat = liouvillian_matrix(lv)
     n = N_LEVELS
     scale = np.linalg.norm(mat, ord=np.inf)
     if check_unique:
@@ -75,39 +73,63 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def propagate(lv, rho0: np.ndarray, grid) -> np.ndarray:
-    """Evolve rho0 over the given time grid; returns shape (n, 8, 8).
-
-    The grid must start at zero and increase strictly.  Steps are taken
-    with the exact matrix exponential; exponentials are cached per
-    distinct step size, so uniform grids cost a single expm.
-    """
-    mat = liouvillian_matrix(lv)
-    grid = _check_grid(grid)
+def _eigenbasis(mat: np.ndarray, rho0):
+    """(lam, V, V^-1 vec(rho0)) with mat = V diag(lam) V^-1; checks rho0."""
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (N_LEVELS, N_LEVELS):
         raise ValueError(f"rho0 must be 8x8, got {rho0.shape}")
     tr0 = np.trace(rho0).real
     if abs(tr0 - 1.0) > 1e-9:
         raise ValueError(f"rho0 trace {tr0} is not 1")
+    try:
+        lam, vec = np.linalg.eig(mat)
+        # L preserves the trace, so its steady-state eigenvalue is exactly
+        # 0; eig returns it as ~1e-8 round-off, which exp(lam t) would
+        # turn into trace drift at long delays
+        lam[np.argmin(np.abs(lam))] = 0.0
+        return lam, vec, np.linalg.solve(vec, rho0.reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigendecomposition of the generator failed: {exc}")
 
-    out = np.empty((grid.size, N_LEVELS, N_LEVELS), dtype=complex)
-    v = rho0.reshape(-1).copy()
+
+def propagate(mat: np.ndarray, rho0: np.ndarray, grid) -> np.ndarray:
+    """Evolve rho0 over the given time grid; returns shape (n, 8, 8).
+
+    The grid must start at zero and increase strictly; it need not be
+    uniform.  One eigendecomposition serves every point, vec(rho(t)) =
+    V exp(lam t) V^-1 vec(rho0) (Moler & Van Loan, SIAM Rev. 45, 3, 2003).
+    """
+    grid = _check_grid(grid)
+    lam, vec, y0 = _eigenbasis(mat, rho0)
+    out = ((np.exp(np.outer(grid, lam)) * y0) @ vec.T).reshape(
+        grid.size, N_LEVELS, N_LEVELS)
     out[0] = rho0
-    cache: dict[float, np.ndarray] = {}
-    for k in range(1, grid.size):
-        dt = grid[k] - grid[k - 1]
-        step = cache.get(dt)
-        if step is None:
-            step = scipy.linalg.expm(mat * dt)
-            cache[dt] = step
-        v = step @ v
-        out[k] = v.reshape(N_LEVELS, N_LEVELS)
 
     drift = np.abs(np.einsum("kii->k", out).real - 1.0).max()
-    if drift > RESIDUAL_TOL:
+    if not drift <= RESIDUAL_TOL:
         raise NumericalError(
             f"trace drift {drift:.3e} exceeds {RESIDUAL_TOL:.0e} during propagation")
+    return out
+
+
+def integrate(mat: np.ndarray, rho0: np.ndarray, t_end: float) -> np.ndarray:
+    """Exact window integral of propagate(): int_0^t_end rho(t) dt, 8x8.
+
+    Eigenmode lam contributes expm1(lam t_end) / lam, or t_end if lam = 0.
+    NumericalError unless the trace equals t_end to RESIDUAL_TOL.
+    """
+    if not t_end > 0.0:
+        raise ValueError(f"integration window must be positive, got {t_end}")
+    lam, vec, y0 = _eigenbasis(mat, rho0)
+    phi = np.full(lam.shape, t_end, dtype=complex)
+    nz = lam != 0.0
+    phi[nz] = np.expm1(lam[nz] * t_end) / lam[nz]
+    out = (vec @ (phi * y0)).reshape(N_LEVELS, N_LEVELS)
+    drift = abs(np.trace(out).real / t_end - 1.0)
+    if not drift <= RESIDUAL_TOL:
+        raise NumericalError(
+            f"window integral trace off by {drift:.3e} (relative)")
     return out
 
 

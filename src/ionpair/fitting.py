@@ -3,11 +3,11 @@
 Physics parameters enter only through the eight-level model, so every
 residual evaluation re-solves the master equation.  Fits minimize the
 residual vector (y - model) / err by bounded trust-region least squares
-(scipy.optimize.least_squares, method "trf"; Branch, Coleman & Li, SIAM
-J. Sci. Comput. 21, 1999) over a few named free parameters, in rescaled
-coordinates so frequencies (1e8 rad/s) and angles (order 1) live on the
-same footing.  For spectra the affine nuisance pair (scale, background)
-is profiled out analytically at every step instead of being searched.
+(scipy.optimize.least_squares, method "dogbox"; Voglis & Lagaris, 2004)
+over a few named free parameters, in rescaled coordinates so frequencies
+(1e8 rad/s) and angles (order 1) live on the same footing.  For spectra
+the affine nuisance pair (scale, background) is profiled out analytically
+at every step instead of being searched.
 Restarts from perturbed starting points guard against local minima;
 uncertainties come from cov = (J^T J)^-1, with J the Jacobian of the
 residuals over all free parameters at the optimum.
@@ -204,9 +204,12 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
     best = None
     for k in range(restarts):
         start = x0 if k == 0 else _perturb(x0, names, rng)
+        # dogbox keeps a start that sits on a bound; "trf" moves a start
+        # at 0 to 1e-10, where the relative step diff_step * |x| is 1e-17
+        # and the Jacobian column is round-off
         res = scipy.optimize.least_squares(
             fun, np.clip(start / units, lo, hi), bounds=(lo, hi),
-            method="trf", diff_step=_DIFF_STEP, max_nfev=maxfev)
+            method="dogbox", diff_step=_DIFF_STEP, max_nfev=maxfev)
         if best is None or res.cost < best.cost:
             best = res
         if 2.0 * best.cost <= target:

@@ -181,6 +181,11 @@ class TestHamiltonian:
         assert h[5, 5].real == pytest.approx(shifts[5] + p.delta_866)
 
 
+def _apply(mat, rho):
+    """d(rho)/dt from the 64x64 generator and row-major vec(rho)."""
+    return (mat @ rho.reshape(-1)).reshape(8, 8)
+
+
 class TestLiouvillian:
     def test_trace_preservation_random_params(self):
         # <<I| L = 0: columns of L summed over diagonal positions vanish
@@ -189,24 +194,31 @@ class TestLiouvillian:
         tr[::9] = 1.0
         for _ in range(10):
             lv = atom.build_liouvillian(_random_params(rng))
-            assert np.abs(tr @ lv.matrix).max() < 1e-6  # rad/s scale ~1e8
+            assert np.abs(tr @ lv).max() < 1e-6  # rad/s scale ~1e8
 
     def test_hermiticity_preserved_by_generator(self):
         rng = np.random.default_rng(17)
         lv = atom.build_liouvillian(_random_params(rng))
         x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = x + x.conj().T
-        drho = lv.apply(rho)
+        drho = _apply(lv, rho)
         assert np.allclose(drho, drho.conj().T, atol=1e-6)
 
     def test_apply_matches_matrix(self):
+        # the superoperator equals the master equation written with 8x8
+        # operators: -i[H, rho] + sum_a (a rho a+ - {a+ a, rho} / 2)
         rng = np.random.default_rng(19)
-        lv = atom.build_liouvillian(get_preset("weak"))
+        p = get_preset("weak")
+        lv = atom.build_liouvillian(p)
         x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = x @ x.conj().T
         rho /= np.trace(rho)
-        direct = (lv.matrix @ rho.reshape(-1)).reshape(8, 8)
-        assert np.allclose(lv.apply(rho), direct)
+        h = atom.build_hamiltonian(p)
+        direct = -1j * (h @ rho - rho @ h)
+        for a in atom.collapse_operators(p):
+            ada = a.conj().T @ a
+            direct += a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada)
+        assert np.allclose(_apply(lv, rho), direct, rtol=0, atol=1e-6)
 
     def test_collapse_operator_count(self):
         p = get_preset("weak")
@@ -223,7 +235,7 @@ class TestLiouvillian:
         rho = np.zeros((8, 8), complex)
         rho[0, 0] = rho[4, 4] = 0.5
         rho[0, 4] = rho[4, 0] = 0.5  # S-D coherence
-        drho = lv.apply(rho)
+        drho = _apply(lv, rho)
         assert drho[0, 4] == pytest.approx(-0.5 * lw * rho[0, 4], rel=1e-9)
 
 

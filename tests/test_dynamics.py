@@ -1,12 +1,18 @@
-"""Steady-state and propagation checks against closed-form decay laws."""
+"""Steady-state and propagation checks against closed-form decay laws
+and a per-point matrix-exponential oracle."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from ionpair import atom, dynamics
+from ionpair.correlations import g2_pair
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 from ionpair.dynamics import (DegenerateSteadyStateError, NumericalError,
-                              populations, propagate, steady_state)
+                              integrate, populations, propagate, steady_state)
 
 
 def _decay_only(gamma_sp=TWO_PI * 20.7e6, gamma_dp=TWO_PI * 1.69e6):
@@ -103,14 +109,94 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lv, np.eye(4), np.array([0.0, 1e-9]))
 
+    def test_failed_eigendecomposition_is_numerical_error(self):
+        rho0 = np.eye(8, dtype=complex) / 8
+        broken = np.full((64, 64), np.nan)
+        with pytest.raises(NumericalError):
+            propagate(broken, rho0, np.array([0.0, 1e-9]))
+        with pytest.raises(NumericalError):
+            integrate(broken, rho0, 1e-9)
+
+    def test_integration_window_validation(self):
+        lv = atom.build_liouvillian(get_preset("weak"))
+        rho0 = np.eye(8, dtype=complex) / 8
+        for t_end in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError):
+                integrate(lv, rho0, t_end)
+
+
+# -- per-point matrix-exponential oracle ---------------------------------
+
+_ORACLE_GRID = np.concatenate([[0.0], np.geomspace(1e-10, 20e-6, 24)])
+
+
+def _expm_populations(mat, rho0, grid):
+    """Populations from scipy.linalg.expm(L t) vec(rho0), one t at a time."""
+    return np.array([(scipy.linalg.expm(mat * t) @ rho0.reshape(-1))
+                     .reshape(8, 8).diagonal().real for t in grid])
+
+
+def _assert_matches_expm(params):
+    mat = atom.build_liouvillian(params)
+    rho0 = np.zeros((8, 8), complex)
+    rho0[atom.S_PLUS, atom.S_PLUS] = 1.0
+    states = propagate(mat, rho0, _ORACLE_GRID)
+    ref = _expm_populations(mat, rho0, _ORACLE_GRID)
+    assert np.abs(populations(states) - ref).max() <= 1e-12
+    assert np.abs(np.einsum("kii->k", states).real - 1.0).max() <= 1e-10
+
+
+class TestAgainstExpm:
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_presets(self, preset):
+        _assert_matches_expm(get_preset(preset))
+
+    def test_zero_field_on_resonance(self):
+        # B = 0 with delta_397 = 0: degenerate Zeeman levels and a second
+        # stationary (dark) state, so L has a repeated zero eigenvalue
+        _assert_matches_expm(get_preset("weak").replace(
+            b_field=0.0, delta_397=0.0))
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(log10_b=st.floats(-3.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9))
+    def test_random_parameters(self, log10_b, delta_397_mhz, omega_397_mhz,
+                               omega_866_mhz, alpha_397_pi, alpha_866_pi):
+        params = get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi)
+        _assert_matches_expm(params)
+
+        # north-star invariants: a positive unit-trace steady state,
+        # g2(0) = 0 on both sigma channels, and g2 -> 1 once the slowest
+        # mode has decayed (20 relaxation times)
+        mat = atom.build_liouvillian(params)
+        rss = steady_state(mat)
+        assert np.trace(rss).real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(rss).min() >= -1e-12
+        rates = np.sort(-np.linalg.eigvals(mat).real)
+        minus, plus = g2_pair(params, "sigma-",
+                              np.array([0.0, 20.0 / rates[1]]))
+        assert minus.values[0] == 0.0 and plus.values[0] == 0.0
+        assert minus.values[1] == pytest.approx(1.0, abs=1e-6)
+        assert plus.values[1] == pytest.approx(1.0, abs=1e-6)
+
 
 class TestSteadyState:
     def test_residual_and_trace(self):
         for name in ("weak", "strong", "spectrum"):
-            lv = atom.build_liouvillian(get_preset(name))
-            rss = steady_state(lv)
-            resid = np.linalg.norm(lv.matrix @ rss.reshape(-1))
-            resid /= np.linalg.norm(lv.matrix, ord=np.inf)
+            mat = atom.build_liouvillian(get_preset(name))
+            rss = steady_state(mat)
+            resid = np.linalg.norm(mat @ rss.reshape(-1))
+            resid /= np.linalg.norm(mat, ord=np.inf)
             assert resid < 1e-10
             assert np.trace(rss).real == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(rss, rss.conj().T)

@@ -183,6 +183,31 @@ class TestFitG2Joint:
         assert res.params["eps_minus"] == pytest.approx(0.05, abs=0.02)
         assert res.chi2 < res.dof
 
+    @pytest.mark.parametrize("free", [("eps_init",), ("eps_minus",),
+                                      ("eps_init", "eps_minus")],
+                             ids=["init", "minus", "both"])
+    @pytest.mark.parametrize("step", [2e-9, 3e-9, 4e-9])
+    @pytest.mark.parametrize("preset", ["weak", "strong"])
+    def test_error_fit_leaves_start_on_bound(self, preset, step, free):
+        # noiseless data, every free epsilon starts at its lower bound 0;
+        # the finite-difference Jacobian there must see the true slope
+        truth = get_preset(preset)
+        em_true = ErrorModel(eps_init=0.10, eps_minus=0.05, eps_plus=0.05)
+        grid = np.arange(0.0, 300e-9, step)
+        minus, plus = apply_error_model(truth, em_true, grid, "sigma-")
+        sets = [DataSet("sigma-|sigma-", grid, minus.values,
+                        err=np.full(grid.size, 0.02)),
+                DataSet("sigma-|sigma+", grid, plus.values,
+                        err=np.full(grid.size, 0.02))]
+        start = ErrorModel(**{n: 0.0 if n in free else getattr(em_true, n)
+                              for n in ("eps_init", "eps_minus", "eps_plus")})
+        res = fit_g2_joint(sets, truth, free=free, errors=start,
+                           restarts=1, maxfev=200)
+        assert res.chi2 < 1e-12
+        for name in free:
+            assert res.params[name] == pytest.approx(getattr(em_true, name),
+                                                     abs=1e-8)
+
     def test_grid_without_zero_is_accepted(self):
         truth = get_preset("weak")
         grid = np.arange(1, 60) * 5e-9

@@ -1,8 +1,11 @@
 """Quantum-jump sampler statistics and the detector model."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from ionpair import atom
 from ionpair.dynamics import NumericalError, steady_state
@@ -142,6 +145,48 @@ class TestJumpSampler:
         p = WEAK.replace(linewidth_397=TWO_PI * 0.1e6)
         with pytest.raises(ValueError):
             _JumpSampler(p)
+
+
+def _assert_sampler_generates_liouvillian(params):
+    """The sampler's no-jump evolution plus its jump channels is the
+    master equation: -i(H_eff x 1 - 1 x H_eff*) + sum_c rate_c A_c x A_c*
+    in row-major vec(rho), with A_c = |lower><upper|."""
+    s = _JumpSampler(params)
+    h_eff = s.v @ np.diag(s.w) @ s.v_inv
+    eye = np.eye(atom.N_LEVELS)
+    mat = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    for rate, upper, lower in zip(s.ch_rate, s.ch_upper, s.ch_lower):
+        a = np.zeros((atom.N_LEVELS, atom.N_LEVELS))
+        a[lower, upper] = 1.0
+        mat += rate * np.kron(a, a)
+    ref = atom.build_liouvillian(params)
+    assert np.abs(mat - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestSamplerMatchesMasterEquation:
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_presets(self, preset):
+        _assert_sampler_generates_liouvillian(get_preset(preset))
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(log10_b=st.floats(-3.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(0.0, 40.0),
+           omega_866_mhz=st.floats(0.0, 20.0),
+           alpha_397_pi=st.floats(0.0, 1.0),
+           alpha_866_pi=st.floats(0.0, 1.0))
+    def test_random_parameters(self, log10_b, delta_397_mhz, delta_866_mhz,
+                               omega_397_mhz, omega_866_mhz, alpha_397_pi,
+                               alpha_866_pi):
+        _assert_sampler_generates_liouvillian(WEAK.replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi))
 
 
 class TestSimulateEmissions:
