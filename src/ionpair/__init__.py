@@ -16,8 +16,7 @@ from .atom import (TRANSITIONS, Transition, build_hamiltonian,
                    transition_amplitudes, zeeman_shifts)
 from .dynamics import NumericalError, populations, propagate, steady_state
 from .correlations import (CorrelationCurve, ErrorModel, SpectrumCurve,
-                           apply_error_model, default_grid,
-                           default_spectrum_grid, emission_rate,
+                           default_grid, default_spectrum_grid, emission_rate,
                            excitation_spectrum, find_dips, g2_conditioned,
                            g2_pair, g2_total, mean_photon_number,
                            pair_probability, purity, purity_curve,
@@ -38,7 +37,7 @@ __all__ = [
     "TRANSITIONS", "Transition", "build_hamiltonian", "build_liouvillian",
     "polarization_components", "transition_amplitudes", "zeeman_shifts",
     "NumericalError", "populations", "propagate", "steady_state",
-    "CorrelationCurve", "ErrorModel", "SpectrumCurve", "apply_error_model",
+    "CorrelationCurve", "ErrorModel", "SpectrumCurve",
     "default_grid", "default_spectrum_grid", "emission_rate",
     "excitation_spectrum", "find_dips", "g2_conditioned", "g2_pair",
     "g2_total", "mean_photon_number", "pair_probability", "purity",

@@ -23,8 +23,10 @@ file, 3 numerical failure, 4 selftest failure.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +64,19 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+|^-\.\d|^-\d*\.\d")
 
 
+def _finite(text: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} overflows to {value}")
+    return value
+
+
 def parse_time(text: str) -> float:
     """'24ns' -> 2.4e-8; the unit suffix is required."""
     m = re.fullmatch(r"\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)\s*(ps|ns|us|ms|s)\s*",
                      str(text))
     if not m:
         raise ValueError(f"time {text!r} needs a unit suffix (ps/ns/us/ms/s)")
-    return float(m.group(1)) * _TIME_UNITS[m.group(2)]
+    return _finite(text, float(m.group(1)) * _TIME_UNITS[m.group(2)])
 
 
 def parse_time_ps(text: str) -> int:
@@ -82,7 +90,8 @@ def parse_freq(text: str) -> float:
     if not m:
         raise ValueError(
             f"frequency {text!r} needs a unit suffix (Hz/kHz/MHz/GHz)")
-    return TWO_PI * float(m.group(1)) * _FREQ_UNITS[m.group(2).lower()]
+    return _finite(
+        text, TWO_PI * float(m.group(1)) * _FREQ_UNITS[m.group(2).lower()])
 
 
 def _load_params(spec: str) -> ExperimentParams:
@@ -106,18 +115,18 @@ def _mhz(omega: float) -> float:
 # -- g2 ------------------------------------------------------------------
 
 def cmd_g2(args) -> int:
+    errors = corr.ErrorModel(args.eps_init, args.eps_minus, args.eps_plus)
+    # the column names do not carry the errors, the header does
+    eps = {k: v for k, v in asdict(errors).items() if v}
+    if args.total and eps:
+        raise _UsageError("--total is polarization-blind and takes no "
+                          "--eps-* detection errors")
     params = _load_params(args.params)
     grid = corr.default_grid(args.t_max, args.dt)
-    eps = (args.eps_init, args.eps_minus, args.eps_plus)
     if args.total:
         curves = [corr.g2_total(params, grid)]
-    elif any(e > 0 for e in eps):
-        errors = corr.ErrorModel(*eps)
-        minus, plus = corr.apply_error_model(params, errors, grid, args.first)
-        curves = {"sigma-": [minus], "sigma+": [plus],
-                  "both": [minus, plus]}[args.second]
     else:
-        minus, plus = corr.g2_pair(params, args.first, grid)
+        minus, plus = corr.g2_pair(params, args.first, grid, errors)
         curves = {"sigma-": [minus], "sigma+": [plus],
                   "both": [minus, plus]}[args.second]
     for c in curves:
@@ -127,8 +136,8 @@ def cmd_g2(args) -> int:
         corr.write_table_csv(
             args.output, grid * 1e9,
             {c.kind: c.values for c in curves}, "tau_ns",
-            meta={"params": params.fingerprint(),
-                  "command": "g2", "first": "-" if args.total else args.first})
+            meta={"params": params.fingerprint(), "command": "g2",
+                  "first": "-" if args.total else args.first, **eps})
         print(f"wrote {args.output}")
     return 0
 
@@ -254,8 +263,10 @@ def _read_fit_table(path, kind, x_unit):
         raise _InputError(f"cannot read {path}: {exc}")
     err = columns.pop("err", None)
     candidates = [k for k in columns if k != "ok"]
-    if not candidates:
-        raise _InputError(f"{path}: no data column")
+    if kind not in columns and len(candidates) != 1:
+        raise _InputError(
+            f"{path}: no column named {kind!r} and no single data column "
+            f"to use instead; found: {', '.join(candidates) or 'none'}")
     label = kind if kind in columns else candidates[0]
     try:
         return DataSet(kind, x * x_unit, columns[label], err=err)
@@ -308,10 +319,8 @@ def cmd_fit(args) -> int:
                 f"{len(args.data)} data files")
         datasets = [_read_fit_table(p, k, 1e-9)
                     for p, k in zip(args.data, kinds)]
-        errors = None
-        if args.eps_init or args.eps_minus or args.eps_plus:
-            errors = corr.ErrorModel(args.eps_init, args.eps_minus,
-                                     args.eps_plus)
+        errors = corr.ErrorModel(args.eps_init, args.eps_minus,
+                                 args.eps_plus)
         res = fit_g2_joint(datasets, params, free=free, errors=errors,
                            restarts=args.restarts, seed=args.seed,
                            maxfev=args.maxfev)

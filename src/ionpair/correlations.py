@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .params import ExperimentParams
 SIGMA_MINUS = "sigma-"
 SIGMA_PLUS = "sigma+"
 
-# After detecting this photon the atom sits in this ground state.
-_PREPARED_STATE = {SIGMA_MINUS: S_PLUS, SIGMA_PLUS: S_MINUS}
 # This P sublevel feeds that emission channel.
 _SOURCE_LEVEL = {SIGMA_MINUS: P_MINUS, SIGMA_PLUS: P_PLUS}
 
@@ -78,41 +76,82 @@ def default_grid(t_max: float = 1000e-9, dt: float = 0.5e-9) -> np.ndarray:
     return np.arange(n + 1) * dt
 
 
-def _conditioned_populations(params: ExperimentParams, rho0: np.ndarray,
-                             grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mat = atom.build_liouvillian(params)
-    rss = steady_state(mat)
-    pops = populations(propagate(mat, rho0, grid))
-    return pops, np.real(np.diag(rss))
-
-
-def _ground_state(level: int) -> np.ndarray:
+def _heralded(w: float) -> np.ndarray:
+    """Ground state after a first photon that was sigma- with probability
+    w: w |S+1/2><S+1/2| + (1 - w) |S-1/2><S-1/2|."""
     rho = np.zeros((atom.N_LEVELS, atom.N_LEVELS), dtype=complex)
-    rho[level, level] = 1.0
+    rho[S_PLUS, S_PLUS] = w
+    rho[S_MINUS, S_MINUS] = 1.0 - w
     return rho
 
 
+def _feeding(params: ExperimentParams, grid: np.ndarray,
+             weight: float | None = None
+             ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(w, g-, g+) after propagating _heralded(w) over the grid.
+
+    g- = rho_P-(tau) / rho_P-(inf) and g+ = rho_P+(tau) / rho_P+(inf);
+    every g2 curve is a linear read-out of them.  weight=None prepares
+    the steady branching w = rho_P- / (rho_P- + rho_P+), the ground
+    mixture a polarization-blind first photon leaves behind.
+    """
+    mat = atom.build_liouvillian(params)
+    steady = np.real(np.diag(steady_state(mat)))
+    p_minus = _check_feeding_population(steady[P_MINUS])
+    p_plus = _check_feeding_population(steady[P_PLUS])
+    if weight is None:
+        weight = p_minus / (p_minus + p_plus)
+    pops = populations(propagate(mat, _heralded(weight), grid))
+    return weight, pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
+
+
+@dataclass(frozen=True)
+class ErrorModel:
+    """Three-parameter detection imperfection model.
+
+    eps_init:  probability that the heralding first photon projected the
+               atom into the wrong ground state.
+    eps_minus: fraction of the measured sigma- curve fed by true sigma+
+               light (polarizer leakage on the second photon).
+    eps_plus:  mirror image for the measured sigma+ curve.
+    """
+
+    eps_init: float = 0.0
+    eps_minus: float = 0.0
+    eps_plus: float = 0.0
+
+    def __post_init__(self):
+        for name in ("eps_init", "eps_minus", "eps_plus"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 0.5:
+                raise ValueError(f"{name} must lie in [0, 0.5], got {v}")
+
+
 def g2_pair(params: ExperimentParams, first: str,
-            grid: np.ndarray | None = None
+            grid: np.ndarray | None = None,
+            errors: ErrorModel = ErrorModel()
             ) -> tuple[CorrelationCurve, CorrelationCurve]:
     """Both conditioned curves (second = sigma-, sigma+) after one
-    detected `first` photon; a single propagation serves both."""
+    detected `first` photon; a single propagation serves both.
+
+    `errors` gives the curves as measured: eps_init mixes the prepared
+    ground state, eps_minus/eps_plus mix the two ideal second-photon
+    curves.  Each curve's meta records the epsilons.
+    """
     _check_pol(first)
     if grid is None:
         grid = default_grid()
-    rho0 = _ground_state(_PREPARED_STATE[first])
-    pops, steady = _conditioned_populations(params, rho0, grid)
-    curves = []
-    for second in (SIGMA_MINUS, SIGMA_PLUS):
-        lvl = _SOURCE_LEVEL[second]
-        _check_feeding_population(steady[lvl])
-        curves.append(CorrelationCurve(
-            tau=grid.copy(),
-            values=pops[:, lvl] / steady[lvl],
-            kind=f"{first}|{second}",
-            meta={"params": params.fingerprint()},
-        ))
-    return curves[0], curves[1]
+    wrong = errors.eps_init
+    _, gm, gp = _feeding(params, grid,
+                         1.0 - wrong if first == SIGMA_MINUS else wrong)
+    values = {
+        SIGMA_MINUS: (1.0 - errors.eps_minus) * gm + errors.eps_minus * gp,
+        SIGMA_PLUS: (1.0 - errors.eps_plus) * gp + errors.eps_plus * gm,
+    }
+    meta = {"params": params.fingerprint(), **asdict(errors)}
+    return tuple(CorrelationCurve(tau=grid.copy(), values=values[second],
+                                  kind=f"{first}|{second}", meta=dict(meta))
+                 for second in (SIGMA_MINUS, SIGMA_PLUS))
 
 
 def g2_conditioned(params: ExperimentParams, first: str, second: str,
@@ -128,21 +167,15 @@ def g2_total(params: ExperimentParams,
     """Polarization-blind g2 of the 397 sigma fluorescence.
 
     The first photon projects the atom into a ground mixture weighted by
-    the steady feeding populations; the second is either sigma channel.
+    the steady feeding populations; the second is either sigma channel,
+    with the same weights.
     """
     if grid is None:
         grid = default_grid()
-    mat = atom.build_liouvillian(params)
-    rss = steady_state(mat)
-    p33, p44 = rss[P_MINUS, P_MINUS].real, rss[P_PLUS, P_PLUS].real
-    norm = _check_feeding_population(p33 + p44)
-    rho0 = np.zeros((atom.N_LEVELS, atom.N_LEVELS), dtype=complex)
-    rho0[S_PLUS, S_PLUS] = p33 / norm    # sigma- photon came from P-1/2
-    rho0[S_MINUS, S_MINUS] = p44 / norm
-    pops = populations(propagate(mat, rho0, grid))
+    w, gm, gp = _feeding(params, grid)
     return CorrelationCurve(
         tau=grid.copy(),
-        values=(pops[:, P_MINUS] + pops[:, P_PLUS]) / norm,
+        values=w * gm + (1.0 - w) * gp,
         kind="total",
         meta={"params": params.fingerprint()},
     )
@@ -212,65 +245,6 @@ def pair_probability(p: float) -> float:
     return p / (1.0 + p)
 
 
-# -- detection error model ---------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Three-parameter detection imperfection model.
-
-    eps_init:  probability that the heralding first photon projected the
-               atom into the wrong ground state.
-    eps_minus: fraction of the measured sigma- curve fed by true sigma+
-               light (polarizer leakage on the second photon).
-    eps_plus:  mirror image for the measured sigma+ curve.
-    """
-
-    eps_init: float = 0.0
-    eps_minus: float = 0.0
-    eps_plus: float = 0.0
-
-    def __post_init__(self):
-        for name in ("eps_init", "eps_minus", "eps_plus"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 0.5:
-                raise ValueError(f"{name} must lie in [0, 0.5], got {v}")
-
-
-def apply_error_model(params: ExperimentParams, errors: ErrorModel,
-                      grid: np.ndarray | None = None,
-                      first: str = SIGMA_MINUS
-                      ) -> tuple[CorrelationCurve, CorrelationCurve]:
-    """Conditioned curves as measured with imperfect state preparation
-    and polarization analysis.
-
-    The first-photon error mixes the prepared ground state; the analyzer
-    errors mix the two ideal second-photon curves.
-    """
-    _check_pol(first)
-    if grid is None:
-        grid = default_grid()
-    good = _ground_state(_PREPARED_STATE[first])
-    other = SIGMA_PLUS if first == SIGMA_MINUS else SIGMA_MINUS
-    bad = _ground_state(_PREPARED_STATE[other])
-    rho0 = (1.0 - errors.eps_init) * good + errors.eps_init * bad
-    pops, steady = _conditioned_populations(params, rho0, grid)
-    gm = pops[:, P_MINUS] / _check_feeding_population(steady[P_MINUS])
-    gp = pops[:, P_PLUS] / _check_feeding_population(steady[P_PLUS])
-    meta = {"params": params.fingerprint(),
-            "eps_init": errors.eps_init,
-            "eps_minus": errors.eps_minus,
-            "eps_plus": errors.eps_plus}
-    measured_minus = CorrelationCurve(
-        tau=grid.copy(),
-        values=(1.0 - errors.eps_minus) * gm + errors.eps_minus * gp,
-        kind=f"{first}|sigma- (measured)", meta=dict(meta))
-    measured_plus = CorrelationCurve(
-        tau=grid.copy(),
-        values=(1.0 - errors.eps_plus) * gp + errors.eps_plus * gm,
-        kind=f"{first}|sigma+ (measured)", meta=dict(meta))
-    return measured_minus, measured_plus
-
-
 # -- photon budget ------------------------------------------------------
 
 def emission_rate(params: ExperimentParams, pol: str) -> float:
@@ -291,7 +265,7 @@ def mean_photon_number(params: ExperimentParams, pol: str,
     rho_P(tau) (dynamics.integrate), not t_window times the steady rate.
     """
     _check_pol(pol)
-    rho0 = _ground_state(_PREPARED_STATE[pol])
+    rho0 = _heralded(1.0 if pol == SIGMA_MINUS else 0.0)
     lvl = _SOURCE_LEVEL[pol]
     occupation = integrate(atom.build_liouvillian(params), rho0, t_window)
     return float((2.0 / 3.0) * params.gamma_sp * occupation[lvl, lvl].real)

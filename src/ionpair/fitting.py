@@ -22,8 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from .correlations import (SIGMA_MINUS, SIGMA_PLUS, ErrorModel,
-                           apply_error_model, excitation_spectrum, g2_pair,
-                           g2_total)
+                           excitation_spectrum, g2_pair, g2_total)
 from .dynamics import NumericalError
 from .params import TWO_PI, ExperimentParams
 
@@ -365,7 +364,7 @@ def fit_g2_joint(datasets, params_init: ExperimentParams,
     # deduplicate model grids so curves sharing first photon and delays
     # cost one propagation per residual evaluation
     grids: dict[bytes, np.ndarray] = {}
-    layout = []   # per dataset: (mode, first, second, grid key, slice)
+    layout = []   # per dataset: (first, second, grid key, slice, data)
     for d in datasets:
         mode, pair = _parse_kind(d.kind)
         if mode == "spectrum":
@@ -373,8 +372,8 @@ def fit_g2_joint(datasets, params_init: ExperimentParams,
         grid = d.x if d.x[0] == 0.0 else np.concatenate([[0.0], d.x])
         key = grid.tobytes()
         grids.setdefault(key, grid)
-        first, second = pair if pair else (None, None)
-        layout.append((mode, first, second, key,
+        first, second = pair if pair else (None, None)   # None: "total"
+        layout.append((first, second, key,
                        slice(grid.size - d.x.size, None), d))
     free = _check_free(free, PHYSICS_PARAMS + ERROR_PARAMS)
     _check_budget(restarts, maxfev)
@@ -391,21 +390,15 @@ def fit_g2_joint(datasets, params_init: ExperimentParams,
         nonlocal nfev
         nfev += 1
         p = _with_physics(params_init, vals)
-        em = error_model(vals) if use_err else None
+        em = error_model(vals)
         cache: dict = {}
         out = []
-        for mode, first, second, gk, sl, d in layout:
-            key = (mode, first, gk)
+        for first, second, gk, sl, d in layout:
+            key = (first, gk)
             if key not in cache:
-                if mode == "total":
-                    cache[key] = (g2_total(p, grids[gk]),)
-                elif em is not None:
-                    cache[key] = apply_error_model(p, em, grids[gk], first)
-                else:
-                    cache[key] = g2_pair(p, first, grids[gk])
-            got = cache[key]
-            curve = got[0] if mode == "total" or second == SIGMA_MINUS \
-                else got[1]
+                cache[key] = (g2_total(p, grids[gk]),) if first is None \
+                    else g2_pair(p, first, grids[gk], em)
+            curve = cache[key][1 if second == SIGMA_PLUS else 0]
             out.append((d.y - curve.values[sl]) / d.err)
         return np.concatenate(out)
 

@@ -249,8 +249,9 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     `start_level`; the early transient is a few microseconds and is
     negligible against any realistic duration.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration}")
     if not 0 <= start_level < atom.N_LEVELS:
         raise ValueError(f"start_level must be 0..7, got {start_level}")
     if max_events is not None and max_events < 1:

@@ -14,7 +14,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from ionpair.correlations import (
     ErrorModel,
-    apply_error_model,
     default_grid,
     default_spectrum_grid,
     excitation_spectrum,
@@ -106,11 +105,11 @@ def test_criterion_04_purity(weak_pair):
     fm, fp = g2_pair(WEAK, "sigma-", fine)
     p1 = purity(fm, fp, 1e-9)
     errors = ErrorModel(eps_init=0.025, eps_minus=0.05, eps_plus=0.018)
-    mm, mp = apply_error_model(WEAK, errors, minus.tau)
+    mm, mp = g2_pair(WEAK, "sigma-", minus.tau, errors)
     tau_c, curve = purity_curve(mm, mp)
     i_pk = int(np.argmax(curve))
     peak, tau_pk = float(curve[i_pk]), float(tau_c[i_pk])
-    em_f, ep_f = apply_error_model(WEAK, errors, fine)
+    em_f, ep_f = g2_pair(WEAK, "sigma-", fine, errors)
     p1_err = purity(em_f, ep_f, 1e-9)
     # The error model cannot push the purity level below ~16 at these
     # epsilons: equal-amplitude sigma drive pins the two steady P

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import ionpair
+from ionpair import correlations as corr
 from ionpair.cli import main, parse_freq, parse_time, parse_time_ps
 from ionpair.correlations import read_table_csv
 from ionpair.params import TWO_PI, get_preset
@@ -20,6 +22,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _chi2(stdout):
+    return float(re.search(r"chi2 = (\S+)", stdout).group(1))
 
 
 class TestUnitParsing:
@@ -44,6 +50,17 @@ class TestUnitParsing:
         assert parse_freq("5kHz") == pytest.approx(TWO_PI * 5e3)
         assert parse_freq("2.5hz") == pytest.approx(TWO_PI * 2.5)
 
+    def test_non_finite_rejected(self):
+        for text in ("1e999ns", "-1e999s"):
+            with pytest.raises(ValueError):
+                parse_time(text)
+        with pytest.raises(ValueError):
+            parse_time_ps("1e999us")
+        # finite digits, infinite product with the unit
+        for text in ("1e999MHz", "1e308GHz"):
+            with pytest.raises(ValueError):
+                parse_freq(text)
+
 
 class TestG2Command:
     def test_writes_both_curves(self, capsys, tmp_path):
@@ -66,6 +83,27 @@ class TestG2Command:
         assert code == 0
         _, cols, _ = read_table_csv(out)
         assert list(cols) == ["total"]
+
+    def test_error_model_keeps_plain_labels(self, capsys, tmp_path):
+        out = tmp_path / "g.csv"
+        code, stdout, _ = run(capsys, "g2", "--eps-init", "0.02",
+                              "--eps-minus", "0.01", "--t-max", "100ns",
+                              "--dt", "2ns", "-o", str(out))
+        assert code == 0
+        assert "sigma-|sigma+: peak g2" in stdout
+        _, cols, meta = read_table_csv(out)
+        assert list(cols) == ["sigma-|sigma-", "sigma-|sigma+"]
+        assert (meta["eps_init"], meta["eps_minus"]) == ("0.02", "0.01")
+        assert "eps_plus" not in meta
+
+    def test_total_with_errors_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        for eps in ("--eps-init", "--eps-minus", "--eps-plus"):
+            code, _, err = run(capsys, "g2", "--total", eps, "0.01",
+                               "--t-max", "100ns", "-o", str(out))
+            assert code == 1
+            assert "--eps" in err
+            assert not out.exists()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -202,6 +240,41 @@ class TestFitCommand:
         assert code == 0
         assert stdout.startswith("did not converge")
 
+    def test_g2_fit_reads_the_kinds_column(self, capsys, tmp_path):
+        # both curves in one file, the second one named by --kinds
+        data = tmp_path / "g.csv"
+        errors = ["--eps-init", "0.02", "--eps-minus", "0.01"]
+        run(capsys, "g2", *errors, "--t-max", "200ns", "--dt", "2ns",
+            "-o", str(data))
+        code, stdout, _ = run(capsys, "fit", "g2", str(data), *errors,
+                              "--kinds", "sigma-|sigma+",
+                              "--free", "omega_397", "--restarts", "1")
+        assert code == 0
+        assert _chi2(stdout) < 1e-6
+
+    def test_g2_fit_reads_the_only_data_column(self, capsys, tmp_path):
+        data = tmp_path / "g.csv"
+        grid = corr.default_grid(200e-9, 2e-9)
+        _, plus = corr.g2_pair(get_preset("weak"), "sigma-", grid)
+        corr.write_table_csv(data, grid * 1e9, {"g2": plus.values},
+                             "tau_ns")
+        code, stdout, _ = run(capsys, "fit", "g2", str(data),
+                              "--kinds", "sigma-|sigma+",
+                              "--free", "omega_397", "--restarts", "1")
+        assert code == 0
+        assert _chi2(stdout) < 1e-6
+
+    def test_g2_fit_without_its_column_is_input_error(self, capsys,
+                                                      tmp_path):
+        data = tmp_path / "g.csv"
+        run(capsys, "g2", "--second", "both", "--t-max", "100ns",
+            "--dt", "2ns", "-o", str(data))
+        code, _, err = run(capsys, "fit", "g2", str(data), "--kinds", "total",
+                           "--free", "omega_397", "--restarts", "1")
+        assert code == 2
+        assert "'total'" in err
+        assert "sigma-|sigma-, sigma-|sigma+" in err
+
     def test_kinds_mismatch_is_usage_error(self, capsys, tmp_path):
         data = tmp_path / "g2.csv"
         run(capsys, "g2", "--t-max", "100ns", "--dt", "2ns", "-o", str(data))
@@ -249,6 +322,18 @@ class TestExitCodes:
                                "--free", "scale,background", option, "0")
             assert code == 1
             assert option[2:] in err
+
+    def test_non_finite_quantities(self, capsys, tmp_path):
+        out = tmp_path / "x.clk"
+        for argv in (["g2", "--t-max", "1e999ns"],
+                     ["purity", "--t-window", "1e999ns"],
+                     ["spectrum", "--lo", "1e999MHz", "--points", "5"],
+                     ["simulate", "--duration", "1e999ns",
+                      "--max-events", "10", "-o", str(out)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert "1e999" in err
+        assert not out.exists()
 
     def test_bad_event_cap(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--duration", "1us",

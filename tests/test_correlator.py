@@ -108,8 +108,7 @@ def _stream(ts, pol):
 
 
 class TestProperties:
-    @settings(max_examples=200, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=200, database=None)
     @given(data=st.data(), width=st.integers(1, 50),
            n_half=st.integers(1, 20),
            mode=st.sampled_from(["auto", "same object", "cross"]),

@@ -157,8 +157,7 @@ class TestAgainstExpm:
         _assert_matches_expm(get_preset("weak").replace(
             b_field=0.0, delta_397=0.0))
 
-    @settings(max_examples=30, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=30, database=None)
     @given(log10_b=st.floats(-3.0, 1.0),
            delta_397_mhz=st.floats(-40.0, 0.0),
            omega_397_mhz=st.floats(1.0, 40.0),

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ionpair import fitting
-from ionpair.correlations import ErrorModel, apply_error_model, \
-    excitation_spectrum, g2_pair
+from ionpair.correlations import ErrorModel, excitation_spectrum, g2_pair
 from ionpair.fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
 from ionpair.params import TWO_PI, get_preset
 
@@ -168,7 +167,7 @@ class TestFitG2Joint:
         truth = get_preset("weak")
         em_true = ErrorModel(eps_init=0.10, eps_minus=0.05, eps_plus=0.05)
         grid = np.arange(0.0, 300e-9, 3.0e-9)
-        minus, plus = apply_error_model(truth, em_true, grid, "sigma-")
+        minus, plus = g2_pair(truth, "sigma-", grid, em_true)
         sig = 0.02
         sets = [DataSet("sigma-|sigma-", grid, minus.values,
                         err=np.full(grid.size, sig)),
@@ -194,7 +193,7 @@ class TestFitG2Joint:
         truth = get_preset(preset)
         em_true = ErrorModel(eps_init=0.10, eps_minus=0.05, eps_plus=0.05)
         grid = np.arange(0.0, 300e-9, step)
-        minus, plus = apply_error_model(truth, em_true, grid, "sigma-")
+        minus, plus = g2_pair(truth, "sigma-", grid, em_true)
         sets = [DataSet("sigma-|sigma-", grid, minus.values,
                         err=np.full(grid.size, 0.02)),
                 DataSet("sigma-|sigma+", grid, plus.values,
