@@ -300,35 +300,37 @@ def _print_fit(res: FitResult) -> None:
         print(f"  {name} = {txt}{err_txt}")
 
 
-def cmd_fit(args) -> int:
-    params = _load_params(args.params)
-    free = tuple(n.strip() for n in args.free.split(",") if n.strip())
-    if args.mode == "spectrum":
-        if len(args.data) != 1:
-            raise _UsageError("fit spectrum takes exactly one data file")
-        data = _read_fit_table(args.data[0], "spectrum", TWO_PI * 1e6)
-        res = fit_spectrum(data, params, free=free, scale=args.scale,
-                           background=args.background,
-                           restarts=args.restarts, seed=args.seed,
-                           maxfev=args.maxfev)
-    else:
-        kinds = [k.strip() for k in args.kinds.split(",")]
-        if len(kinds) != len(args.data):
-            raise _UsageError(
-                f"--kinds lists {len(kinds)} entries for "
-                f"{len(args.data)} data files")
-        datasets = [_read_fit_table(p, k, 1e-9)
-                    for p, k in zip(args.data, kinds)]
-        errors = corr.ErrorModel(args.eps_init, args.eps_minus,
-                                 args.eps_plus)
-        res = fit_g2_joint(datasets, params, free=free, errors=errors,
-                           restarts=args.restarts, seed=args.seed,
-                           maxfev=args.maxfev)
+def _report_fit(res: FitResult, args) -> int:
     _print_fit(res)
     if args.save_params:
         res.experiment.save(args.save_params)
         print(f"wrote {args.save_params}")
     return 0
+
+
+def cmd_fit_spectrum(args) -> int:
+    params = _load_params(args.params)
+    data = _read_fit_table(args.data, "spectrum", TWO_PI * 1e6)
+    res = fit_spectrum(data, params, free=args.free, scale=args.scale,
+                       background=args.background, restarts=args.restarts,
+                       seed=args.seed, maxfev=args.maxfev)
+    return _report_fit(res, args)
+
+
+def cmd_fit_g2(args) -> int:
+    params = _load_params(args.params)
+    kinds = [k.strip() for k in args.kinds.split(",")]
+    if len(kinds) != len(args.data):
+        raise _UsageError(
+            f"--kinds lists {len(kinds)} entries for "
+            f"{len(args.data)} data files")
+    datasets = [_read_fit_table(p, k, 1e-9)
+                for p, k in zip(args.data, kinds)]
+    errors = corr.ErrorModel(args.eps_init, args.eps_minus, args.eps_plus)
+    res = fit_g2_joint(datasets, params, free=args.free, errors=errors,
+                       restarts=args.restarts, seed=args.seed,
+                       maxfev=args.maxfev)
+    return _report_fit(res, args)
 
 
 # -- selftest ------------------------------------------------------------
@@ -450,6 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", default="weak",
                        help="preset name (weak/strong/spectrum) or JSON file")
 
+    def add_errors(p):
+        p.add_argument("--eps-init", type=float, default=0.0)
+        p.add_argument("--eps-minus", type=float, default=0.0)
+        p.add_argument("--eps-plus", type=float, default=0.0)
+
     p = sub.add_parser("g2", help="correlation curves")
     add_params(p)
     p.add_argument("--first", choices=("sigma-", "sigma+"), default="sigma-")
@@ -459,9 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="polarization-blind g2 instead of conditioned")
     p.add_argument("--t-max", type=parse_time, default=1000e-9)
     p.add_argument("--dt", type=parse_time, default=0.5e-9)
-    p.add_argument("--eps-init", type=float, default=0.0)
-    p.add_argument("--eps-minus", type=float, default=0.0)
-    p.add_argument("--eps-plus", type=float, default=0.0)
+    add_errors(p)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_g2)
 
@@ -516,29 +521,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("fit", help="parameter estimation")
-    p.add_argument("mode", choices=("spectrum", "g2"))
-    p.add_argument("data", nargs="+", help="CSV data file(s)")
-    add_params(p)
-    p.add_argument("--free", required=True,
-                   help="comma-separated free parameter names, e.g. "
-                        "omega_866,b_field,scale")
-    p.add_argument("--kinds", default="total",
-                   help="per-file dataset kinds for g2 fits, e.g. "
-                        "'sigma-|sigma-,sigma-|sigma+'")
+    modes = p.add_subparsers(dest="mode", required=True)
+
+    def add_fit_options(p):
+        add_params(p)
+        p.add_argument("--free", required=True,
+                       type=lambda text: tuple(
+                           n.strip() for n in text.split(",") if n.strip()),
+                       help="comma-separated free parameter names, e.g. "
+                            "omega_866,b_field,scale")
+        p.add_argument("--restarts", type=int, default=5,
+                       help="optimizer starts, the first from --params and "
+                            "the rest perturbed from it (>= 1)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--maxfev", type=int, default=2000,
+                       help="model-solve budget per start, not counting "
+                            "finite-difference Jacobian steps (>= 1)")
+        p.add_argument("--save-params",
+                       help="write fitted parameters as JSON")
+
+    p = modes.add_parser("spectrum", help="fit an excitation spectrum")
+    p.add_argument("data", help="spectrum CSV data file")
+    add_fit_options(p)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--background", type=float, default=0.0)
-    p.add_argument("--eps-init", type=float, default=0.0)
-    p.add_argument("--eps-minus", type=float, default=0.0)
-    p.add_argument("--eps-plus", type=float, default=0.0)
-    p.add_argument("--restarts", type=int, default=5,
-                   help="optimizer starts, the first from --params and "
-                        "the rest perturbed from it (>= 1)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--maxfev", type=int, default=2000,
-                   help="model-solve budget per start, not counting "
-                        "finite-difference Jacobian steps (>= 1)")
-    p.add_argument("--save-params", help="write fitted parameters as JSON")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit_spectrum)
+
+    p = modes.add_parser("g2", help="jointly fit correlation curves")
+    p.add_argument("data", nargs="+", help="CSV data file(s)")
+    add_fit_options(p)
+    p.add_argument("--kinds", default="total",
+                   help="per-file dataset kinds, e.g. "
+                        "'sigma-|sigma-,sigma-|sigma+'")
+    add_errors(p)
+    p.set_defaults(func=cmd_fit_g2)
 
     p = sub.add_parser("selftest", help="internal consistency battery")
     p.set_defaults(func=cmd_selftest)

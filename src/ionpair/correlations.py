@@ -40,17 +40,20 @@ def _check_pol(pol: str) -> str:
     return pol
 
 
-def _check_feeding_population(value: float) -> float:
+def _check_feeding_population(value: float, level: str) -> float:
     """Guard the g2 normalization against dark-state trapping.
 
     At B = 0 the degenerate D manifold holds superpositions decoupled
-    from any single repumper polarization, the steady P population is
-    numerically zero and the normalized correlation is meaningless.
+    from any single repumper polarization; a laser polarization that
+    leaves a level uncoupled (say a pure pi repumper and D(+-3/2)) traps
+    the atom at any field.  The steady P population is then numerically
+    zero and the normalized correlation is meaningless.
     """
     if value < 1e-12:
         raise NumericalError(
-            f"steady feeding population {value:.2e} is consistent with zero; "
-            "the atom is trapped in a dark state (B = 0?)")
+            f"steady {level} population {value:.2e} is consistent with "
+            "zero; the atom is trapped in a dark state (zero magnetic "
+            "field, or a laser polarization that leaves a level uncoupled)")
     return value
 
 
@@ -97,8 +100,8 @@ def _feeding(params: ExperimentParams, grid: np.ndarray,
     """
     mat = atom.build_liouvillian(params)
     steady = np.real(np.diag(steady_state(mat)))
-    p_minus = _check_feeding_population(steady[P_MINUS])
-    p_plus = _check_feeding_population(steady[P_PLUS])
+    p_minus = _check_feeding_population(steady[P_MINUS], "P(-1/2)")
+    p_plus = _check_feeding_population(steady[P_PLUS], "P(+1/2)")
     if weight is None:
         weight = p_minus / (p_minus + p_plus)
     pops = populations(propagate(mat, _heralded(weight), grid))

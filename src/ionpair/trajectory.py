@@ -4,12 +4,12 @@ simulate_emissions draws an exact Monte Carlo wave-function record of
 every emitted photon.  Between jumps the state evolves under the
 non-Hermitian H_eff = H - (i/2)(gamma_sp + gamma_dp) P_P, whose norm
 decay gives the waiting-time distribution; instead of stepping with a
-finite dt, waiting times are sampled exactly by inverting the survival
-probability S(t) = ||exp(-i H_eff t) |s>||^2 with bisection on the
-eigendecomposition of H_eff.  Jumps always land in one of the six lower
+finite dt, waiting times are sampled by inverting the survival
+probability S(t) = ||exp(-i H_eff t) |s>||^2, tabulated per level from
+the eigendecomposition of H_eff (see _JumpSampler).  Jumps always land in one of the six lower
 levels, so waiting times and jump channels depend only on the current
-source level; they are drawn in per-level batches and consumed by a
-plain chain loop.
+source level; they are drawn in per-level batches and consumed in order
+by a plain chain loop that records only times and channel ids.
 
 The detector model splits the emitted stream over two polarization-
 filtered channels with finite efficiency, polarizer crosstalk and dark
@@ -214,30 +214,6 @@ class _JumpSampler:
         return waits, chans
 
 
-class _Pool:
-    """Pre-drawn waiting times and channels for one source level."""
-
-    def __init__(self, sampler: _JumpSampler, source: int, seed: int):
-        self.sampler = sampler
-        self.source = source
-        self.rng = np.random.default_rng(np.random.SeedSequence((seed, source)))
-        self.waits: list = []
-        self.chans: list = []
-        self.ptr = 0
-
-    def take(self):
-        if self.ptr >= len(self.waits):
-            waits, chans = self.sampler.sample(self.source, self.rng,
-                                               _JumpSampler.BATCH)
-            self.waits = waits.tolist()
-            self.chans = chans.tolist()
-            self.ptr = 0
-        w = self.waits[self.ptr]
-        c = self.chans[self.ptr]
-        self.ptr += 1
-        return w, c
-
-
 def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
                        start_level: int = atom.S_MINUS,
                        max_events: int | None = None) -> ClickStream:
@@ -257,27 +233,28 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     if max_events is not None and max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events}")
     sampler = _JumpSampler(params)
-    pools: dict[int, _Pool] = {}
     lower = sampler.ch_lower.tolist()
-    pol = sampler.ch_pol.tolist()
-    wl = sampler.ch_wl.tolist()
 
+    def stream(source):
+        # a generator body runs on its first next(): a level's seed and
+        # table are made only when the walk first reaches it
+        rng = np.random.default_rng(np.random.SeedSequence((seed, source)))
+        while True:
+            waits, chans = sampler.sample(source, rng, _JumpSampler.BATCH)
+            yield from zip(waits.tolist(), chans.tolist())
+
+    draw = [stream(level).__next__ for level in range(atom.N_LEVELS)]
     t = 0.0
     state = start_level
     ts_out: list[float] = []
-    pol_out: list[int] = []
-    wl_out: list[int] = []
+    ch_out: list[int] = []
     while True:
-        pool = pools.get(state)
-        if pool is None:
-            pool = pools[state] = _Pool(sampler, state, seed)
-        wait, chan = pool.take()
+        wait, chan = draw[state]()
         t += wait
         if t >= duration:
             break
         ts_out.append(t)
-        pol_out.append(pol[chan])
-        wl_out.append(wl[chan])
+        ch_out.append(chan)
         state = lower[chan]
         if max_events is not None and len(ts_out) >= max_events:
             duration = t + 1e-12
@@ -287,10 +264,11 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     duration_ps = int(math.ceil(duration * PS_PER_S))
     ts = _bump(np.round(np.array(ts_out) * PS_PER_S).astype(np.int64),
                duration_ps)
+    chans = np.array(ch_out, dtype=np.intp)
     return ClickStream(
         timestamps_ps=ts,
-        pol=np.array(pol_out, dtype=np.uint8),
-        wavelength=np.array(wl_out, dtype=np.uint8),
+        pol=sampler.ch_pol[chans],
+        wavelength=sampler.ch_wl[chans],
         duration_ps=duration_ps,
         channel=EMISSION_CHANNEL,
         meta={"seed": seed, "params": params.fingerprint(),

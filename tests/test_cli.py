@@ -275,6 +275,30 @@ class TestFitCommand:
         assert "'total'" in err
         assert "sigma-|sigma-, sigma-|sigma+" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--eps-init", "0.3"], ["--eps-minus", "0.1"], ["--eps-plus", "0.1"],
+        ["--kinds", "sigma-|sigma-"], ["second.csv"]])
+    def test_spectrum_fit_rejects_g2_options(self, capsys, tmp_path, extra):
+        spec = tmp_path / "spec.csv"
+        run(capsys, "spectrum", "--params", "spectrum", "--points", "21",
+            "-o", str(spec))
+        code, _, err = run(capsys, "fit", "spectrum", str(spec), *extra,
+                           "--params", "spectrum", "--free", "omega_866")
+        assert code == 1
+        assert extra[0] in err
+
+    @pytest.mark.parametrize("extra", [["--scale", "5"],
+                                       ["--background", "3"]])
+    def test_g2_fit_rejects_spectrum_options(self, capsys, tmp_path, extra):
+        data = tmp_path / "g2.csv"
+        run(capsys, "g2", "--second", "sigma-", "--t-max", "100ns",
+            "--dt", "2ns", "-o", str(data))
+        code, _, err = run(capsys, "fit", "g2", str(data),
+                           "--kinds", "sigma-|sigma-", "--free", "omega_397",
+                           *extra)
+        assert code == 1
+        assert extra[0] in err
+
     def test_kinds_mismatch_is_usage_error(self, capsys, tmp_path):
         data = tmp_path / "g2.csv"
         run(capsys, "g2", "--t-max", "100ns", "--dt", "2ns", "-o", str(data))

@@ -159,6 +159,15 @@ class TestConditionedG2:
         with pytest.raises(NumericalError, match="dark"):
             C.g2_pair(p, "sigma-", C.default_grid(50e-9))
 
+    def test_uncoupled_level_trapping_names_level_and_causes(self):
+        from ionpair.dynamics import NumericalError
+        # a pi repumper leaves D(+-3/2) uncoupled at any field
+        p = WEAK.replace(alpha_397=0.0, alpha_866=math.pi)
+        with pytest.raises(NumericalError,
+                           match=r"P\(-1/2\) population .*zero magnetic "
+                                 r"field, or a laser polarization"):
+            C.g2_pair(p, "sigma-", C.default_grid(50e-9))
+
     def test_total_is_population_weighted_mixture(self):
         # weak and strong have w = 1/2, the spectrum preset does not
         for name in ("weak", "strong", "spectrum"):

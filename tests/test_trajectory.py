@@ -188,6 +188,111 @@ class TestSamplerMatchesMasterEquation:
             alpha_866=alpha_866_pi * math.pi))
 
 
+_LOWER = atom.S_LEVELS + atom.D_LEVELS
+
+
+def _renewal(s):
+    """(rate, chain) from a _JumpSampler's arrays in closed form.
+
+    From level s, psi(t) = V exp(-i w t) V^-1 |s>, so the mean waiting
+    time int S dt and each channel's probability rate_c int |psi_up|^2 dt
+    are quadratic forms in the kernel K_ij = int_0^inf
+    exp(i(conj(w_i) - w_j) t) dt = 1 / (i (w_j - conj(w_i))).  `chain`
+    is the embedded jump chain over the six lower levels; `rate` is
+    1 / sum_s pi_s E[tau_s] under its stationary law pi.
+    """
+    kern = 1.0 / (1j * (s.w[None, :] - s.w.conj()[:, None]))
+    gram = s.v.conj().T @ s.v
+    mean_wait = np.empty(len(_LOWER))
+    chain = np.zeros((len(_LOWER), len(_LOWER)))
+    for row, source in enumerate(_LOWER):
+        c = s.v_inv[:, source]
+        mean_wait[row] = np.real(c.conj() @ (gram * kern) @ c)
+        for rate, upper, lower in zip(s.ch_rate, s.ch_upper, s.ch_lower):
+            a = s.v[upper] * c
+            chain[row, _LOWER.index(lower)] += \
+                rate * np.real(a.conj() @ kern @ a)
+    vals, vecs = np.linalg.eig(chain.T)
+    pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    pi /= pi.sum()
+    return 1.0 / (pi @ mean_wait), chain
+
+
+def _assert_renewal_rate_matches_steady_state(params):
+    s = _JumpSampler(params)
+    rate, chain = _renewal(s)
+    rho = np.real(np.diag(steady_state(atom.build_liouvillian(params))))
+    expected = (params.gamma_sp + params.gamma_dp) \
+        * (rho[atom.P_MINUS] + rho[atom.P_PLUS])
+    assert rate == pytest.approx(expected, rel=1e-10)
+    # the eigenvalues carry an error of about eps * ||H_eff||, which a
+    # near-dark mode's small decay rate magnifies in its waiting-time mass
+    h_norm = np.linalg.norm(s.v @ np.diag(s.w) @ s.v_inv)
+    floor = np.finfo(float).eps * h_norm / np.min(-s.w.imag)
+    assert np.abs(chain.sum(axis=1) - 1.0).max() <= 1e-12 + 8 * floor
+
+
+class TestRenewalIdentity:
+    """1 / (mean waiting time under the jump chain's stationary law) is
+    the master equation's emission rate (gamma_sp + gamma_dp) rho_PP."""
+
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_presets(self, preset):
+        _assert_renewal_rate_matches_steady_state(get_preset(preset))
+
+    @settings(max_examples=30, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9))
+    def test_random_parameters(self, log10_b, delta_397_mhz, delta_866_mhz,
+                               omega_397_mhz, omega_866_mhz, alpha_397_pi,
+                               alpha_866_pi):
+        _assert_renewal_rate_matches_steady_state(WEAK.replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi))
+
+
+def _reference_walk(params, duration, seed, start_level, max_events):
+    """The walk's contract as a plain loop: level s draws batches of
+    BATCH from its own SeedSequence((seed, s)) generator, on first need,
+    and hands their (wait, channel) pairs out in order.  Returns the
+    stream's arrays and the number of batches each level drew."""
+    s = _JumpSampler(params)
+    rngs, pending, batches = {}, {}, {}
+    t, state, times, chans = 0.0, start_level, [], []
+    while True:
+        if not pending.get(state):
+            if state not in rngs:
+                rngs[state] = np.random.default_rng(
+                    np.random.SeedSequence((seed, state)))
+            waits, picks = s.sample(state, rngs[state], _JumpSampler.BATCH)
+            pending[state] = list(zip(waits, picks))[::-1]
+            batches[state] = batches.get(state, 0) + 1
+        wait, chan = pending[state].pop()
+        t += wait
+        if t >= duration:
+            break
+        times.append(t)
+        chans.append(chan)
+        state = int(s.ch_lower[chan])
+        if max_events is not None and len(times) >= max_events:
+            duration = t + 1e-12
+            break
+    duration_ps = math.ceil(duration * T.PS_PER_S)
+    ts = _bump(np.round(np.array(times) * T.PS_PER_S).astype(np.int64),
+               duration_ps)
+    chans = np.array(chans, dtype=int)
+    return (ts, s.ch_pol[chans], s.ch_wl[chans], duration_ps), batches
+
+
 class TestSimulateEmissions:
     def test_deterministic_per_seed(self):
         a = simulate_emissions(WEAK, 2e-4, seed=5)
@@ -197,6 +302,26 @@ class TestSimulateEmissions:
         assert np.array_equal(a.pol, b.pol)
         assert np.array_equal(a.wavelength, b.wavelength)
         assert not np.array_equal(a.timestamps_ps[:50], c.timestamps_ps[:50])
+
+    @pytest.mark.parametrize("preset", ["weak", "spectrum"])
+    @pytest.mark.parametrize("max_events", [None, 1000])
+    @pytest.mark.parametrize("start_level", [atom.S_MINUS, atom.D_M32])
+    def test_walk_consumes_per_level_batches_in_order(self, preset,
+                                                      max_events,
+                                                      start_level):
+        params = get_preset(preset)
+        (ts, pol, wl, duration_ps), batches = _reference_walk(
+            params, 0.02, 4, start_level, max_events)
+        em = simulate_emissions(params, 0.02, seed=4,
+                                start_level=start_level,
+                                max_events=max_events)
+        assert np.array_equal(em.timestamps_ps, ts)
+        assert np.array_equal(em.pol, pol)
+        assert np.array_equal(em.wavelength, wl)
+        assert em.duration_ps == duration_ps
+        if max_events is None:
+            # some level ran past its first batch
+            assert max(batches.values()) >= 2
 
     def test_strictly_increasing_and_within_duration(self, weak_emissions):
         ts = weak_emissions.timestamps_ps
