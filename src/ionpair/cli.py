@@ -35,8 +35,7 @@ from . import correlations as corr
 from .correlator import CorrelatorConfig, conditioned_g2_estimate, correlate
 from .dynamics import NumericalError
 from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
-from .params import (PRESETS, TWO_PI, ExperimentParams, format_angle,
-                     get_preset, parse_angle)
+from .params import PRESETS, TWO_PI, ExperimentParams, get_preset
 from .streams import StreamFormatError, load_stream, save_stream
 from .trajectory import (DetectionConfig, DetectorChannel, detect,
                          simulate_emissions)
@@ -108,6 +107,18 @@ def _load_params(spec: str) -> ExperimentParams:
         raise _InputError(f"cannot read parameters from {spec}: {exc}")
 
 
+def _grid(args) -> np.ndarray:
+    """The --t-max / --dt delay grid; one too large to allocate is a
+    usage error."""
+    try:
+        return corr.default_grid(args.t_max, args.dt)
+    except MemoryError:
+        raise _UsageError(
+            f"--t-max {args.t_max:g} s at --dt {args.dt:g} s needs a grid of "
+            f"{round(args.t_max / args.dt) + 1} points, more than fits in "
+            "memory") from None
+
+
 def _mhz(omega: float) -> float:
     return omega / TWO_PI / 1e6
 
@@ -122,7 +133,7 @@ def cmd_g2(args) -> int:
         raise _UsageError("--total is polarization-blind and takes no "
                           "--eps-* detection errors")
     params = _load_params(args.params)
-    grid = corr.default_grid(args.t_max, args.dt)
+    grid = _grid(args)
     if args.total:
         curves = [corr.g2_total(params, grid)]
     else:
@@ -175,7 +186,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_purity(args) -> int:
     params = _load_params(args.params)
-    grid = corr.default_grid(args.t_max, args.dt)
+    grid = _grid(args)
     minus, plus = corr.g2_pair(params, "sigma-", grid)
     p = corr.purity(minus, plus, args.t_window)
     print(f"pair purity p({args.t_window * 1e9:.1f} ns) = {p:.4f}")
@@ -286,7 +297,7 @@ def _print_fit(res: FitResult) -> None:
             if sig is not None:
                 err_txt += f"2pi x {_mhz(sig):.3g} MHz"
         elif name.startswith("alpha"):
-            txt = format_angle(value)
+            txt = f"{value / math.pi:.10g}pi"
             if sig is not None:
                 err_txt += f"{sig:.3g} rad"
         elif name == "b_field":

@@ -45,8 +45,34 @@ def parse_angle(text: str | float | int) -> float:
 
 
 def format_angle(value_rad: float) -> str:
-    """Render an angle in radians as a "<x>pi" string."""
-    return f"{value_rad / math.pi:.10g}pi"
+    """Render an angle in radians as a "<x>pi" string.
+
+    x is the shortest repr of value_rad / pi, so parse_angle maps the text
+    back to an angle that renders to the same text.
+    """
+    return f"{value_rad / math.pi!r}pi"
+
+
+def _to_mhz(omega: float) -> float:
+    return omega / TWO_PI / 1e6
+
+
+def _from_mhz(mhz: float) -> float:
+    """Angular frequency that _to_mhz maps back onto `mhz`, if any.
+
+    mhz * 2 pi * 1e6 can land an ulp or two off every float that converts
+    back to `mhz`, so a saved file would load to parameters that save to
+    a different file; the nearest neighbours that convert back are taken
+    instead.
+    """
+    omega = mhz * TWO_PI * 1e6
+    down = math.nextafter(omega, -math.inf)
+    up = math.nextafter(omega, math.inf)
+    for cand in (omega, down, up, math.nextafter(down, -math.inf),
+                 math.nextafter(up, math.inf)):
+        if _to_mhz(cand) == mhz:
+            return cand
+    return omega
 
 
 @dataclass(frozen=True)
@@ -101,17 +127,17 @@ class ExperimentParams:
     def to_dict(self) -> dict:
         """Spectroscopist-unit dict, the on-disk JSON layout."""
         return {
-            "omega_397_mhz": self.omega_397 / TWO_PI / 1e6,
-            "omega_866_mhz": self.omega_866 / TWO_PI / 1e6,
-            "delta_397_mhz": self.delta_397 / TWO_PI / 1e6,
-            "delta_866_mhz": self.delta_866 / TWO_PI / 1e6,
+            "omega_397_mhz": _to_mhz(self.omega_397),
+            "omega_866_mhz": _to_mhz(self.omega_866),
+            "delta_397_mhz": _to_mhz(self.delta_397),
+            "delta_866_mhz": _to_mhz(self.delta_866),
             "b_field_gauss": self.b_field,
             "alpha_397": format_angle(self.alpha_397),
             "alpha_866": format_angle(self.alpha_866),
-            "gamma_sp_mhz": self.gamma_sp / TWO_PI / 1e6,
-            "gamma_dp_mhz": self.gamma_dp / TWO_PI / 1e6,
-            "linewidth_397_mhz": self.linewidth_397 / TWO_PI / 1e6,
-            "linewidth_866_mhz": self.linewidth_866 / TWO_PI / 1e6,
+            "gamma_sp_mhz": _to_mhz(self.gamma_sp),
+            "gamma_dp_mhz": _to_mhz(self.gamma_dp),
+            "linewidth_397_mhz": _to_mhz(self.linewidth_397),
+            "linewidth_866_mhz": _to_mhz(self.linewidth_866),
         }
 
     @classmethod
@@ -131,19 +157,19 @@ class ExperimentParams:
 
         def mhz(key: str, default: float | None = None) -> float:
             if key not in data:
-                return float(default)
+                return default
             v = data[key]
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValueError(f"{key} must be a number in MHz, got {v!r}")
-            return float(v) * TWO_PI * 1e6
+            return _from_mhz(float(v))
 
         kwargs = {
             "omega_397": mhz("omega_397_mhz"),
             "omega_866": mhz("omega_866_mhz"),
             "delta_397": mhz("delta_397_mhz"),
             "delta_866": mhz("delta_866_mhz"),
-            "gamma_sp": mhz("gamma_sp_mhz", GAMMA_SP_DEFAULT / TWO_PI / 1e6),
-            "gamma_dp": mhz("gamma_dp_mhz", GAMMA_DP_DEFAULT / TWO_PI / 1e6),
+            "gamma_sp": mhz("gamma_sp_mhz", GAMMA_SP_DEFAULT),
+            "gamma_dp": mhz("gamma_dp_mhz", GAMMA_DP_DEFAULT),
             "linewidth_397": mhz("linewidth_397_mhz", 0.0),
             "linewidth_866": mhz("linewidth_866_mhz", 0.0),
         }
@@ -174,9 +200,12 @@ class ExperimentParams:
         return cls.from_dict(data)
 
     def fingerprint(self) -> str:
-        """Short stable hash of the physical settings, for output provenance."""
-        fields = dataclasses.astuple(self)
-        canon = ",".join(f"{v:.12g}" for v in fields)
+        """Short stable hash of the physical settings, for output provenance.
+
+        It hashes the file layout, so parameters loaded from a saved file
+        keep the fingerprint of the parameters that were saved.
+        """
+        canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

@@ -6,10 +6,14 @@ non-Hermitian H_eff = H - (i/2)(gamma_sp + gamma_dp) P_P, whose norm
 decay gives the waiting-time distribution; instead of stepping with a
 finite dt, waiting times are sampled by inverting the survival
 probability S(t) = ||exp(-i H_eff t) |s>||^2, tabulated per level from
-the eigendecomposition of H_eff (see _JumpSampler).  Jumps always land in one of the six lower
-levels, so waiting times and jump channels depend only on the current
-source level; they are drawn in per-level batches and consumed in order
-by a plain chain loop that records only times and channel ids.
+the eigendecomposition of H_eff (see _JumpSampler).  The jump channel
+follows from the share q(t) of the P population in P-1/2, tabulated on
+the same grid (exact amplitudes where the grid cannot resolve q): given
+the emitting P sublevel, the channel law is fixed.  Jumps always land in
+one of the six lower levels, so waiting times and jump channels depend
+only on the current source level; they are drawn in per-level batches
+and consumed in order by a plain chain loop that records only times and
+channel ids.
 
 The detector model splits the emitted stream over two polarization-
 filtered channels with finite efficiency, polarizer crosstalk and dark
@@ -18,8 +22,10 @@ counts, mirroring a two-arm photomultiplier setup.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +116,15 @@ def _bump(ts: np.ndarray, limit: int) -> np.ndarray:
     return np.minimum(np.maximum.accumulate(ts - idx), limit - n) + idx
 
 
+class _Table(NamedTuple):
+    """One source level's lookup table on a shared time grid."""
+
+    t: np.ndarray              # 0, then TABLE_SIZE log-spaced times
+    neg_log_s: np.ndarray      # -log S(t), non-decreasing
+    q: np.ndarray              # share of the P population in P-1/2
+    exact: np.ndarray | None   # intervals where q is not linear, or None
+
+
 class _JumpSampler:
     """Eigendecomposition of H_eff plus per-level batch sampling.
 
@@ -119,6 +134,20 @@ class _JumpSampler:
     interpolation between nodes distorts the distribution by well under
     any statistical resolution, and the pure-exponential tail follows the
     same formula by extrapolation.
+
+    The jump channel at wait t has weight rate_c |psi_upper(t)|^2.  Both P
+    sublevels decay at gamma_sp + gamma_dp and split that rate over their
+    channels in fixed ratios, so the channel law is q(t) times P-1/2's law
+    plus (1 - q(t)) times P+1/2's, with q = |psi_P-|^2 / (|psi_P-|^2 +
+    |psi_P+|^2) (the delay-function method of Cohen-Tannoudji & Dalibard,
+    Europhys. Lett. 1, 441, 1986).  q is tabulated on the survival grid and
+    interpolated with the same fraction as the wait.  Where q oscillates
+    faster than the grid resolves, which happens on slow, near-dark levels
+    with pi drive components, the table build flags the interval: its
+    linear interpolation misses q by more than Q_TOL at a quarter point.
+    Draws landing in a flagged interval get the exact q from the two P
+    amplitudes.  With a sigma-only drive q is 0 or 1 and nothing is
+    flagged.
     """
 
     BATCH = 8192
@@ -126,6 +155,10 @@ class _JumpSampler:
     TABLE_SIZE = 4096
     TABLE_FLOOR = 1e-16
     T_MIN = 1e-13
+    Q_TOL = 1e-5
+    # a mode decaying slower than this fraction of ||H_eff|| is dark: its
+    # rate is at the round-off level of the eigenvalues
+    DARK_RATE = 1e-12
 
     def __init__(self, params: ExperimentParams):
         if params.linewidth_397 or params.linewidth_866:
@@ -148,6 +181,7 @@ class _JumpSampler:
         self.v_inv = v_inv
         self.params = params
         self.gamma_tot = gamma_tot
+        self.dark_modes = -2.0 * w.imag <= self.DARK_RATE * scale
         # decay channels as flat arrays
         tr = atom.TRANSITIONS
         self.ch_upper = np.array([t.upper for t in tr])
@@ -157,60 +191,117 @@ class _JumpSampler:
         self.ch_rate = np.array(
             [(params.gamma_sp if t.branch == "SP" else params.gamma_dp)
              * t.amplitude ** 2 for t in tr])
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # channel law given the emitting sublevel k (0: P-, 1: P+): the
+        # cumulative law of P- on [0, 1], then P+'s shifted onto [1, 2],
+        # so one search for k + uniform picks the channel
+        order, cum = [], []
+        for k, upper in enumerate(atom.P_LEVELS):
+            chans = np.flatnonzero(self.ch_upper == upper)
+            c = np.cumsum(self.ch_rate[chans])
+            order.append(chans)
+            cum.append(k + c / c[-1])
+        self._law_chan = np.concatenate(order)
+        self._law_cum = np.concatenate(cum)
+        self._tables: dict[int, _Table] = {}
 
-    def _amplitudes(self, source: int, times: np.ndarray) -> np.ndarray:
-        """Wave function components (len(times), 8) from |source>."""
+    def _amplitudes(self, source: int, times: np.ndarray,
+                    levels=slice(None)) -> np.ndarray:
+        """Wave function components (len(times), levels) from |source>."""
         c = self.v_inv[:, source]
         phases = np.exp(-1j * np.outer(times, self.w)) * c
-        return phases @ self.v.T
+        return phases @ self.v[levels].T
 
     def _survival(self, source: int, times: np.ndarray) -> np.ndarray:
         amps = self._amplitudes(source, times)
         return np.einsum("ij,ij->i", amps, amps.conj()).real
 
-    def _table(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t_grid, log S) for one source level, built on first use."""
+    def _share(self, source: int, times: np.ndarray) -> np.ndarray:
+        """q = |psi_P-|^2 / (|psi_P-|^2 + |psi_P+|^2), 0 where both vanish."""
+        pop = np.abs(self._amplitudes(source, times, list(atom.P_LEVELS))) ** 2
+        tot = pop.sum(axis=1)
+        return np.divide(pop[:, 0], tot, out=np.zeros_like(tot),
+                         where=tot > 0)
+
+    def _table(self, source: int) -> _Table:
+        """Waiting-time and P-share table of one level, built on first use."""
         cached = self._tables.get(source)
         if cached is not None:
             return cached
+        # the survival never drops below the squared norm of the source's
+        # part in non-decaying modes; checking that first keeps the
+        # doubling below from running into overflow
+        stuck = self.v[:, self.dark_modes] @ self.v_inv[self.dark_modes,
+                                                         source]
+        dark = NumericalError(
+            f"waiting time from level {source} does not converge; the atom "
+            "is trapped in a dark state (zero magnetic field, or a laser "
+            "polarization that leaves a level uncoupled)")
+        if np.vdot(stuck, stuck).real >= self.TABLE_FLOOR:
+            raise dark
         t_max = 2.0 / self.gamma_tot
         for _ in range(self.MAX_DOUBLINGS):
             if self._survival(source, np.array([t_max]))[0] < self.TABLE_FLOOR:
                 break
             t_max *= 2.0
         else:
-            raise NumericalError(
-                f"waiting time from level {source} does not converge; "
-                "the level appears dark (no route to a decaying state)")
+            raise dark
         t_grid = np.concatenate(
             [[0.0], np.geomspace(self.T_MIN, t_max, self.TABLE_SIZE)])
         surv = self._survival(source, t_grid)
         # running min guards against last-digit wiggle in the flat head
         surv = np.minimum.accumulate(np.clip(surv, 1e-300, 1.0))
-        log_s = np.log(surv)
-        self._tables[source] = (t_grid, log_s)
-        return t_grid, log_s
+        q = self._share(source, t_grid)
+        q[0] = q[1]     # no P population at t = 0 from a lower level
+        # flag the intervals whose linear interpolation misses q; the last
+        # one also serves waits extrapolated past t_max, so it must be flat
+        quarters = np.array([0.25, 0.5, 0.75])
+        dt, dq = np.diff(t_grid), np.diff(q)
+        probe = self._share(
+            source, (t_grid[:-1, None] + quarters * dt[:, None]).ravel())
+        miss = np.abs(probe.reshape(-1, 3)
+                      - (q[:-1, None] + quarters * dq[:, None])).max(axis=1)
+        exact = miss > self.Q_TOL
+        exact[-1] |= abs(dq[-1]) > self.Q_TOL
+        table = _Table(t_grid, -np.log(surv), q,
+                       exact if exact.any() else None)
+        self._tables[source] = table
+        return table
+
+    def _invert(self, source: int, u: np.ndarray):
+        """Waits at survival probabilities u, and the P-1/2 share q there.
+
+        Both are interpolated between the same table nodes; q is exact
+        in flagged intervals.
+        """
+        tab = self._table(source)
+        neg_log_u = -np.log(np.clip(u, 1e-300, 1.0))
+        # sorted keys search about 3x faster than random ones; the
+        # scatter puts each bracket back at its draw's position
+        order = np.argsort(neg_log_u)
+        idx = np.empty(u.size, dtype=np.intp)
+        idx[order] = np.searchsorted(tab.neg_log_s, neg_log_u[order],
+                                     side="right") - 1
+        idx = np.clip(idx, 0, tab.t.size - 2)
+        d_log = tab.neg_log_s[idx + 1] - tab.neg_log_s[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(d_log > 0,
+                            (neg_log_u - tab.neg_log_s[idx]) / d_log, 0.0)
+        waits = tab.t[idx] + frac * (tab.t[idx + 1] - tab.t[idx])
+        q = tab.q[idx] + frac * (tab.q[idx + 1] - tab.q[idx])
+        if tab.exact is not None:
+            slow = tab.exact[idx]
+            q[slow] = self._share(source, waits[slow])
+        return waits, q
 
     def sample(self, source: int, rng: np.random.Generator, n: int):
         """Draw n (waiting time, channel index) pairs from level `source`."""
-        t_grid, log_s = self._table(source)
-        u = np.clip(rng.random(n), 1e-300, 1.0)
-        log_u = np.log(u)
-        # locate the bracket: log_s is decreasing, searchsorted wants ascending
-        idx = np.searchsorted(-log_s, -log_u, side="right") - 1
-        idx = np.clip(idx, 0, t_grid.size - 2)
-        d_log = log_s[idx + 1] - log_s[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(d_log < 0, (log_u - log_s[idx]) / d_log, 0.0)
-        waits = t_grid[idx] + frac * (t_grid[idx + 1] - t_grid[idx])
-        # jump channel: weights rate_c * |psi_upper(t)|^2
-        amps = self._amplitudes(source, waits)
-        p_up = np.abs(amps[:, self.ch_upper]) ** 2
-        weights = p_up * self.ch_rate
-        cum = np.cumsum(weights, axis=1)
-        pick = rng.random(n) * cum[:, -1]
-        chans = np.minimum((pick[:, None] >= cum).sum(axis=1), cum.shape[1] - 1)
+        waits, q = self._invert(source, rng.random(n))
+        # jump channel: P-1/2 emits with probability q(wait), then the
+        # channel follows that sublevel's fixed branching law
+        sublevel, pick = rng.random((2, n))
+        pos = np.searchsorted(self._law_cum, (sublevel >= q) + pick,
+                              side="right")
+        chans = self._law_chan[np.minimum(pos, self._law_chan.size - 1)]
         return waits, chans
 
 
@@ -235,15 +326,17 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     sampler = _JumpSampler(params)
     lower = sampler.ch_lower.tolist()
 
-    def stream(source):
+    def batches(source):
         # a generator body runs on its first next(): a level's seed and
-        # table are made only when the walk first reaches it
+        # table are made only when the walk first reaches it.  Chaining
+        # the batches' zips keeps each event's next() in C.
         rng = np.random.default_rng(np.random.SeedSequence((seed, source)))
         while True:
             waits, chans = sampler.sample(source, rng, _JumpSampler.BATCH)
-            yield from zip(waits.tolist(), chans.tolist())
+            yield zip(waits.tolist(), chans.tolist())
 
-    draw = [stream(level).__next__ for level in range(atom.N_LEVELS)]
+    draw = [itertools.chain.from_iterable(batches(level)).__next__
+            for level in range(atom.N_LEVELS)]
     t = 0.0
     state = start_level
     ts_out: list[float] = []

@@ -5,14 +5,17 @@ evaluation written here from scratch, so a transcription error in the
 frozen table cannot hide.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionpair import atom
-from ionpair.params import ExperimentParams, TWO_PI, get_preset
+from ionpair.params import (GAMMA_DP_DEFAULT, GAMMA_SP_DEFAULT,
+                            ExperimentParams, TWO_PI, get_preset)
 
 
 # -- independent Clebsch-Gordan oracle (Racah sum, exact rationals) -----
@@ -249,6 +252,44 @@ class TestParamsSerialization:
                   "b_field", "alpha_397", "alpha_866", "gamma_sp", "gamma_dp",
                   "linewidth_397", "linewidth_866"):
             assert getattr(q, f) == pytest.approx(getattr(p, f), rel=1e-9), f
+
+    @settings(max_examples=200, database=None)
+    @given(omega=st.tuples(st.floats(0.0, 1e11), st.floats(0.0, 1e11)),
+           delta=st.tuples(st.floats(-1e11, 1e11), st.floats(-1e11, 1e11)),
+           b_field=st.floats(0.0, 100.0),
+           alpha=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)),
+           gamma=st.tuples(st.floats(1e-3, 1e11), st.floats(0.0, 1e11)),
+           linewidth=st.tuples(st.floats(0.0, 1e9), st.floats(0.0, 1e9)))
+    def test_json_round_trip_keeps_fingerprint(self, tmp_path_factory, omega,
+                                               delta, b_field, alpha, gamma,
+                                               linewidth):
+        p = ExperimentParams(
+            omega_397=omega[0], omega_866=omega[1], delta_397=delta[0],
+            delta_866=delta[1], b_field=b_field, alpha_397=alpha[0],
+            alpha_866=alpha[1], gamma_sp=gamma[0], gamma_dp=gamma[1],
+            linewidth_397=linewidth[0], linewidth_866=linewidth[1])
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+        p.save(path)
+        q = ExperimentParams.load(path)
+        assert q.fingerprint() == p.fingerprint()
+        assert q.to_dict() == p.to_dict()
+        for a, b in zip(dataclasses.astuple(q), dataclasses.astuple(p)):
+            assert a == pytest.approx(b, rel=1e-15, abs=1e-300)
+
+    def test_missing_decay_rates_take_defaults(self):
+        p = ExperimentParams.from_dict({"omega_397_mhz": 9.2,
+                                        "omega_866_mhz": 1.3,
+                                        "delta_397_mhz": -15.0,
+                                        "delta_866_mhz": 5.8})
+        assert p.gamma_sp == GAMMA_SP_DEFAULT
+        assert p.gamma_dp == GAMMA_DP_DEFAULT
+        assert p.linewidth_397 == 0.0 and p.linewidth_866 == 0.0
+
+    def test_presets_save_short_angles(self, tmp_path):
+        for name, text in (("weak", "0.5pi"), ("spectrum", "0.46pi")):
+            path = tmp_path / f"{name}.json"
+            get_preset(name).save(path)
+            assert f'"alpha_397": "{text}"' in path.read_text()
 
     def test_angle_parsing(self):
         from ionpair.params import parse_angle

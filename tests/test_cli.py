@@ -5,16 +5,18 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ionpair
 from ionpair import correlations as corr
 from ionpair.cli import main, parse_freq, parse_time, parse_time_ps
 from ionpair.correlations import read_table_csv
-from ionpair.params import TWO_PI, get_preset
+from ionpair.params import TWO_PI, format_angle, get_preset, parse_angle
 from ionpair.streams import load_stream
 
 
@@ -60,6 +62,35 @@ class TestUnitParsing:
         for text in ("1e999MHz", "1e308GHz"):
             with pytest.raises(ValueError):
                 parse_freq(text)
+
+    @settings(max_examples=200, database=None)
+    @given(seconds=st.floats(-1e200, 1e200, allow_nan=False),
+           unit=st.sampled_from([("ps", 1e-12), ("ns", 1e-9), ("us", 1e-6),
+                                 ("ms", 1e-3), ("s", 1.0)]))
+    def test_time_round_trip(self, seconds, unit):
+        name, factor = unit
+        assert parse_time(f"{seconds / factor!r}{name}") == pytest.approx(
+            seconds, rel=1e-15, abs=1e-300)
+
+    @settings(max_examples=200, database=None)
+    @given(hz=st.floats(-1e200, 1e200, allow_nan=False),
+           unit=st.sampled_from([("Hz", 1.0), ("kHz", 1e3), ("MHz", 1e6),
+                                 ("GHz", 1e9), ("mhz", 1e6)]))
+    def test_freq_round_trip(self, hz, unit):
+        name, factor = unit
+        assert parse_freq(f"{hz / factor!r}{name}") == pytest.approx(
+            TWO_PI * hz, rel=1e-15, abs=1e-300)
+
+    @settings(max_examples=200, database=None)
+    @given(angle=st.floats(0.0, math.pi))
+    def test_angle_round_trip(self, angle):
+        text = format_angle(angle)
+        back = parse_angle(text)
+        assert format_angle(back) == text
+        assert back == pytest.approx(angle, rel=1e-15, abs=1e-300)
+        assert parse_angle(f"{math.degrees(angle)!r}deg") == pytest.approx(
+            angle, rel=1e-15, abs=1e-300)
+        assert parse_angle(f"{angle!r}rad") == angle
 
 
 class TestG2Command:
@@ -335,6 +366,33 @@ class TestExitCodes:
                            "--t-max", "100ns", "--dt", "1ns")
         assert code == 3
         assert "numerical" in err
+
+    def test_dark_trajectory_fails_in_one_line(self, capsys, tmp_path):
+        # at zero field the walk reaches a D level with a dark part; the
+        # sampler must say so before its table search overflows
+        p = get_preset("weak").replace(b_field=0.0)
+        path = tmp_path / "b0.json"
+        p.save(path)
+        out = tmp_path / "x.clk"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "simulate", "--params", str(path),
+                               "--duration", "1ms", "-o", str(out))
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "dark state" in err and "zero magnetic field" in err
+        assert not out.exists()
+
+    def test_grid_too_large_to_allocate(self, capsys, monkeypatch):
+        def no_memory(t_max, dt):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(corr, "default_grid", no_memory)
+        for command in ("g2", "purity"):
+            code, _, err = run(capsys, command, "--t-max", "1s",
+                               "--dt", "1ps")
+            assert code == 1, command
+            assert "1000000000001 points" in err
 
     def test_bad_fit_budget(self, capsys, tmp_path):
         spec = tmp_path / "spec.csv"

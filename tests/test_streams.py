@@ -4,10 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionpair.streams import (MAGIC, StreamFormatError, load_stream,
-                             read_stream, read_stream_csv, write_stream,
-                             write_stream_csv)
+                             read_stream, read_stream_csv, save_stream,
+                             write_stream, write_stream_csv)
 from ionpair.trajectory import ClickStream
 
 
@@ -19,6 +20,35 @@ def random_stream(rng, n=257, channel=1):
         wavelength=rng.integers(0, 2, size=n).astype(np.uint8),
         duration_ps=10_000_001,
         channel=channel)
+
+
+@st.composite
+def streams(draw):
+    """Any valid stream: int64 timestamps up to the duration, all tags."""
+    n = draw(st.integers(0, 60))
+    first = draw(st.integers(0, 2**62))
+    gaps = draw(st.lists(st.integers(1, 2**50), min_size=max(n - 1, 0),
+                         max_size=max(n - 1, 0)))
+    ts = first + np.cumsum(np.array([0] + gaps, dtype=np.int64))[:n]
+    end = int(ts[-1]) + 1 if n else 1
+    return ClickStream(
+        timestamps_ps=ts,
+        pol=np.array(draw(st.lists(st.integers(0, 2), min_size=n,
+                                   max_size=n)), dtype=np.uint8),
+        wavelength=np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                          max_size=n)), dtype=np.uint8),
+        duration_ps=draw(st.integers(end, 2**63 - 1)),
+        channel=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, database=None)
+@given(s=streams())
+def test_round_trips_any_stream(tmp_path_factory, s):
+    base = tmp_path_factory.getbasetemp()
+    for suffix in (".clk", ".csv"):
+        path = base / f"round_trip{suffix}"
+        save_stream(path, s)
+        assert_streams_equal(load_stream(path), s)
 
 
 @pytest.fixture()

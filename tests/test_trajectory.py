@@ -126,11 +126,12 @@ class TestJumpSampler:
 
     def test_survival_table_is_accurate_between_nodes(self):
         sampler = _JumpSampler(WEAK)
-        t_grid, log_s = sampler._table(atom.S_PLUS)
+        table = sampler._table(atom.S_PLUS)
+        log_s = -table.neg_log_s
         assert np.all(np.diff(log_s) <= 1e-15)
-        mids = 0.5 * (t_grid[1:-1] + t_grid[2:])
+        mids = 0.5 * (table.t[1:-1] + table.t[2:])
         exact = np.log(sampler._survival(atom.S_PLUS, mids))
-        interp = np.interp(mids, t_grid, log_s)
+        interp = np.interp(mids, table.t, log_s)
         assert np.max(np.abs(interp - exact)) < 5e-3
 
     def test_dark_level_raises(self):
@@ -258,6 +259,87 @@ class TestRenewalIdentity:
             omega_866=TWO_PI * omega_866_mhz * 1e6,
             alpha_397=alpha_397_pi * math.pi,
             alpha_866=alpha_866_pi * math.pi))
+
+
+def _reachable(s):
+    """Lower levels the jump chain reaches from S-1/2."""
+    chain = _renewal(s)[1]
+    seen, todo = set(), [_LOWER.index(atom.S_MINUS)]
+    while todo:
+        row = todo.pop()
+        if row not in seen:
+            seen.add(row)
+            todo.extend(np.flatnonzero(chain[row] > 1e-12).tolist())
+    return [_LOWER[row] for row in sorted(seen)]
+
+
+def _channel_law_distance(s, source, n=1 << 14):
+    """Mean total-variation distance between the sampler's channel law
+    and the exact rate_c |psi_upper(t)|^2 law, over waits at n
+    stratified survival probabilities (so weighted by waiting-time
+    mass)."""
+    waits, q = s._invert(source, (np.arange(n) + 0.5) / n)
+    exact = s.ch_rate * np.abs(s._amplitudes(source, waits)[:, s.ch_upper]) ** 2
+    exact /= exact.sum(axis=1, keepdims=True)
+    share = np.where(s.ch_upper == atom.P_MINUS, q[:, None], 1.0 - q[:, None])
+    table = share * s.ch_rate / s.gamma_tot
+    return 0.5 * np.abs(table - exact).sum(axis=1).mean()
+
+
+class TestChannelLaw:
+    """The tabulated P-sublevel share q(t) gives the exact channel law."""
+
+    @pytest.mark.parametrize("preset", ["weak", "strong"])
+    def test_sigma_presets_take_the_table_path(self, preset):
+        # sigma-only drives keep q at 0 or 1: no interval falls back to
+        # exact amplitudes, and sample() has no complex exp
+        s = _JumpSampler(get_preset(preset))
+        for level in _LOWER:
+            table = s._table(level)
+            assert table.exact is None, level
+            assert np.all((table.q < 1e-20) | (table.q > 1.0 - 1e-15)), level
+
+    def test_spectrum_preset_within_tolerance(self):
+        s = _JumpSampler(get_preset("spectrum"))
+        for level in _reachable(s):
+            assert _channel_law_distance(s, level) < 1e-4, level
+
+    @settings(max_examples=20, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9))
+    def test_random_parameters_with_pi_components(
+            self, log10_b, delta_397_mhz, delta_866_mhz, omega_397_mhz,
+            omega_866_mhz, alpha_397_pi, alpha_866_pi):
+        s = _JumpSampler(WEAK.replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi))
+        for level in _reachable(s):
+            assert _channel_law_distance(s, level) < 1e-4, level
+
+    @pytest.mark.parametrize("source", [atom.S_MINUS, atom.D_M12])
+    def test_sampled_channels_match_closed_form(self, source):
+        # channel c has probability rate_c int |psi_upper(t)|^2 dt, a
+        # quadratic form in the kernel of _renewal
+        s = _JumpSampler(get_preset("spectrum"))
+        kern = 1.0 / (1j * (s.w[None, :] - s.w.conj()[:, None]))
+        c = s.v_inv[:, source]
+        probs = np.array([rate * np.real((s.v[up] * c).conj() @ kern
+                                         @ (s.v[up] * c))
+                          for rate, up in zip(s.ch_rate, s.ch_upper)])
+        n = 80000
+        _, chans = s.sample(source, np.random.default_rng(21), n)
+        counts = np.bincount(chans, minlength=probs.size)
+        sigma = np.sqrt(n * probs * (1.0 - probs)) + 1.0
+        assert np.all(np.abs(counts - n * probs) < 5.0 * sigma)
 
 
 def _reference_walk(params, duration, seed, start_level, max_events):
