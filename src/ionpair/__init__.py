@@ -14,7 +14,8 @@ from .params import (ExperimentParams, PRESETS, TWO_PI, format_angle,
 from .atom import (TRANSITIONS, Transition, build_hamiltonian,
                    build_liouvillian, polarization_components,
                    transition_amplitudes, zeeman_shifts)
-from .dynamics import NumericalError, populations, propagate, steady_state
+from .dynamics import (NumericalError, populations, propagate,
+                       propagate_populations, steady_state)
 from .correlations import (CorrelationCurve, ErrorModel, SpectrumCurve,
                            default_grid, default_spectrum_grid, emission_rate,
                            excitation_spectrum, find_dips, g2_conditioned,
@@ -36,7 +37,8 @@ __all__ = [
     "parse_angle",
     "TRANSITIONS", "Transition", "build_hamiltonian", "build_liouvillian",
     "polarization_components", "transition_amplitudes", "zeeman_shifts",
-    "NumericalError", "populations", "propagate", "steady_state",
+    "NumericalError", "populations", "propagate", "propagate_populations",
+    "steady_state",
     "CorrelationCurve", "ErrorModel", "SpectrumCurve",
     "default_grid", "default_spectrum_grid", "emission_rate",
     "excitation_spectrum", "find_dips", "g2_conditioned", "g2_pair",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import atom
 from .atom import P_MINUS, P_PLUS, S_MINUS, S_PLUS
-from .dynamics import (NumericalError, integrate, populations, propagate,
+from .dynamics import (NumericalError, integrate, propagate_populations,
                        steady_state)
 from .params import ExperimentParams
 
@@ -104,7 +104,7 @@ def _feeding(params: ExperimentParams, grid: np.ndarray,
     p_plus = _check_feeding_population(steady[P_PLUS], "P(+1/2)")
     if weight is None:
         weight = p_minus / (p_minus + p_plus)
-    pops = populations(propagate(mat, _heralded(weight), grid))
+    pops = propagate_populations(mat, _heralded(weight), grid)
     return weight, pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
 
 

@@ -105,6 +105,11 @@ class ExperimentParams:
     linewidth_866: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, so it is caught here first
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.omega_397 < 0 or self.omega_866 < 0:
             raise ValueError("Rabi frequencies must be non-negative")
         if self.gamma_sp <= 0 or self.gamma_dp < 0:

@@ -312,6 +312,14 @@ class TestParamsSerialization:
             ExperimentParams(omega_397=0, omega_866=0, delta_397=0, delta_866=0,
                              alpha_397=4.0)
 
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(ExperimentParams)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, name, bad):
+        base = get_preset("weak")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            base.replace(**{name: bad})
+
     def test_unknown_and_missing_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             ExperimentParams.from_dict({"omega_397_mhz": 1, "omega_866_mhz": 1,

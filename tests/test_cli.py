@@ -1,5 +1,6 @@
 """Command line interface: option parsing, outputs, exit codes."""
 
+import json
 import math
 import os
 import re
@@ -366,6 +367,17 @@ class TestExitCodes:
                            "--t-max", "100ns", "--dt", "1ns")
         assert code == 3
         assert "numerical" in err
+
+    def test_nan_parameter_file_is_malformed_input(self, capsys, tmp_path):
+        # json reads a bare NaN; it must fail as a bad file, not as a
+        # numerical failure deep in the steady-state solve
+        data = get_preset("weak").to_dict()
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**data, "omega_397_mhz": math.nan}))
+        assert "NaN" in path.read_text()
+        code, _, err = run(capsys, "purity", "--params", str(path))
+        assert code == 2
+        assert "omega_397 must be finite" in err
 
     def test_dark_trajectory_fails_in_one_line(self, capsys, tmp_path):
         # at zero field the walk reaches a D level with a dark part; the

@@ -100,6 +100,46 @@ def _assert_total_is_weighted_mixture(params):
     assert np.allclose(total, mix, rtol=0.0, atol=1e-13 * total.max())
 
 
+_FROZEN_G2 = {
+    "weak": {
+        "sigma-|sigma-": [1.164856938424661, 7.793434303842022,
+                          16.095442951607584, 9.813427028977912],
+        "sigma-|sigma+": [5.051388441601578e-05, 0.012176422640712312,
+                          0.29658542185370296, 2.0376747869153022],
+        "sigma+|sigma-": [5.05138015110711e-05, 0.012176196927651334,
+                          0.2965512347773081, 2.0352035485422686],
+        "sigma+|sigma+": [1.1514193805324646, 6.8532979101745655,
+                          8.1075886131506, 5.138119533222341],
+        "total": [0.5790943366607625, 3.667771208396238,
+                  6.199042055347302, 4.756106224414457],
+    },
+    "strong": {
+        "sigma-|sigma-": [0.5112361477861536, 2.574474118088685,
+                          1.8606725483168305, 1.3098549224667835],
+        "sigma-|sigma+": [0.00011038799312277613, 0.022648200325703,
+                          0.27667568508745716, 0.8034324999450156],
+        "sigma+|sigma-": [0.00011037901449538118, 0.022627645889092655,
+                          0.27565292533569935, 0.8016960681381928],
+        "sigma+|sigma+": [0.5053810550774106, 2.307204613277882,
+                          2.6012018673846367, 1.3701715460335664],
+        "total": [0.25420949246779556, 1.2317386443953406,
+                  1.2535507565311559, 1.0712887591458897],
+    },
+    "spectrum": {
+        "sigma-|sigma-": [0.9310497550745299, 6.197548063189065,
+                          12.51193324341084, 7.16309357956454],
+        "sigma-|sigma+": [0.015203784818359382, 0.11057032291238765,
+                          0.46066924676353893, 1.8533950032907998],
+        "sigma+|sigma-": [0.014791436289170014, 0.10217679173918122,
+                          0.39967368794651353, 1.8299408047606176],
+        "sigma+|sigma+": [0.9405099997007542, 5.568819432507792,
+                          6.438265706151159, 4.044477630911961],
+        "total": [0.47539165436058206, 2.9985319586482966,
+                  4.986137658532187, 3.739876971492252],
+    },
+}
+
+
 class TestConditionedG2:
     def test_g2_zero_vanishes_all_kinds(self, weak_pair):
         # the atom is in the ground state right after the first photon
@@ -132,6 +172,21 @@ class TestConditionedG2:
         assert v_m == pytest.approx(2.833, rel=1e-3)
         assert t_m == pytest.approx(13.0e-9, abs=0.5e-9)
         assert plus.values.max() <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("preset", sorted(_FROZEN_G2))
+    def test_frozen_curves(self, preset):
+        """Every kind at 3, 10, 24 and 100 ns, frozen from the eigenbasis
+        propagation in the complex vec(rho) basis; any rewrite of the
+        propagation core must reproduce them to round-off."""
+        params = get_preset(preset)
+        grid = np.array([0.0, 3e-9, 10e-9, 24e-9, 100e-9])
+        curves = [*C.g2_pair(params, "sigma-", grid),
+                  *C.g2_pair(params, "sigma+", grid),
+                  C.g2_total(params, grid)]
+        for curve in curves:
+            frozen = np.array(_FROZEN_G2[preset][curve.kind])
+            dev = np.abs(curve.values[1:] - frozen).max()
+            assert dev <= 1e-12 * frozen.max(), curve.kind
 
     def test_mirror_symmetry_at_zero_field(self):
         # with B = 0 the m -> -m reflection is exact: preparing sigma-
@@ -428,6 +483,31 @@ class TestSpectrumAgainstDirectSolve:
         assert np.array_equal(curve.ok[off], ref_ok[off])
         np.testing.assert_allclose(curve.values[off], ref[off], rtol=0,
                                    atol=1e-12)
+
+    def test_negative_fluorescence_is_flagged(self):
+        # gamma_dp = 0 at 3e-8 G: the steady state is numerically not
+        # unique (second singular value of L ~3e-17 of the largest), and
+        # the closed form goes below zero at some detunings; those points
+        # must come back flagged, not as a negative fluorescence.  Which
+        # points go negative is round-off, so the test spreads over 20
+        # sets jittered by 1e-3.
+        rng = np.random.default_rng(5)
+        grid = C.default_spectrum_grid(points=161)
+        flagged = 0
+        for _ in range(20):
+            j = 1.0 + rng.uniform(-1e-3, 1e-3, size=7)
+            params = ExperimentParams(
+                omega_397=TWO_PI * 32.4e6 * j[0],
+                omega_866=TWO_PI * 26.8e6 * j[1],
+                delta_397=-TWO_PI * 5.7e6 * j[2], delta_866=0.0,
+                b_field=3e-8 * j[3], alpha_397=0.05 * math.pi * j[4],
+                alpha_866=0.4 * math.pi * j[5], gamma_dp=0.0,
+                linewidth_866=TWO_PI * 0.5e6 * j[6])
+            curve = C.excitation_spectrum(params, grid)
+            assert np.all(np.isnan(curve.values[~curve.ok]))
+            assert curve.values[curve.ok].min() >= -1e-9
+            flagged += int((~curve.ok).sum())
+        assert flagged >= 20
 
     @pytest.mark.parametrize("change", [{"omega_866": 0.0},
                                         {"alpha_866": 0.0}])

@@ -12,7 +12,8 @@ from ionpair import atom, dynamics
 from ionpair.correlations import g2_pair
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 from ionpair.dynamics import (DegenerateSteadyStateError, NumericalError,
-                              integrate, populations, propagate, steady_state)
+                              integrate, populations, propagate,
+                              propagate_populations, steady_state)
 
 
 def _decay_only(gamma_sp=TWO_PI * 20.7e6, gamma_dp=TWO_PI * 1.69e6):
@@ -187,6 +188,96 @@ class TestAgainstExpm:
         assert minus.values[0] == 0.0 and plus.values[0] == 0.0
         assert minus.values[1] == pytest.approx(1.0, abs=1e-6)
         assert plus.values[1] == pytest.approx(1.0, abs=1e-6)
+
+
+# -- the real Hermitian basis and its half spectrum -----------------------
+
+def _random_state(seed):
+    """A mixed 8x8 density matrix with every coherence nonzero."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _assert_real_basis(params, seed=0):
+    mat = atom.build_liouvillian(params)
+    r = dynamics._UH @ mat @ dynamics._U
+    assert np.abs(r.imag).max() <= 1e-13 * np.linalg.norm(mat, ord=np.inf)
+    rho0 = _random_state(seed)
+    # every complex mode kept stands for itself and its conjugate partner
+    half = dynamics._modes(mat, rho0)[0]
+    assert np.all(half.imag >= 0)
+    assert 2 * np.sum(half.imag > 0) + np.sum(half.imag == 0) == 64
+
+    pops = propagate_populations(mat, rho0, _ORACLE_GRID)
+    assert np.abs(pops - populations(propagate(mat, rho0, _ORACLE_GRID))
+                  ).max() <= 1e-13
+    assert np.abs(pops - _expm_populations(mat, rho0, _ORACLE_GRID)
+                  ).max() <= 1e-12
+
+
+class TestRealBasis:
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_presets(self, preset):
+        _assert_real_basis(get_preset(preset))
+
+    @settings(max_examples=30, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_parameters(self, log10_b, delta_397_mhz, delta_866_mhz,
+                               omega_397_mhz, omega_866_mhz, alpha_397_pi,
+                               alpha_866_pi, seed):
+        _assert_real_basis(get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi), seed)
+
+    def test_populations_match_full_states_on_long_grid(self):
+        mat = atom.build_liouvillian(get_preset("strong"))
+        rho0 = _random_state(1)
+        grid = np.arange(0.0, 4000e-9, 2e-9)
+        pops = propagate_populations(mat, rho0, grid)
+        assert pops.shape == (grid.size, 8)
+        assert np.array_equal(pops[0], rho0.diagonal().real)
+        assert np.abs(pops - populations(propagate(mat, rho0, grid))
+                      ).max() <= 1e-13
+
+    def test_non_hermitian_rho0_rejected(self):
+        mat = atom.build_liouvillian(get_preset("weak"))
+        rho0 = np.eye(8, dtype=complex) / 8
+        rho0[0, 1] = 0.1
+        grid = np.array([0.0, 1e-9])
+        for call in (lambda: propagate(mat, rho0, grid),
+                     lambda: propagate_populations(mat, rho0, grid),
+                     lambda: integrate(mat, rho0, 1e-9)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                call()
+
+    def test_generator_that_breaks_hermiticity_rejected(self):
+        mat = 1j * atom.build_liouvillian(get_preset("weak"))
+        with pytest.raises(ValueError, match="Hermitian"):
+            propagate_populations(mat, np.eye(8) / 8, np.array([0.0, 1e-9]))
+
+    def test_nan_generator_is_numerical_error(self):
+        rho0 = np.eye(8, dtype=complex) / 8
+        broken = atom.build_liouvillian(get_preset("weak"))
+        broken[5, 7] = np.nan
+        grid = np.array([0.0, 1e-9])
+        for call in (lambda: propagate(broken, rho0, grid),
+                     lambda: propagate_populations(broken, rho0, grid),
+                     lambda: integrate(broken, rho0, 1e-9)):
+            with pytest.raises(NumericalError):
+                call()
 
 
 class TestSteadyState:
