@@ -12,9 +12,10 @@ __version__ = "0.1.0"
 from .params import (ExperimentParams, PRESETS, TWO_PI, format_angle,
                      get_preset, parse_angle)
 from .atom import (TRANSITIONS, Transition, build_hamiltonian,
-                   build_liouvillian, polarization_components,
-                   transition_amplitudes, zeeman_shifts)
-from .dynamics import (NumericalError, populations, propagate,
+                   build_liouvillian, liouvillian_coefficients,
+                   polarization_components, transition_amplitudes,
+                   zeeman_shifts)
+from .dynamics import (Model, NumericalError, populations, propagate,
                        propagate_populations, steady_state)
 from .correlations import (CorrelationCurve, ErrorModel, SpectrumCurve,
                            default_grid, default_spectrum_grid, emission_rate,
@@ -36,8 +37,10 @@ __all__ = [
     "ExperimentParams", "PRESETS", "TWO_PI", "format_angle", "get_preset",
     "parse_angle",
     "TRANSITIONS", "Transition", "build_hamiltonian", "build_liouvillian",
-    "polarization_components", "transition_amplitudes", "zeeman_shifts",
-    "NumericalError", "populations", "propagate", "propagate_populations",
+    "liouvillian_coefficients", "polarization_components",
+    "transition_amplitudes", "zeeman_shifts",
+    "Model", "NumericalError", "populations", "propagate",
+    "propagate_populations",
     "steady_state",
     "CorrelationCurve", "ErrorModel", "SpectrumCurve",
     "default_grid", "default_spectrum_grid", "emission_rate",

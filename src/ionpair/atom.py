@@ -124,23 +124,22 @@ def polarization_components(alpha: float) -> dict[int, float]:
     return {-1: +s, 0: math.cos(alpha), +1: -s}
 
 
+# The S and D projectors; _lowering(t) is channel t's |lower><upper|.
+_S_PROJ, _D_PROJ = (np.diag(np.isin(np.arange(N_LEVELS), levels) * 1.0)
+                    for levels in (S_LEVELS, D_LEVELS))
+
+
+def _lowering(t: Transition) -> np.ndarray:
+    return np.outer(np.eye(N_LEVELS)[t.lower], np.eye(N_LEVELS)[t.upper])
+
+
 def build_hamiltonian(params: ExperimentParams) -> np.ndarray:
     """8x8 rotating-frame Hamiltonian in rad/s (hbar = 1)."""
-    h = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-    shifts = zeeman_shifts(params.b_field)
-    for i in S_LEVELS:
-        h[i, i] = shifts[i] + params.delta_397
-    for i in P_LEVELS:
-        h[i, i] = shifts[i]
-    for i in D_LEVELS:
-        h[i, i] = shifts[i] + params.delta_866
-    pol397 = polarization_components(params.alpha_397)
-    pol866 = polarization_components(params.alpha_866)
-    for t in TRANSITIONS:
-        if t.branch == "SP":
-            coupling = params.omega_397 * pol397[t.q] * t.amplitude
-        else:
-            coupling = params.omega_866 * pol866[t.q] * t.amplitude
+    h = np.diag(zeeman_shifts(params.b_field)).astype(complex)
+    h[S_LEVELS, S_LEVELS] += params.delta_397
+    h[D_LEVELS, D_LEVELS] += params.delta_866
+    couplings = liouvillian_coefficients(params)[3:3 + len(TRANSITIONS)]
+    for t, coupling in zip(TRANSITIONS, couplings):
         h[t.upper, t.lower] += coupling
         h[t.lower, t.upper] += coupling
     return h
@@ -149,42 +148,53 @@ def build_hamiltonian(params: ExperimentParams) -> np.ndarray:
 def collapse_operators(params: ExperimentParams) -> list[np.ndarray]:
     """One sqrt(rate)-weighted jump operator per decay channel, then any
     dephasing operators for finite laser linewidths."""
-    ops = []
-    for t in TRANSITIONS:
-        rate = params.gamma_sp if t.branch == "SP" else params.gamma_dp
-        if rate == 0.0:
-            continue
-        a = np.zeros((N_LEVELS, N_LEVELS))
-        a[t.lower, t.upper] = math.sqrt(rate) * t.amplitude
-        ops.append(a)
+    rates = {"SP": params.gamma_sp, "DP": params.gamma_dp}
+    ops = [math.sqrt(rates[t.branch]) * t.amplitude * _lowering(t)
+           for t in TRANSITIONS if rates[t.branch] != 0.0]
     # Laser phase noise dephases the manifold that carries the detuning
     # in this frame; a linewidth gamma gives coherence decay gamma/2.
-    if params.linewidth_397 > 0.0:
-        proj = np.zeros((N_LEVELS, N_LEVELS))
-        for i in S_LEVELS:
-            proj[i, i] = math.sqrt(params.linewidth_397)
-        ops.append(proj)
-    if params.linewidth_866 > 0.0:
-        proj = np.zeros((N_LEVELS, N_LEVELS))
-        for i in D_LEVELS:
-            proj[i, i] = math.sqrt(params.linewidth_866)
-        ops.append(proj)
-    return ops
+    return ops + [math.sqrt(lw) * proj for lw, proj in (
+        (params.linewidth_397, _S_PROJ), (params.linewidth_866, _D_PROJ))
+        if lw > 0.0]
+
+
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """Row-major superoperator of -i[h, rho] for a real symmetric h."""
+    return -1j * (np.kron(h, np.eye(N_LEVELS)) - np.kron(np.eye(N_LEVELS), h))
 
 
 def _dissipator(a: np.ndarray) -> np.ndarray:
-    """Row-major superoperator of D[a]."""
-    eye = np.eye(N_LEVELS)
-    ada = a.conj().T @ a
-    return (np.kron(a, a.conj())
-            - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T)))
+    """Row-major superoperator of D[a] for a real a."""
+    ada, eye = a.T @ a, np.eye(N_LEVELS)
+    return np.kron(a, a) - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada))
+
+
+# L is linear in 17 coefficients (liouvillian_coefficients): delta_397,
+# delta_866 and B, the ten laser couplings in TRANSITIONS order, gamma_sp
+# and gamma_dp, and the two linewidths.  Their fixed terms are built once.
+LIOUVILLIAN_TERMS = np.array(
+    [_commutator(h) for h in (_S_PROJ, _D_PROJ, np.diag(zeeman_shifts(1.0)))]
+    + [_commutator(_lowering(t) + _lowering(t).T) for t in TRANSITIONS]
+    + [sum(t.amplitude ** 2 * _dissipator(_lowering(t))
+           for t in transition_amplitudes(branch)) for branch in ("SP", "DP")]
+    + [_dissipator(_S_PROJ), _dissipator(_D_PROJ)])
+DELTA_866_TERM = 1
+
+
+def liouvillian_coefficients(params: ExperimentParams) -> np.ndarray:
+    """Weights c with L = sum_k c_k LIOUVILLIAN_TERMS[k]; a coupling is
+    Omega * a_q(alpha) * A_c, a dissipator's weight is its rate."""
+    omega = {"SP": params.omega_397, "DP": params.omega_866}
+    pol = {"SP": polarization_components(params.alpha_397),
+           "DP": polarization_components(params.alpha_866)}
+    couplings = [omega[t.branch] * pol[t.branch][t.q] * t.amplitude
+                 for t in TRANSITIONS]
+    return np.array([params.delta_397, params.delta_866, params.b_field,
+                     *couplings, params.gamma_sp, params.gamma_dp,
+                     params.linewidth_397, params.linewidth_866])
 
 
 def build_liouvillian(params: ExperimentParams) -> np.ndarray:
-    """Full 64x64 generator on row-major vec(rho), all decays included."""
-    h = build_hamiltonian(params)
-    eye = np.eye(N_LEVELS)
-    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for a in collapse_operators(params):
-        mat += _dissipator(a)
-    return mat
+    """Full 64x64 generator on row-major vec(rho), all decays included,
+    as the weighted sum of the fixed LIOUVILLIAN_TERMS."""
+    return np.tensordot(liouvillian_coefficients(params), LIOUVILLIAN_TERMS, 1)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import correlations as corr
 from .correlator import CorrelatorConfig, conditioned_g2_estimate, correlate
-from .dynamics import NumericalError
+from .dynamics import Model, NumericalError
 from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
 from .params import PRESETS, TWO_PI, ExperimentParams, get_preset
 from .streams import StreamFormatError, load_stream, save_stream
@@ -187,12 +187,13 @@ def cmd_spectrum(args) -> int:
 def cmd_purity(args) -> int:
     params = _load_params(args.params)
     grid = _grid(args)
-    minus, plus = corr.g2_pair(params, "sigma-", grid)
+    model = Model(params)   # one generator for the curves and both counts
+    minus, plus = corr.g2_pair(model, "sigma-", grid)
     p = corr.purity(minus, plus, args.t_window)
     print(f"pair purity p({args.t_window * 1e9:.1f} ns) = {p:.4f}")
     print(f"pair probability p/(1+p) = {corr.pair_probability(p):.6f}")
     for pol in ("sigma-", "sigma+"):
-        n = corr.mean_photon_number(params, pol, args.t_window)
+        n = corr.mean_photon_number(model, pol, args.t_window)
         print(f"mean {pol} photons in window = {n:.4f}")
     if args.output:
         tau, curve = corr.purity_curve(minus, plus)
@@ -351,8 +352,10 @@ def _selftest_checks():
 
     from . import atom
     from .correlator import correlate_brute_force
-    from .dynamics import steady_state
     from .streams import read_stream, write_stream
+
+    # every check of the weak preset reads this one model
+    weak = Model(get_preset("weak"))
 
     def amplitudes_close():
         for upper in atom.P_LEVELS:
@@ -362,8 +365,7 @@ def _selftest_checks():
                 assert abs(tot - gamma) < 1e-12, (upper, branch, tot)
 
     def liouvillian_traceless():
-        p = get_preset("weak")
-        lmat = atom.build_liouvillian(p)
+        lmat = atom.build_liouvillian(weak.params)
         rng = np.random.default_rng(0)
         r = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = r @ r.conj().T
@@ -373,20 +375,17 @@ def _selftest_checks():
         assert abs(np.trace(drho)) < 1e-12 * np.linalg.norm(lmat)
 
     def steady_state_sane():
-        p = get_preset("weak")
-        rho = steady_state(atom.build_liouvillian(p))
+        rho = weak.steady
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.all(np.diag(rho).real > -1e-12)
 
     def g2_long_time_limit():
-        p = get_preset("weak")
         grid = np.linspace(0.0, 80e-6, 161)
-        c = corr.g2_conditioned(p, "sigma-", "sigma+", grid)
+        c = corr.g2_conditioned(weak, "sigma-", "sigma+", grid)
         assert abs(c.values[-1] - 1.0) < 1e-3, c.values[-1]
 
     def weak_peak_regression():
-        p = get_preset("weak")
-        c = corr.g2_conditioned(p, "sigma-", "sigma-")
+        c = corr.g2_conditioned(weak, "sigma-", "sigma-")
         tau, peak = c.peak()
         assert abs(peak - 16.49) < 0.5, peak
         assert abs(tau - 28.5e-9) < 3e-9, tau
@@ -415,9 +414,9 @@ def _selftest_checks():
         assert np.array_equal(back.pol, s.pol)
 
     def sampler_rate_matches_master_equation():
-        p = get_preset("weak")
+        p = weak.params
         em = simulate_emissions(p, 5e-3, seed=1)
-        rho = steady_state(atom.build_liouvillian(p))
+        rho = weak.steady
         want = (p.gamma_sp + p.gamma_dp) * (rho[2, 2].real + rho[3, 3].real)
         assert abs(em.rate() / want - 1.0) < 0.05, em.rate() / want
 

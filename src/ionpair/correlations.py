@@ -23,8 +23,7 @@ import numpy as np
 
 from . import atom
 from .atom import P_MINUS, P_PLUS, S_MINUS, S_PLUS
-from .dynamics import (NumericalError, integrate, propagate_populations,
-                       steady_state)
+from .dynamics import Model, NumericalError
 from .params import ExperimentParams
 
 SIGMA_MINUS = "sigma-"
@@ -88,24 +87,29 @@ def _heralded(w: float) -> np.ndarray:
     return rho
 
 
-def _feeding(params: ExperimentParams, grid: np.ndarray,
-             weight: float | None = None
-             ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(w, g-, g+) after propagating _heralded(w) over the grid.
+def _model(x: ExperimentParams | Model) -> Model:
+    """Every read-out below takes a parameter set or its shared Model."""
+    return x if isinstance(x, Model) else Model(x)
+
+
+def _feeding(model: Model, grid: np.ndarray | None,
+             weight: float | None = None):
+    """(grid, w, g-, g+) after propagating _heralded(w) over the grid
+    (default_grid() if None).
 
     g- = rho_P-(tau) / rho_P-(inf) and g+ = rho_P+(tau) / rho_P+(inf);
     every g2 curve is a linear read-out of them.  weight=None prepares
     the steady branching w = rho_P- / (rho_P- + rho_P+), the ground
     mixture a polarization-blind first photon leaves behind.
     """
-    mat = atom.build_liouvillian(params)
-    steady = np.real(np.diag(steady_state(mat)))
+    steady = np.real(np.diag(model.steady))
     p_minus = _check_feeding_population(steady[P_MINUS], "P(-1/2)")
     p_plus = _check_feeding_population(steady[P_PLUS], "P(+1/2)")
     if weight is None:
         weight = p_minus / (p_minus + p_plus)
-    pops = propagate_populations(mat, _heralded(weight), grid)
-    return weight, pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
+    grid = default_grid() if grid is None else grid
+    pops = model.populations(_heralded(weight), grid)
+    return grid, weight, pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class ErrorModel:
                 raise ValueError(f"{name} must lie in [0, 0.5], got {v}")
 
 
-def g2_pair(params: ExperimentParams, first: str,
+def g2_pair(params: ExperimentParams | Model, first: str,
             grid: np.ndarray | None = None,
             errors: ErrorModel = ErrorModel()
             ) -> tuple[CorrelationCurve, CorrelationCurve]:
@@ -141,23 +145,21 @@ def g2_pair(params: ExperimentParams, first: str,
     ground state, eps_minus/eps_plus mix the two ideal second-photon
     curves.  Each curve's meta records the epsilons.
     """
-    _check_pol(first)
-    if grid is None:
-        grid = default_grid()
     wrong = errors.eps_init
-    _, gm, gp = _feeding(params, grid,
-                         1.0 - wrong if first == SIGMA_MINUS else wrong)
+    weight = 1.0 - wrong if _check_pol(first) == SIGMA_MINUS else wrong
+    model = _model(params)
+    grid, _, gm, gp = _feeding(model, grid, weight)
     values = {
         SIGMA_MINUS: (1.0 - errors.eps_minus) * gm + errors.eps_minus * gp,
         SIGMA_PLUS: (1.0 - errors.eps_plus) * gp + errors.eps_plus * gm,
     }
-    meta = {"params": params.fingerprint(), **asdict(errors)}
+    meta = {"params": model.params.fingerprint(), **asdict(errors)}
     return tuple(CorrelationCurve(tau=grid.copy(), values=values[second],
                                   kind=f"{first}|{second}", meta=dict(meta))
                  for second in (SIGMA_MINUS, SIGMA_PLUS))
 
 
-def g2_conditioned(params: ExperimentParams, first: str, second: str,
+def g2_conditioned(params: ExperimentParams | Model, first: str, second: str,
                    grid: np.ndarray | None = None) -> CorrelationCurve:
     """g2(tau) for a `second` photon at delay tau after a `first` photon."""
     _check_pol(second)
@@ -165,7 +167,7 @@ def g2_conditioned(params: ExperimentParams, first: str, second: str,
     return minus if second == SIGMA_MINUS else plus
 
 
-def g2_total(params: ExperimentParams,
+def g2_total(params: ExperimentParams | Model,
              grid: np.ndarray | None = None) -> CorrelationCurve:
     """Polarization-blind g2 of the 397 sigma fluorescence.
 
@@ -173,15 +175,11 @@ def g2_total(params: ExperimentParams,
     the steady feeding populations; the second is either sigma channel,
     with the same weights.
     """
-    if grid is None:
-        grid = default_grid()
-    w, gm, gp = _feeding(params, grid)
-    return CorrelationCurve(
-        tau=grid.copy(),
-        values=w * gm + (1.0 - w) * gp,
-        kind="total",
-        meta={"params": params.fingerprint()},
-    )
+    model = _model(params)
+    grid, w, gm, gp = _feeding(model, grid)
+    return CorrelationCurve(tau=grid.copy(), values=w * gm + (1.0 - w) * gp,
+                            kind="total",
+                            meta={"params": model.params.fingerprint()})
 
 
 # -- short-time behaviour ----------------------------------------------
@@ -207,15 +205,6 @@ def short_time_grid(dt: float = 0.02e-9, t_max: float = 1.2e-9) -> np.ndarray:
 
 # -- pair purity --------------------------------------------------------
 
-def _integrals(minus: CorrelationCurve, plus: CorrelationCurve):
-    if minus.tau.shape != plus.tau.shape or not np.allclose(minus.tau, plus.tau):
-        raise ValueError("purity needs both curves on the same delay grid")
-    from scipy.integrate import cumulative_trapezoid
-    im = cumulative_trapezoid(minus.values, minus.tau, initial=0.0)
-    ip = cumulative_trapezoid(plus.values, plus.tau, initial=0.0)
-    return im, ip
-
-
 def purity_curve(minus: CorrelationCurve, plus: CorrelationCurve
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Ratio of integrated sigma- to sigma+ correlations versus window
@@ -223,10 +212,12 @@ def purity_curve(minus: CorrelationCurve, plus: CorrelationCurve
 
     Returns (tau[1:], p) since the ratio is undefined at T = 0.
     """
-    im, ip = _integrals(minus, plus)
+    if minus.tau.shape != plus.tau.shape or not np.allclose(minus.tau, plus.tau):
+        raise ValueError("purity needs both curves on the same delay grid")
+    from scipy.integrate import cumulative_trapezoid
+    im, ip = (cumulative_trapezoid(c.values, c.tau) for c in (minus, plus))
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = im[1:] / ip[1:]
-    return minus.tau[1:].copy(), p
+        return minus.tau[1:].copy(), im / ip
 
 
 def purity(minus: CorrelationCurve, plus: CorrelationCurve, t_window: float) -> float:
@@ -250,28 +241,27 @@ def pair_probability(p: float) -> float:
 
 # -- photon budget ------------------------------------------------------
 
-def emission_rate(params: ExperimentParams, pol: str) -> float:
+def emission_rate(params: ExperimentParams | Model, pol: str) -> float:
     """Steady-state emission rate (photons/s) of one 397 sigma channel."""
-    _check_pol(pol)
-    rss = steady_state(atom.build_liouvillian(params))
-    lvl = _SOURCE_LEVEL[pol]
-    return (2.0 / 3.0) * params.gamma_sp * rss[lvl, lvl].real
+    lvl = _SOURCE_LEVEL[_check_pol(pol)]
+    model = _model(params)
+    return (2.0 / 3.0) * model.params.gamma_sp * model.steady[lvl, lvl].real
 
 
-def mean_photon_number(params: ExperimentParams, pol: str,
+def mean_photon_number(params: ExperimentParams | Model, pol: str,
                        t_window: float) -> float:
     """Expected number of `pol` photons within t_window after a detected
     `pol` photon.
 
     The detection prepares the corresponding ground state, so this is the
     exact integral of the conditioned channel rate Gamma_sp * (2/3) *
-    rho_P(tau) (dynamics.integrate), not t_window times the steady rate.
+    rho_P(tau) (Model.integral), not t_window times the steady rate.
     """
-    _check_pol(pol)
-    rho0 = _heralded(1.0 if pol == SIGMA_MINUS else 0.0)
-    lvl = _SOURCE_LEVEL[pol]
-    occupation = integrate(atom.build_liouvillian(params), rho0, t_window)
-    return float((2.0 / 3.0) * params.gamma_sp * occupation[lvl, lvl].real)
+    lvl = _SOURCE_LEVEL[_check_pol(pol)]
+    model = _model(params)
+    occupation = model.integral(_heralded(float(pol == SIGMA_MINUS)), t_window)
+    return float((2.0 / 3.0) * model.params.gamma_sp
+                 * occupation[lvl, lvl].real)
 
 
 # -- excitation spectrum ------------------------------------------------
@@ -284,18 +274,6 @@ class SpectrumCurve:
     values: np.ndarray       # scale * (P population) + background
     ok: np.ndarray           # per-point solver success
     meta: dict = field(default_factory=dict)
-
-
-def _detuning_slope() -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero part of d L / d delta_866 (row-major), which is diagonal:
-    the indices of the 32 coherences between a D level and any other
-    level, and the diagonal values -i(k_i - k_j) there."""
-    n = atom.N_LEVELS
-    k = np.zeros(n)
-    k[list(atom.D_LEVELS)] = 1.0
-    diag = -1j * (k[:, None] - k[None, :]).reshape(-1)
-    cols = np.flatnonzero(diag)
-    return cols, diag[cols]
 
 
 def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
@@ -329,11 +307,14 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     n = atom.N_LEVELS
-    cols, slope = _detuning_slope()
+    slope = np.diagonal(atom.LIOUVILLIAN_TERMS[atom.DELTA_866_TERM])
+    cols = np.flatnonzero(slope)
     readout = [P_MINUS * (n + 1), P_PLUS * (n + 1)]
-    d0 = (params.delta_397 + np.ptp(atom.zeeman_shifts(params.b_field))
-          + params.gamma_sp + params.gamma_dp)
-    a0 = atom.build_liouvillian(params.replace(delta_866=d0))
+    c = atom.liouvillian_coefficients(params)
+    c[atom.DELTA_866_TERM] = d0 = (
+        params.delta_397 + np.ptp(atom.zeeman_shifts(params.b_field))
+        + params.gamma_sp + params.gamma_dp)
+    a0 = np.tensordot(c, atom.LIOUVILLIAN_TERMS, 1)
     a0[0] = 0.0
     a0[0, :: n + 1] = 1.0
     rhs = np.zeros((n * n, 1 + cols.size), dtype=complex)
@@ -342,8 +323,9 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     try:
         x = np.linalg.solve(a0, rhs)
         x0, z = x[:, 0], x[:, 1:]
-        theta, w = np.linalg.eig(slope[:, None] * z[cols])
-        r = (z[readout].sum(axis=0) @ w) * np.linalg.solve(w, slope * x0[cols])
+        theta, w = np.linalg.eig(slope[cols, None] * z[cols])
+        r = ((z[readout].sum(axis=0) @ w)
+             * np.linalg.solve(w, slope[cols] * x0[cols]))
     except np.linalg.LinAlgError:
         fluor = np.full(delta_grid.size, np.nan)
     else:
@@ -373,12 +355,9 @@ def raman_positions(params: ExperimentParams) -> np.ndarray:
     or weak pi component, so exactly four dips appear in the spectrum.
     """
     shifts = atom.zeeman_shifts(params.b_field)
-    out = []
-    for s in atom.S_LEVELS:
-        for d in atom.D_LEVELS:
-            if abs(atom.M_J[d] - atom.M_J[s]) in (0.0, 2.0):
-                out.append(params.delta_397 + shifts[s] - shifts[d])
-    return np.sort(np.array(out))
+    return np.sort([params.delta_397 + shifts[s] - shifts[d]
+                    for s in atom.S_LEVELS for d in atom.D_LEVELS
+                    if abs(atom.M_J[d] - atom.M_J[s]) in (0.0, 2.0)])
 
 
 def find_dips(spectrum: SpectrumCurve, min_prominence: float = 0.1) -> np.ndarray:
@@ -416,42 +395,33 @@ def write_table_csv(path, x: np.ndarray, columns: dict[str, np.ndarray],
     for label, col in columns.items():
         if len(col) != len(x):
             raise ValueError(f"column {label!r} length mismatch")
+    cells = np.column_stack([x, *columns.values()])
+    row = ",".join(["%.10g"] * (1 + len(columns))) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key in sorted(meta or {}):
             fh.write(f"# {key} = {(meta or {})[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow([x_label, *columns.keys()])
-        for i in range(len(x)):
-            writer.writerow([f"{x[i]:.10g}",
-                             *(f"{col[i]:.10g}" for col in columns.values())])
+        csv.writer(fh).writerow([x_label, *columns.keys()])
+        # one format call for the body: "%.10g" % v == f"{v:.10g}"
+        fh.write(row * len(x) % tuple(np.ravel(cells).tolist()))
 
 
 def read_table_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
     """Inverse of write_table_csv: (x, columns, meta)."""
     meta: dict[str, str] = {}
     rows: list[list[str]] = []
-    header: list[str] | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-            else:
-                rows.append(cells)
-    if header is None or not rows:
+        for line in filter(None, map(str.strip, fh)):
+            if not line.startswith("#"):
+                rows.append(next(csv.reader([line])))
+            elif "=" in line:
+                key, _, val = line[1:].partition("=")
+                meta[key.strip()] = val.strip()
+    if len(rows) < 2:
         raise ValueError(f"{path}: no tabular data found")
-    data = np.array([[float(c) for c in row] for row in rows])
-    if data.shape[1] != len(header):
+    header = rows.pop(0)
+    if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: ragged rows")
+    data = np.array([[float(c) for c in row] for row in rows])
     x = data[:, 0]
     columns = {name: data[:, j + 1] for j, name in enumerate(header[1:])}
     return x, columns, meta

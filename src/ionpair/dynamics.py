@@ -1,19 +1,20 @@
 """Steady states and time evolution of the eight-level master equation.
 
-Time evolution works in a real Hermitian operator basis: the 8
-populations and sqrt(2) Re, sqrt(2) Im of the 28 upper coherences.
-The Liouvillian keeps rho Hermitian, so it is a real 64x64 matrix R
-there, and one real eigendecomposition of R serves a whole time grid.
-R's complex eigenvalues come in conjugate pairs, so only the half with
-Im lam >= 0 is evaluated, each complex mode counted twice.
-propagate() expands the full states, propagate_populations() reads only
-the 8 population rows, and integrate() gives exact window integrals.
+A Model holds one parameter set's Liouvillian as a real 64x64 matrix R
+in the Hermitian operator basis of _real_basis(), its steady state and
+one real eigendecomposition, and serves every read-out of that set.
+steady_state(), propagate(), propagate_populations() and integrate()
+take any complex generator through Model.from_matrix().
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cached_property
 
+import numpy as np
+import scipy.linalg
+
+from . import atom
 from .atom import N_LEVELS
 
 # Relative residual allowed on ||L rho_ss|| and on trace conservation.
@@ -27,51 +28,8 @@ class NumericalError(RuntimeError):
 
 
 class DegenerateSteadyStateError(NumericalError):
-    """The generator has more than one stationary state.
-
-    Happens for decoupled parameter corners, e.g. gamma_dp = 0 with a
-    polarization that leaves part of the D manifold dark.
-    """
-
-
-def steady_state(mat: np.ndarray, check_unique: bool = False) -> np.ndarray:
-    """Unique stationary density matrix of the generator.
-
-    Solves L v = 0 with one row replaced by the trace condition.  The
-    result is verified to be stationary to RESIDUAL_TOL (relative to the
-    spectral scale of L); a failed check raises NumericalError.  With
-    check_unique=True an SVD confirms the nullspace is one-dimensional
-    first, raising DegenerateSteadyStateError otherwise.
-    """
-    n = N_LEVELS
-    scale = np.linalg.norm(mat, ord=np.inf)
-    if check_unique:
-        s = np.linalg.svd(mat, compute_uv=False)
-        # one singular value ~0 is the steady state itself
-        if s[-2] < 1e-8 * s[0]:
-            raise DegenerateSteadyStateError(
-                "steady state is not unique (second singular value "
-                f"{s[-2]:.3e} vs largest {s[0]:.3e})")
-    a = mat.copy()
-    trace_row = np.zeros(n * n, dtype=complex)
-    trace_row[:: n + 1] = 1.0
-    a[0] = trace_row
-    b = np.zeros(n * n, dtype=complex)
-    b[0] = 1.0
-    try:
-        v = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(f"singular steady-state system: {exc}")
-    rho = v.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    resid = np.linalg.norm(mat @ rho.reshape(-1)) / max(scale, 1.0)
-    if not np.isfinite(resid) or resid > RESIDUAL_TOL:
-        raise NumericalError(
-            f"steady-state residual {resid:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > RESIDUAL_TOL:
-        raise NumericalError(f"steady-state trace {tr} deviates from 1")
-    return rho
+    """The generator has more than one stationary state, e.g. for
+    gamma_dp = 0 with a polarization that leaves part of D dark."""
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
@@ -108,121 +66,183 @@ def _real_basis() -> np.ndarray:
 
 _U = _real_basis()
 _UH = _U.conj().T
-
-
-def _modes(mat: np.ndarray, rho0):
-    """(lam, vec, coef) with x(t) = Re(vec @ (exp(lam t) * coef)).
-
-    x are the real coordinates of rho(t) (see _real_basis).  R = U^H L U
-    is real, so its eigenvalues come in conjugate pairs; only modes with
-    Im lam >= 0 are kept, and a complex mode's coefficient is doubled to
-    stand for its conjugate partner.  Checks rho0 (shape, unit trace,
-    Hermitian) and that L keeps rho Hermitian.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (N_LEVELS, N_LEVELS):
-        raise ValueError(f"rho0 must be 8x8, got {rho0.shape}")
-    tr0 = np.trace(rho0).real
-    if abs(tr0 - 1.0) > STATE_TOL:
-        raise ValueError(f"rho0 trace {tr0} is not 1")
-    skew = np.abs(rho0 - rho0.conj().T).max()
-    if skew > STATE_TOL:
-        raise ValueError(
-            f"rho0 is not Hermitian (|rho0 - rho0^H| = {skew:.3e})")
-    r = _UH @ mat @ _U
-    # written so that a NaN generator passes on to eig's NumericalError
-    if np.abs(r.imag).max() > RESIDUAL_TOL * max(np.abs(r).max(), 1.0):
-        raise ValueError("the generator does not keep rho Hermitian")
-    try:
-        lam, vec = np.linalg.eig(r.real)
-        real = lam.imag == 0.0
-        upper = lam.imag > 0.0
-        # dgeev returns complex eigenvalues as exact conjugate pairs
-        if 2 * upper.sum() + real.sum() != lam.size or not real.any():
-            raise NumericalError(
-                "generator eigenvalues are not conjugate pairs around a "
-                "real stationary mode")
-        # L preserves the trace, so its steady-state eigenvalue is exactly
-        # 0; eig returns it as ~1e-8 round-off, which exp(lam t) would
-        # turn into trace drift at long delays.  Only a real eigenvalue
-        # is pinned, so no conjugate pair is broken.
-        cand = np.flatnonzero(real)
-        lam[cand[np.argmin(np.abs(lam[cand]))]] = 0.0
-        y0 = np.linalg.solve(vec, (_UH @ rho0.reshape(-1)).real)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigendecomposition of the generator failed: {exc}")
-    keep = real | upper
-    return lam[keep], vec[:, keep], np.where(upper, 2.0, 1.0)[keep] * y0[keep]
-
-
-def _series(mat: np.ndarray, rho0, grid, rows) -> np.ndarray:
-    """The given rows of x(t) at each grid point, shape (n, rows)."""
-    grid = _check_grid(grid)
-    lam, vec, coef = _modes(mat, rho0)
-    # Re(exp(lam t) w) in real arithmetic: cheaper than a complex exp
-    decay = np.exp(np.outer(grid, lam.real))
-    phase = np.outer(grid, lam.imag)
-    w = coef[:, None] * vec[rows].T
-    return (decay * np.cos(phase)) @ w.real - (decay * np.sin(phase)) @ w.imag
+# atom.LIOUVILLIAN_TERMS in the real basis, one flattened row per term
+_REAL_TERMS = np.array([(_UH @ term @ _U).real.ravel()
+                        for term in atom.LIOUVILLIAN_TERMS])
 
 
 def _check_drift(traces: np.ndarray) -> None:
     drift = np.abs(traces - 1.0).max()
     if not drift <= RESIDUAL_TOL:
         raise NumericalError(
-            f"trace drift {drift:.3e} exceeds {RESIDUAL_TOL:.0e} during propagation")
+            f"trace drift {drift:.3e} exceeds {RESIDUAL_TOL:.0e} (relative)")
+
+
+class Model:
+    """The real generator R of one parameter set and its read-outs.
+
+    Model(params) assembles R = sum_k c_k (U^H B_k U) from
+    atom.liouvillian_coefficients(params) and the fixed real terms.  The
+    steady state and one eigendecomposition are computed on first use
+    and shared by every read-out.  One real eig of R serves a whole grid
+    (Moler & Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
+    x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0, with c = 2 for a
+    complex mode (its conjugate partner) and 1 for a real one, and
+    vec(rho(t)) = U x(t).  A window integral takes expm1(lam t) / lam
+    (t if lam = 0) in place of exp(lam t).
+    """
+
+    def __init__(self, params, real: np.ndarray | None = None):
+        self.params = params
+        self.real = real if real is not None else (
+            atom.liouvillian_coefficients(params) @ _REAL_TERMS
+        ).reshape(_U.shape)
+
+    @classmethod
+    def from_matrix(cls, mat: np.ndarray) -> Model:
+        """Model of a complex generator L on row-major vec(rho); a
+        ValueError unless L keeps rho Hermitian (R = U^H L U real)."""
+        r = _UH @ mat @ _U
+        # written so that a NaN generator passes on to eig's NumericalError
+        if np.abs(r.imag).max() > RESIDUAL_TOL * max(np.abs(r).max(), 1.0):
+            raise ValueError("the generator does not keep rho Hermitian")
+        return cls(None, r.real)
+
+    @cached_property
+    def steady(self) -> np.ndarray:
+        """Stationary rho: R x = 0, population 0's row set to unit trace."""
+        a = self.real.copy()
+        a[0] = 0.0
+        a[0, :N_LEVELS] = 1.0
+        try:
+            x = np.linalg.solve(a, np.eye(len(a))[0])
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSteadyStateError(
+                f"singular steady-state system ({exc}): more than one "
+                "stationary state, e.g. a dark state")
+        resid = (np.linalg.norm(self.real @ x)
+                 / max(np.linalg.norm(self.real, ord=np.inf), 1.0))
+        if not resid <= RESIDUAL_TOL:
+            raise NumericalError(f"steady-state residual {resid:.3e} "
+                                 f"exceeds {RESIDUAL_TOL:.0e}")
+        _check_drift(x[:N_LEVELS].sum())
+        return (_U @ x).reshape(N_LEVELS, N_LEVELS)
+
+    @cached_property
+    def _spectrum(self):
+        """(lam, vec, weight) of the kept half spectrum, the kept mask
+        and the LU factors of all eigenvectors, for any rho0."""
+        try:
+            lam, vec = np.linalg.eig(self.real)
+            real, upper = lam.imag == 0.0, lam.imag > 0.0
+            # dgeev returns complex eigenvalues as exact conjugate pairs
+            if 2 * upper.sum() + real.sum() != lam.size or not real.any():
+                raise NumericalError(
+                    "generator eigenvalues are not conjugate pairs around a "
+                    "real stationary mode")
+            # L preserves the trace, so its steady-state eigenvalue is 0;
+            # eig's ~1e-8 round-off would become trace drift at long
+            # delays.  Pin a real one, so no conjugate pair is broken.
+            cand = np.flatnonzero(real)
+            lam[cand[np.argmin(np.abs(lam[cand]))]] = 0.0
+            lu = scipy.linalg.lu_factor(vec, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigendecomposition of the generator failed: {exc}")
+        keep = real | upper
+        return (lam[keep], vec[:, keep], np.where(upper, 2.0, 1.0)[keep],
+                keep, lu)
+
+    def _modes(self, rho0):
+        """(lam, vec, coef) with x(t) = Re(vec @ (exp(lam t) * coef)),
+        after checking rho0 (8x8, unit trace, Hermitian)."""
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.shape != (N_LEVELS, N_LEVELS):
+            raise ValueError(f"rho0 must be 8x8, got {rho0.shape}")
+        tr0, skew = np.trace(rho0).real, np.abs(rho0 - rho0.conj().T).max()
+        if abs(tr0 - 1.0) > STATE_TOL:
+            raise ValueError(f"rho0 trace {tr0} is not 1")
+        if skew > STATE_TOL:
+            raise ValueError(
+                f"rho0 is not Hermitian (|rho0 - rho0^H| = {skew:.3e})")
+        lam, vec, weight, keep, lu = self._spectrum
+        y0 = scipy.linalg.lu_solve(lu, (_UH @ rho0.reshape(-1)).real,
+                                   check_finite=False)
+        return lam, vec, weight * y0[keep]
+
+    def _series(self, rho0, grid, rows: int) -> np.ndarray:
+        """x(t)[:rows] on the grid, x(0) exact, trace drift checked."""
+        grid = _check_grid(grid)
+        lam, vec, coef = self._modes(rho0)
+        # Re(exp(lam t) w) in real arithmetic: cheaper than a complex exp
+        decay = np.exp(np.outer(grid, lam.real))
+        phase = np.outer(grid, lam.imag)
+        w = coef[:, None] * vec[:rows].T
+        x = (decay * np.cos(phase)) @ w.real - (decay * np.sin(phase)) @ w.imag
+        x[0] = (_UH[:rows] @ np.ravel(rho0)).real
+        _check_drift(x[:, :N_LEVELS].sum(axis=1))
+        return x
+
+    def populations(self, rho0: np.ndarray, grid) -> np.ndarray:
+        """Populations on the grid, shape (n, 8), without coherences."""
+        return self._series(rho0, grid, N_LEVELS)
+
+    def states(self, rho0: np.ndarray, grid) -> np.ndarray:
+        """Density matrices on the grid, shape (n, 8, 8)."""
+        out = (self._series(rho0, grid, _U.shape[0]) @ _U.T).reshape(
+            -1, N_LEVELS, N_LEVELS)
+        out[0] = rho0
+        return out
+
+    def integral(self, rho0: np.ndarray, t_end: float) -> np.ndarray:
+        """Exact window integral int_0^t_end rho(t) dt, 8x8."""
+        if not t_end > 0.0:
+            raise ValueError(f"integration window must be positive, got {t_end}")
+        lam, vec, coef = self._modes(rho0)
+        phi = np.full(lam.shape, t_end, dtype=complex)
+        nz = lam != 0.0
+        phi[nz] = np.expm1(lam[nz] * t_end) / lam[nz]
+        x = (vec @ (phi * coef)).real
+        _check_drift(x[:N_LEVELS].sum() / t_end)
+        return (_U @ x).reshape(N_LEVELS, N_LEVELS)
+
+
+def steady_state(mat: np.ndarray, check_unique: bool = False) -> np.ndarray:
+    """Model.from_matrix(mat).steady.  With check_unique=True an SVD
+    first confirms the nullspace is one-dimensional, raising
+    DegenerateSteadyStateError otherwise."""
+    model = Model.from_matrix(mat)
+    if check_unique:
+        s = np.linalg.svd(model.real, compute_uv=False)
+        # one singular value ~0 is the steady state itself
+        if s[-2] < 1e-8 * s[0]:
+            raise DegenerateSteadyStateError(
+                "steady state is not unique (second singular value "
+                f"{s[-2]:.3e} vs largest {s[0]:.3e})")
+    return model.steady
+
+
+def _modes(mat: np.ndarray, rho0):
+    return Model.from_matrix(mat)._modes(rho0)
 
 
 def propagate(mat: np.ndarray, rho0: np.ndarray, grid) -> np.ndarray:
-    """Evolve rho0 over the given time grid; returns shape (n, 8, 8).
-
-    The grid must start at zero and increase strictly; it need not be
-    uniform.  One eigendecomposition serves every point (Moler & Van
-    Loan, SIAM Rev. 45, 3, 2003).  It is taken of the real generator
-    R = U^H L U in the Hermitian basis of _real_basis, on half its
-    spectrum: x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0, with c = 2
-    for a complex mode (its conjugate partner) and 1 for a real one, and
-    vec(rho(t)) = U x(t).
-    """
-    out = (_series(mat, rho0, grid, slice(None)) @ _U.T).reshape(
-        -1, N_LEVELS, N_LEVELS)
-    out[0] = rho0
-    _check_drift(np.einsum("kii->k", out).real)
-    return out
+    """Evolve rho0 over the grid (from 0, strictly increasing, not
+    necessarily uniform); shape (n, 8, 8).  See Model."""
+    return Model.from_matrix(mat).states(rho0, grid)
 
 
 def propagate_populations(mat: np.ndarray, rho0: np.ndarray,
                           grid) -> np.ndarray:
-    """populations(propagate(mat, rho0, grid)), shape (n, 8), read from
-    the 8 population rows of the eigenvectors only; the coherences are
-    never built.  Same grid and trace-drift checks as propagate()."""
-    pops = _series(mat, rho0, grid, slice(N_LEVELS))
-    pops[0] = np.diagonal(rho0).real
-    _check_drift(pops.sum(axis=1))
-    return pops
+    """populations(propagate(mat, rho0, grid)), shape (n, 8), without
+    building the coherences."""
+    return Model.from_matrix(mat).populations(rho0, grid)
 
 
 def integrate(mat: np.ndarray, rho0: np.ndarray, t_end: float) -> np.ndarray:
-    """Exact window integral of propagate(): int_0^t_end rho(t) dt, 8x8.
-
-    On the same half spectrum as propagate(), mode lam contributes
-    expm1(lam t_end) / lam, or t_end if lam = 0, and the real part of
-    the sum is mapped back through U.  NumericalError unless the trace
-    equals t_end to RESIDUAL_TOL.
-    """
-    if not t_end > 0.0:
-        raise ValueError(f"integration window must be positive, got {t_end}")
-    lam, vec, coef = _modes(mat, rho0)
-    phi = np.full(lam.shape, t_end, dtype=complex)
-    nz = lam != 0.0
-    phi[nz] = np.expm1(lam[nz] * t_end) / lam[nz]
-    x = (vec @ (phi * coef)).real
-    drift = abs(x[:N_LEVELS].sum() / t_end - 1.0)
-    if not drift <= RESIDUAL_TOL:
-        raise NumericalError(
-            f"window integral trace off by {drift:.3e} (relative)")
-    return (_U @ x).reshape(N_LEVELS, N_LEVELS)
+    """Exact window integral of propagate(): int_0^t_end rho(t) dt, 8x8;
+    NumericalError unless its trace equals t_end to RESIDUAL_TOL."""
+    return Model.from_matrix(mat).integral(rho0, t_end)
 
 
 def populations(states: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import scipy.optimize
 
 from .correlations import (SIGMA_MINUS, SIGMA_PLUS, ErrorModel,
                            excitation_spectrum, g2_pair, g2_total)
-from .dynamics import NumericalError
+from .dynamics import Model, NumericalError
 from .params import TWO_PI, ExperimentParams
 
 PHYSICS_PARAMS = ("omega_397", "omega_866", "delta_397", "delta_866",
@@ -391,13 +391,14 @@ def fit_g2_joint(datasets, params_init: ExperimentParams,
         nfev += 1
         p = _with_physics(params_init, vals)
         em = error_model(vals)
+        model = Model(p)   # one generator and eig for every curve
         cache: dict = {}
         out = []
         for first, second, gk, sl, d in layout:
             key = (first, gk)
             if key not in cache:
-                cache[key] = (g2_total(p, grids[gk]),) if first is None \
-                    else g2_pair(p, first, grids[gk], em)
+                cache[key] = (g2_total(model, grids[gk]),) if first is None \
+                    else g2_pair(model, first, grids[gk], em)
             curve = cache[key][1 if second == SIGMA_PLUS else 0]
             out.append((d.y - curve.values[sl]) / d.err)
         return np.concatenate(out)

@@ -242,6 +242,84 @@ class TestLiouvillian:
         assert drho[0, 4] == pytest.approx(-0.5 * lw * rho[0, 4], rel=1e-9)
 
 
+# -- the affine basis against a per-operator Kronecker build --------------
+
+def _kron_liouvillian(params):
+    """Oracle: -i[H, .] plus one Kronecker-built dissipator per collapse
+    operator, the direct sum that the fixed basis replaces."""
+    h = atom.build_hamiltonian(params)
+    eye = np.eye(8)
+    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for a in atom.collapse_operators(params):
+        ada = a.conj().T @ a
+        mat += (np.kron(a, a.conj())
+                - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T)))
+    return mat
+
+
+def _assert_affine_matches_kron(params):
+    ref = _kron_liouvillian(params)
+    got = atom.build_liouvillian(params)
+    assert got.shape == (64, 64)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+class TestAffineLiouvillian:
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_presets(self, preset):
+        _assert_affine_matches_kron(get_preset(preset))
+
+    @settings(max_examples=60, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9),
+           linewidth_397_mhz=st.sampled_from([0.0, 0.05, 1.0]),
+           linewidth_866_mhz=st.sampled_from([0.0, 0.2, 2.0]),
+           dark_d=st.booleans())
+    def test_random_parameters(self, log10_b, delta_397_mhz, delta_866_mhz,
+                               omega_397_mhz, omega_866_mhz, alpha_397_pi,
+                               alpha_866_pi, linewidth_397_mhz,
+                               linewidth_866_mhz, dark_d):
+        # TestRenewalIdentity's ranges, plus linewidths and gamma_dp = 0
+        _assert_affine_matches_kron(get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi,
+            linewidth_397=TWO_PI * linewidth_397_mhz * 1e6,
+            linewidth_866=TWO_PI * linewidth_866_mhz * 1e6,
+            gamma_dp=0.0 if dark_d else GAMMA_DP_DEFAULT))
+
+    def test_terms_are_partial_derivatives(self):
+        # each fixed term is dL/dc_k: moving one coefficient by 1 rad/s
+        # moves L by exactly that term
+        p = get_preset("spectrum")
+        base = atom.liouvillian_coefficients(p)
+        assert base.shape == (len(atom.LIOUVILLIAN_TERMS),) == (17,)
+        assert base[atom.DELTA_866_TERM] == p.delta_866
+        moved = np.tensordot(base + np.eye(17)[3], atom.LIOUVILLIAN_TERMS, 1)
+        diff = moved - atom.build_liouvillian(p)
+        assert np.abs(diff - atom.LIOUVILLIAN_TERMS[3]).max() <= 1e-6
+        # the delta_866 term is diagonal: -i on the 32 coherences that
+        # pair a D level with an S or P level
+        d866 = atom.LIOUVILLIAN_TERMS[atom.DELTA_866_TERM]
+        assert np.count_nonzero(d866 - np.diag(np.diagonal(d866))) == 0
+        assert np.count_nonzero(np.diagonal(d866)) == 32
+
+    def test_hamiltonian_couplings_are_the_coefficients(self):
+        p = get_preset("weak").replace(alpha_397=0.3, alpha_866=1.1)
+        h = atom.build_hamiltonian(p)
+        c = atom.liouvillian_coefficients(p)
+        for k, t in enumerate(atom.TRANSITIONS):
+            assert h[t.upper, t.lower] == h[t.lower, t.upper] == c[3 + k]
+
+
 class TestParamsSerialization:
     def test_round_trip(self, tmp_path):
         p = get_preset("spectrum").replace(linewidth_397=TWO_PI * 0.05e6)

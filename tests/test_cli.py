@@ -454,6 +454,15 @@ class TestExitCodes:
         assert code == 0
         assert "all checks passed" in stdout
 
+    def test_purity_and_selftest_build_one_model_per_parameter_set(
+            self, capsys, models_built):
+        weak = get_preset("weak").fingerprint()
+        assert run(capsys, "purity", "--params", "weak")[0] == 0
+        assert [p.fingerprint() for p in models_built] == [weak]
+        models_built.clear()
+        assert run(capsys, "selftest")[0] == 0
+        assert [p.fingerprint() for p in models_built] == [weak]
+
     def test_module_entry_point(self, tmp_path):
         # the child imports the same package as this process, also when
         # pytest put it on sys.path rather than PYTHONPATH

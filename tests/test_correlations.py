@@ -7,7 +7,10 @@ That pins the coupling normalization of the Hamiltonian independently of
 any eight-level numerics.
 """
 
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,6 +558,25 @@ class TestSpectrum:
         assert spectrum.ok.all()
 
 
+def _per_row_csv(path, x, columns, x_label, meta=None):
+    """Oracle: the cell-by-cell csv.writer table that write_table_csv's
+    single format call replaces."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for key in sorted(meta or {}):
+            fh.write(f"# {key} = {(meta or {})[key]}\n")
+        writer = csv.writer(fh)
+        writer.writerow([x_label, *columns.keys()])
+        for i in range(len(x)):
+            writer.writerow([f"{x[i]:.10g}",
+                             *(f"{col[i]:.10g}" for col in columns.values())])
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, 1e10, 123456789012.0]))
+
+
 class TestCsvRoundTrip:
     def test_table_round_trip(self, tmp_path, weak_pair):
         minus, plus = weak_pair
@@ -569,6 +591,22 @@ class TestCsvRoundTrip:
         assert np.allclose(cols["g2_sigma_minus"], minus.values, rtol=1e-9)
         assert np.allclose(cols["g2_sigma_plus"], plus.values, rtol=1e-9)
         assert meta["params"] == WEAK.fingerprint()
+
+    @settings(max_examples=100, database=None)
+    @given(data=st.data(), rows=st.integers(0, 40), ncols=st.integers(0, 3),
+           meta=st.dictionaries(st.sampled_from(["params", "command", "bin"]),
+                                st.text("abc =0.5", max_size=8), max_size=2))
+    def test_bytes_match_per_row_writer(self, data, rows, ncols, meta):
+        x = np.array(data.draw(st.lists(_CELLS, min_size=rows,
+                                        max_size=rows)))
+        columns = {f"c{j}": np.array(data.draw(
+            st.lists(_CELLS, min_size=rows, max_size=rows)))
+            for j in range(ncols)}
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            C.write_table_csv(got, x, columns, "tau_ns", meta)
+            _per_row_csv(want, x, columns, "tau_ns", meta)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_ragged_and_empty_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

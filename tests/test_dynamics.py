@@ -332,3 +332,99 @@ class TestSteadyState:
 
     def test_error_type_hierarchy(self):
         assert issubclass(DegenerateSteadyStateError, NumericalError)
+
+
+# -- the Model of one parameter set ------------------------------------
+
+class TestModel:
+    def test_real_basis_terms_are_real(self):
+        for term in atom.LIOUVILLIAN_TERMS:
+            r = dynamics._UH @ term @ dynamics._U
+            assert np.abs(r.imag).max() <= 1e-15 * np.abs(term).max()
+        assert dynamics._REAL_TERMS.shape == (17, 64 * 64)
+
+    def _assert_matches_matrix_path(self, params, seed, tol):
+        """Model(params) against the matrix path on build_liouvillian.
+
+        The two assemblies of R differ by round-off, which the modes carry
+        into x(t) roughly as ||dR|| t: up to 1 us (a g2 grid) the read-outs
+        agree to `tol`, and over the whole grid to 20 us to 1e-12, the
+        bound the expm oracle holds both paths to.
+        """
+        mat = atom.build_liouvillian(params)
+        model = dynamics.Model(params)
+        assert np.abs(model.real - (dynamics._UH @ mat @ dynamics._U).real
+                      ).max() <= 1e-15 * np.abs(mat).max()
+        assert np.abs(model.steady - steady_state(mat)).max() <= 1e-13
+        short = _ORACLE_GRID <= 1e-6
+        for rho0 in (_random_state(seed), model.steady):
+            pops = model.populations(rho0, _ORACLE_GRID)
+            gap = np.abs(pops - propagate_populations(mat, rho0, _ORACLE_GRID))
+            assert gap[short].max() <= tol and gap.max() <= 1e-12
+            gap = np.abs(model.states(rho0, _ORACLE_GRID)
+                         - propagate(mat, rho0, _ORACLE_GRID))
+            assert gap[short].max() <= tol and gap.max() <= 1e-12
+            assert np.abs(pops - _expm_populations(mat, rho0, _ORACLE_GRID)
+                          ).max() <= 1e-12
+            for t_end in (1e-9, 24e-9, 5e-6):
+                assert np.abs(model.integral(rho0, t_end)
+                              - integrate(mat, rho0, t_end)
+                              ).max() <= 1e-13 * t_end
+
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_presets_match_matrix_path(self, preset):
+        self._assert_matches_matrix_path(get_preset(preset), 3, tol=1e-13)
+
+    @settings(max_examples=15, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           linewidth_mhz=st.sampled_from([0.0, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_parameters_match_matrix_path(
+            self, log10_b, delta_397_mhz, omega_397_mhz, omega_866_mhz,
+            linewidth_mhz, seed):
+        # eigenvector conditioning varies over these ranges: up to 1.4e-13
+        # within 1 us was seen over 300 random sets
+        self._assert_matches_matrix_path(get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            linewidth_397=TWO_PI * linewidth_mhz * 1e6), seed, tol=1e-12)
+
+    def test_steady_state_and_eig_are_computed_once(self, monkeypatch):
+        model = dynamics.Model(get_preset("weak"))
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        assert model.steady is model.steady
+        for w in (1.0, 0.0, 0.5):
+            rho0 = np.diag([1.0 - w, w, 0, 0, 0, 0, 0, 0]).astype(complex)
+            model.populations(rho0, _ORACLE_GRID)
+            model.integral(rho0, 24e-9)
+        assert calls == [(64, 64)]
+
+    def test_checks_hold_on_the_model_path(self):
+        model = dynamics.Model(get_preset("weak"))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            model.populations(np.eye(8) / 8 + 0.1 * np.eye(8, k=1),
+                              np.array([0.0, 1e-9]))
+        with pytest.raises(ValueError):
+            model.states(np.eye(8) * 2.0, np.array([0.0, 1e-9]))
+        with pytest.raises(ValueError):
+            model.populations(np.eye(8) / 8, np.array([1e-9, 2e-9]))
+        with pytest.raises(ValueError):
+            model.integral(np.eye(8) / 8, 0.0)
+
+    def test_degenerate_steady_state_names_dark_states(self):
+        # B = 0 on two-photon resonance: a dark superposition is stationary
+        model = dynamics.Model(get_preset("weak").replace(
+            b_field=0.0, delta_397=0.0))
+        with pytest.raises(NumericalError):
+            model.steady

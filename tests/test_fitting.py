@@ -249,6 +249,16 @@ class TestBudget:
                            restarts=1, maxfev=2)
         assert not res.converged
 
+    def test_one_model_per_residual_evaluation(self, g2_truth,
+                                               models_built):
+        # a pair and a total dataset read the same Model each evaluation
+        truth, (minus, plus) = g2_truth
+        total = DataSet("total", minus.x, minus.y, err=minus.err)
+        res = fit_g2_joint([minus, plus, total], truth.replace(
+            omega_397=truth.omega_397 * 1.1), free=("omega_397",),
+            restarts=1, maxfev=3)
+        assert len(models_built) == res.nfev > 3
+
     def test_nfev_counts_every_model_solve(self, spectrum_truth, g2_truth,
                                            monkeypatch):
         calls = []
