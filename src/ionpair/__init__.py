@@ -15,8 +15,7 @@ from .atom import (TRANSITIONS, Transition, build_hamiltonian,
                    build_liouvillian, liouvillian_coefficients,
                    polarization_components, transition_amplitudes,
                    zeeman_shifts)
-from .dynamics import (Model, NumericalError, populations, propagate,
-                       propagate_populations, steady_state)
+from .dynamics import Model, NumericalError
 from .correlations import (CorrelationCurve, ErrorModel, SpectrumCurve,
                            default_grid, default_spectrum_grid, emission_rate,
                            excitation_spectrum, find_dips, g2_conditioned,
@@ -39,9 +38,7 @@ __all__ = [
     "TRANSITIONS", "Transition", "build_hamiltonian", "build_liouvillian",
     "liouvillian_coefficients", "polarization_components",
     "transition_amplitudes", "zeeman_shifts",
-    "Model", "NumericalError", "populations", "propagate",
-    "propagate_populations",
-    "steady_state",
+    "Model", "NumericalError",
     "CorrelationCurve", "ErrorModel", "SpectrumCurve",
     "default_grid", "default_spectrum_grid", "emission_rate",
     "excitation_spectrum", "find_dips", "g2_conditioned", "g2_pair",

@@ -11,6 +11,8 @@ tau after that preparation, normalized to its steady-state value:
 
 where rho_P is the population of the P sublevel feeding the second
 channel.  The sigma branching factors cancel in the ratio.
+Every quantity is a read-out of a dynamics.Model, the excitation
+spectrum that of one Model at an anchor repumper detuning.
 """
 
 from __future__ import annotations
@@ -281,24 +283,15 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
                         ) -> SpectrumCurve:
     """Steady 397 fluorescence for each repumper detuning in delta_grid.
 
-    The steady state at detuning d solves A(d) x = e_0, where A(d) is the
-    Liouvillian with its first row replaced by the trace row.  A(d) =
-    A0 + u P E P^T with u = d - d0: the detuning enters only the diagonal
-    of the 32 D coherences, selected by P with slopes E, and never the
-    trace row.  The Woodbury identity (Hager, SIAM Rev. 31, 221, 1989)
-    with the eigendecomposition K = E P^T A0^-1 P = W diag(theta) W^-1
-    makes the fluorescence a rational function of u,
-
-        f(d) = f0 - u * sum_k r_k / (1 + u theta_k),
-
-    so one solve at A0 for [e_0 | P], one 32x32 eigendecomposition and
-    one vectorized evaluation serve the whole grid.  The anchor d0 lies
-    one P linewidth beyond every two-photon resonance delta_397 +
-    zeeman(S) - zeeman(D), where A(d) can be singular (dark states at
-    B = 0), so a degenerate resonance flags only the points on it.  W
-    grows ill-conditioned as B -> 0, where Zeeman pairs of poles merge:
-    the deviation from a direct solve stays below 1e-10 of the curve
-    maximum for B >= 0.05 G and grows at smaller fields.
+    The P population comes from one Model at the anchor detuning d0 and
+    its read-out Model.steady_populations, a rational function of the
+    detuning in the real Hermitian basis.  d0 lies one P linewidth beyond
+    every two-photon resonance delta_397 + zeeman(S) - zeeman(D), where
+    the steady state can be degenerate (dark states at B = 0), so a
+    degenerate resonance flags only the points on it.  The scan's
+    eigenvectors grow ill-conditioned as B -> 0, where Zeeman pairs of
+    poles merge: the deviation from a direct solve stays below 1e-10 of
+    the curve maximum for B >= 0.05 G and grows at smaller fields.
 
     A point whose fluorescence is non-finite or below -1e-9 is flagged in
     `ok` and carries NaN; if the anchor solve or the eigendecomposition
@@ -306,33 +299,15 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     flagged.  Failures never raise.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
-    n = atom.N_LEVELS
-    slope = np.diagonal(atom.LIOUVILLIAN_TERMS[atom.DELTA_866_TERM])
-    cols = np.flatnonzero(slope)
-    readout = [P_MINUS * (n + 1), P_PLUS * (n + 1)]
-    c = atom.liouvillian_coefficients(params)
-    c[atom.DELTA_866_TERM] = d0 = (
-        params.delta_397 + np.ptp(atom.zeeman_shifts(params.b_field))
-        + params.gamma_sp + params.gamma_dp)
-    a0 = np.tensordot(c, atom.LIOUVILLIAN_TERMS, 1)
-    a0[0] = 0.0
-    a0[0, :: n + 1] = 1.0
-    rhs = np.zeros((n * n, 1 + cols.size), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[cols, np.arange(1, 1 + cols.size)] = 1.0
+    d0 = (params.delta_397 + np.ptp(atom.zeeman_shifts(params.b_field))
+          + params.gamma_sp + params.gamma_dp)
     try:
-        x = np.linalg.solve(a0, rhs)
-        x0, z = x[:, 0], x[:, 1:]
-        theta, w = np.linalg.eig(slope[cols, None] * z[cols])
-        r = ((z[readout].sum(axis=0) @ w)
-             * np.linalg.solve(w, slope[cols] * x0[cols]))
-    except np.linalg.LinAlgError:
+        pops = Model(params.replace(delta_866=d0)).steady_populations(
+            delta_grid)
+    except NumericalError:
         fluor = np.full(delta_grid.size, np.nan)
     else:
-        u = delta_grid - d0
-        with np.errstate(all="ignore"):
-            resolvent = 1.0 / (1.0 + np.outer(u, theta))
-            fluor = x0[readout].sum().real - (u * (resolvent @ r)).real
+        fluor = pops[:, P_MINUS] + pops[:, P_PLUS]
     ok = np.isfinite(fluor) & (fluor >= -1e-9)
     values = np.where(ok, background + scale * fluor, np.nan)
     return SpectrumCurve(delta_866=delta_grid.copy(), values=values, ok=ok,

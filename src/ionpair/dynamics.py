@@ -2,9 +2,10 @@
 
 A Model holds one parameter set's Liouvillian as a real 64x64 matrix R
 in the Hermitian operator basis of _real_basis(), its steady state and
-one real eigendecomposition, and serves every read-out of that set.
-steady_state(), propagate(), propagate_populations() and integrate()
-take any complex generator through Model.from_matrix().
+one real eigendecomposition, and serves every read-out of that set:
+populations, states and window integrals for any initial state, and the
+steady populations over a scan of the repumper detuning.  It is the only
+entry to the master equation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
+    if not np.isfinite(grid).all():
+        raise ValueError("time grid must be finite")
     if grid[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
     if np.any(np.diff(grid) <= 0):
@@ -69,6 +72,11 @@ _UH = _U.conj().T
 # atom.LIOUVILLIAN_TERMS in the real basis, one flattened row per term
 _REAL_TERMS = np.array([(_UH @ term @ _U).real.ravel()
                         for term in atom.LIOUVILLIAN_TERMS])
+# The delta_866 term is a 32x32 block (entries +-1) on the Re and Im
+# coordinates of the 16 coherences between D and the S and P levels.
+_D866 = _REAL_TERMS[atom.DELTA_866_TERM].reshape(_U.shape)
+_D866_COORDS = np.flatnonzero(np.abs(_D866).max(axis=0) > 0.5)
+_D866_BLOCK = _D866[np.ix_(_D866_COORDS, _D866_COORDS)]
 
 
 def _check_drift(traces: np.ndarray) -> None:
@@ -92,34 +100,28 @@ class Model:
     (t if lam = 0) in place of exp(lam t).
     """
 
-    def __init__(self, params, real: np.ndarray | None = None):
+    def __init__(self, params):
         self.params = params
-        self.real = real if real is not None else (
-            atom.liouvillian_coefficients(params) @ _REAL_TERMS
-        ).reshape(_U.shape)
+        self.real = (atom.liouvillian_coefficients(params)
+                     @ _REAL_TERMS).reshape(_U.shape)
 
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> Model:
-        """Model of a complex generator L on row-major vec(rho); a
-        ValueError unless L keeps rho Hermitian (R = U^H L U real)."""
-        r = _UH @ mat @ _U
-        # written so that a NaN generator passes on to eig's NumericalError
-        if np.abs(r.imag).max() > RESIDUAL_TOL * max(np.abs(r).max(), 1.0):
-            raise ValueError("the generator does not keep rho Hermitian")
-        return cls(None, r.real)
-
-    @cached_property
-    def steady(self) -> np.ndarray:
-        """Stationary rho: R x = 0, population 0's row set to unit trace."""
+    def _steady_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs, with A = R and population 0's row replaced by
+        the unit-trace row; A x = e_0 is the steady state."""
         a = self.real.copy()
         a[0] = 0.0
         a[0, :N_LEVELS] = 1.0
         try:
-            x = np.linalg.solve(a, np.eye(len(a))[0])
+            return np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSteadyStateError(
                 f"singular steady-state system ({exc}): more than one "
                 "stationary state, e.g. a dark state")
+
+    @cached_property
+    def steady(self) -> np.ndarray:
+        """Stationary rho: R x = 0 at unit trace."""
+        x = self._steady_solve(np.eye(len(self.real))[0])
         resid = (np.linalg.norm(self.real @ x)
                  / max(np.linalg.norm(self.real, ord=np.inf), 1.0))
         if not resid <= RESIDUAL_TOL:
@@ -140,11 +142,17 @@ class Model:
                 raise NumericalError(
                     "generator eigenvalues are not conjugate pairs around a "
                     "real stationary mode")
-            # L preserves the trace, so its steady-state eigenvalue is 0;
-            # eig's ~1e-8 round-off would become trace drift at long
-            # delays.  Pin a real one, so no conjugate pair is broken.
-            cand = np.flatnonzero(real)
-            lam[cand[np.argmin(np.abs(lam[cand]))]] = 0.0
+            # L preserves the trace, so its stationary eigenvalue is 0 and
+            # every other mode is traceless; eig's round-off (the traces by
+            # eps ||R|| / gap) would become trace drift at long delays.  Pin
+            # the real mode that carries the trace, so no conjugate pair is
+            # broken, and project it out of the other modes' traces.
+            trace = vec[:N_LEVELS].sum(axis=0)
+            pin = np.flatnonzero(real)[np.argmax(np.abs(trace[real]))]
+            lam[pin] = 0.0
+            share = trace / trace[pin]
+            share[pin] = 0.0
+            vec -= np.outer(vec[:, pin], share)
             lu = scipy.linalg.lu_factor(vec, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
@@ -196,8 +204,9 @@ class Model:
 
     def integral(self, rho0: np.ndarray, t_end: float) -> np.ndarray:
         """Exact window integral int_0^t_end rho(t) dt, 8x8."""
-        if not t_end > 0.0:
-            raise ValueError(f"integration window must be positive, got {t_end}")
+        if not 0.0 < t_end < np.inf:
+            raise ValueError(
+                f"integration window must be positive and finite, got {t_end}")
         lam, vec, coef = self._modes(rho0)
         phi = np.full(lam.shape, t_end, dtype=complex)
         nz = lam != 0.0
@@ -206,45 +215,33 @@ class Model:
         _check_drift(x[:N_LEVELS].sum() / t_end)
         return (_U @ x).reshape(N_LEVELS, N_LEVELS)
 
+    def steady_populations(self, delta_866) -> np.ndarray:
+        """Steady populations at each repumper detuning, shape (n, 8).
 
-def steady_state(mat: np.ndarray, check_unique: bool = False) -> np.ndarray:
-    """Model.from_matrix(mat).steady.  With check_unique=True an SVD
-    first confirms the nullspace is one-dimensional, raising
-    DegenerateSteadyStateError otherwise."""
-    model = Model.from_matrix(mat)
-    if check_unique:
-        s = np.linalg.svd(model.real, compute_uv=False)
-        # one singular value ~0 is the steady state itself
-        if s[-2] < 1e-8 * s[0]:
-            raise DegenerateSteadyStateError(
-                "steady state is not unique (second singular value "
-                f"{s[-2]:.3e} vs largest {s[0]:.3e})")
-    return model.steady
+        At detuning d the steady system is A + u P B P^T: A is this
+        Model's trace-row system, u = d - params.delta_866, B the 32x32
+        delta_866 block and P its coordinates.  The Woodbury identity
+        (Hager, SIAM Rev. 31, 221, 1989) with K = B P^T A^-1 P =
+        W diag(theta) W^-1 makes the populations rational in u,
 
+            x(d) = x0 - u Z W diag(1 / (1 + u theta)) W^-1 B P^T x0,
 
-def _modes(mat: np.ndarray, rho0):
-    return Model.from_matrix(mat)._modes(rho0)
-
-
-def propagate(mat: np.ndarray, rho0: np.ndarray, grid) -> np.ndarray:
-    """Evolve rho0 over the grid (from 0, strictly increasing, not
-    necessarily uniform); shape (n, 8, 8).  See Model."""
-    return Model.from_matrix(mat).states(rho0, grid)
-
-
-def propagate_populations(mat: np.ndarray, rho0: np.ndarray,
-                          grid) -> np.ndarray:
-    """populations(propagate(mat, rho0, grid)), shape (n, 8), without
-    building the coherences."""
-    return Model.from_matrix(mat).populations(rho0, grid)
-
-
-def integrate(mat: np.ndarray, rho0: np.ndarray, t_end: float) -> np.ndarray:
-    """Exact window integral of propagate(): int_0^t_end rho(t) dt, 8x8;
-    NumericalError unless its trace equals t_end to RESIDUAL_TOL."""
-    return Model.from_matrix(mat).integral(rho0, t_end)
-
-
-def populations(states: np.ndarray) -> np.ndarray:
-    """Real diagonal of each density matrix in a propagate() result."""
-    return np.einsum("kii->ki", states).real
+        with x0 = A^-1 e_0 and Z = A^-1 P: one solve, one 32x32 eig and
+        one vectorized evaluation serve the whole scan.  W grows
+        ill-conditioned where poles merge (Zeeman pairs as B -> 0).  A
+        point where A(d) is singular comes back non-finite; a singular A
+        raises DegenerateSteadyStateError, a failed eig NumericalError.
+        """
+        u = np.ravel(delta_866) - self.params.delta_866
+        rhs = np.eye(len(self.real))[:, np.r_[0, _D866_COORDS]]  # e_0, P
+        x = self._steady_solve(rhs)
+        x0, z = x[:, 0], x[:, 1:]
+        try:
+            theta, w = np.linalg.eig(_D866_BLOCK @ z[_D866_COORDS])
+            r = np.linalg.solve(w, _D866_BLOCK @ x0[_D866_COORDS])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"detuning scan factorization failed: {exc}")
+        with np.errstate(all="ignore"):
+            resolvent = u[:, None] / (1.0 + np.outer(u, theta))
+            shift = (resolvent * r) @ (z[:N_LEVELS] @ w).T
+        return x0[:N_LEVELS] - shift.real

@@ -233,35 +233,23 @@ def _covariance(jac, names):
 def _solve_affine(y, w, s, a0, b0, fit_a, fit_b):
     """Weighted least-squares scale/background for a fixed shape s.
 
-    Negative solutions are clamped to zero (both are count-like), and a
-    degenerate normal matrix falls back to the initial values.
+    The free ones of (a, b) come from one non-negative least-squares
+    solve (both are count-like) on the sqrt(w)-weighted columns, with
+    the fixed ones held at a0, b0; a degenerate system falls back to
+    the initial values.
     """
-    if fit_a and fit_b:
-        sw = w.sum()
-        sws = (w * s).sum()
-        swss = (w * s * s).sum()
-        swy = (w * y).sum()
-        swsy = (w * s * y).sum()
-        det = swss * sw - sws * sws
-        if det <= 1e-14 * max(swss * sw, 1e-300):
-            return a0, b0
-        a = (swsy * sw - swy * sws) / det
-        b = (swss * swy - sws * swsy) / det
-        if b < 0.0:
-            b = 0.0
-            a = swsy / swss if swss > 0.0 else a0
-        if a < 0.0:
-            a = 0.0
-            b = max(swy / sw, 0.0)
-        return a, b
-    if fit_a:
-        swss = (w * s * s).sum()
-        if swss <= 0.0:
-            return a0, b0
-        return max((w * s * (y - b0)).sum() / swss, 0.0), b0
-    if fit_b:
-        return a0, max((w * (y - a0 * s)).sum() / w.sum(), 0.0)
-    return a0, b0
+    free = np.array([fit_a, fit_b])
+    if not free.any():
+        return a0, b0
+    rw = np.sqrt(w)
+    cols = rw[:, None] * np.column_stack([s, np.ones_like(s)])
+    gram = cols[:, free].T @ cols[:, free]
+    if np.linalg.det(gram) <= 1e-14 * np.prod(np.diag(gram)):
+        return a0, b0
+    ab = np.array([a0, b0], dtype=float)
+    ab[free] = scipy.optimize.nnls(
+        cols[:, free], rw * y - cols[:, ~free] @ ab[~free])[0]
+    return float(ab[0]), float(ab[1])
 
 
 def fit_spectrum(data: DataSet, params_init: ExperimentParams,

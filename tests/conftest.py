@@ -16,15 +16,14 @@ settings.load_profile("ionpair")
 
 @pytest.fixture
 def models_built(monkeypatch):
-    """The params of every dynamics.Model built while the test runs
-    (None for Model.from_matrix)."""
+    """The params of every dynamics.Model built while the test runs."""
     from ionpair import dynamics
     made = []
     init = dynamics.Model.__init__
 
-    def counted(self, params, real=None):
+    def counted(self, params):
         made.append(params)
-        init(self, params, real)
+        init(self, params)
 
     monkeypatch.setattr(dynamics.Model, "__init__", counted)
     return made

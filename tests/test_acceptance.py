@@ -29,7 +29,7 @@ from ionpair.correlations import (
     short_time_grid,
 )
 from ionpair.correlator import CorrelatorConfig, correlate, correlate_brute_force
-from ionpair.dynamics import propagate, steady_state
+from ionpair.dynamics import Model
 from ionpair.fitting import DataSet, fit_g2_joint, fit_spectrum
 from ionpair.params import TWO_PI, preset_spectrum, preset_strong, preset_weak
 from ionpair.trajectory import ClickStream, simulate_emissions
@@ -255,15 +255,14 @@ def test_criterion_11_numerical_hygiene():
     worst_resid = 0.0
     for params in (WEAK, STRONG, SPECTRUM):
         mat = atom.build_liouvillian(params)
-        rho = steady_state(mat)
+        rho = Model(params).steady
         resid = (np.linalg.norm(mat @ rho.reshape(-1))
                  / np.linalg.norm(mat, ord=np.inf))
         worst_resid = max(worst_resid, float(resid))
 
     rho0 = np.zeros((atom.N_LEVELS, atom.N_LEVELS), dtype=complex)
     rho0[atom.S_PLUS, atom.S_PLUS] = 1.0
-    states = propagate(atom.build_liouvillian(WEAK), rho0,
-                       default_grid(1000e-9, 1e-9))
+    states = Model(WEAK).states(rho0, default_grid(1000e-9, 1e-9))
     drift = float(np.abs(np.einsum("kii->k", states).real - 1.0).max())
 
     worst_zero = 0.0

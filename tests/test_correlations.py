@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import ionpair.correlations as C
 from ionpair import atom
-from ionpair.dynamics import integrate, populations, propagate, steady_state
+from ionpair.dynamics import Model
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 
 WEAK = get_preset("weak")
@@ -54,11 +54,10 @@ class TestTwoLevelOracle:
                              delta_397=0.0, delta_866=0.0, b_field=0.0,
                              alpha_397=0.0, alpha_866=0.0,
                              gamma_sp=gamma, gamma_dp=1e-4 * gamma)
-        lv = atom.build_liouvillian(p)
         rho0 = np.zeros((8, 8), complex)
         rho0[atom.S_MINUS, atom.S_MINUS] = 1.0
         grid = np.linspace(0.0, 150e-9, 601)
-        pops = populations(propagate(lv, rho0, grid))
+        pops = Model(p).populations(rho0, grid)
         p_exc = pops[:, atom.P_MINUS] + pops[:, atom.P_PLUS]
 
         w_r = 2.0 * omega / math.sqrt(3.0)
@@ -77,12 +76,11 @@ class TestTwoLevelOracle:
                              delta_397=delta, delta_866=0.0, b_field=0.0,
                              alpha_397=0.0, alpha_866=0.0,
                              gamma_sp=gamma, gamma_dp=1e-4 * gamma)
-        lv = atom.build_liouvillian(p)
         rho0 = np.zeros((8, 8), complex)
         rho0[atom.S_PLUS, atom.S_PLUS] = 1.0
         # quasi-steady window: transients gone, D leak still negligible
         grid = np.linspace(0.0, 120e-9, 241)
-        pops = populations(propagate(lv, rho0, grid))
+        pops = Model(p).populations(rho0, grid)
         p_exc = (pops[:, atom.P_MINUS] + pops[:, atom.P_PLUS])[grid > 80e-9]
         w_r = 2.0 * omega / math.sqrt(3.0)
         expect = (w_r ** 2 / 4.0) / (delta ** 2 + gamma ** 2 / 4.0 + w_r ** 2 / 2.0)
@@ -92,7 +90,7 @@ class TestTwoLevelOracle:
 def _assert_total_is_weighted_mixture(params):
     """g2_total = sum_ab w_a w_b g2(a|b), with w the steady feeding
     weights rho_P / (rho_P- + rho_P+) of the two sigma channels."""
-    rss = steady_state(atom.build_liouvillian(params))
+    rss = Model(params).steady
     feed = np.array([rss[atom.P_MINUS, atom.P_MINUS].real,
                      rss[atom.P_PLUS, atom.P_PLUS].real])
     w = dict(zip(("sigma-", "sigma+"), feed / feed.sum()))
@@ -198,14 +196,14 @@ class TestConditionedG2:
         # at B = 0 (dark-state trapping, next test).
         p = WEAK.replace(b_field=0.0, alpha_397=0.3 * math.pi,
                          alpha_866=0.7 * math.pi)
-        lv = atom.build_liouvillian(p)
+        model = Model(p)
         grid = C.default_grid(400e-9, 2e-9)
         rho_m = np.zeros((8, 8), complex)
         rho_m[atom.S_PLUS, atom.S_PLUS] = 1.0
         rho_p = np.zeros((8, 8), complex)
         rho_p[atom.S_MINUS, atom.S_MINUS] = 1.0
-        pops_m = populations(propagate(lv, rho_m, grid))
-        pops_p = populations(propagate(lv, rho_p, grid))
+        pops_m = model.populations(rho_m, grid)
+        pops_p = model.populations(rho_p, grid)
         assert np.allclose(pops_m[:, atom.P_MINUS], pops_p[:, atom.P_PLUS],
                            atol=1e-12)
         assert np.allclose(pops_m[:, atom.P_PLUS], pops_p[:, atom.P_MINUS],
@@ -374,7 +372,7 @@ class TestPhotonBudget:
             for t_window in (12e-9, 24e-9, 30e-6):
                 ref = scipy.linalg.expm(block * t_window)[:64, 64]
                 ref = ref.reshape(8, 8)
-                got = integrate(mat, rho0, t_window)
+                got = Model(params).integral(rho0, t_window)
                 assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
                 n = C.mean_photon_number(params, "sigma-", t_window)
                 expect = (2.0 / 3.0) * params.gamma_sp \
@@ -398,14 +396,14 @@ class TestPhotonBudget:
         assert (n_60 - n_30) / 30e-6 == pytest.approx(rate, rel=1e-3)
 
     def test_emission_rate_uses_branching(self):
-        from ionpair.dynamics import steady_state
-        rss = steady_state(atom.build_liouvillian(STRONG))
+        rss = Model(STRONG).steady
         expect = (2.0 / 3.0) * STRONG.gamma_sp * rss[3, 3].real
         assert C.emission_rate(STRONG, "sigma+") == pytest.approx(expect)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            C.mean_photon_number(WEAK, "sigma-", -1e-9)
+        for t_window in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                C.mean_photon_number(WEAK, "sigma-", t_window)
 
 
 @pytest.fixture(scope="module")
@@ -553,6 +551,13 @@ class TestSpectrum:
         far = C.excitation_spectrum(p, grid)
         near = C.excitation_spectrum(p, np.array([-TWO_PI * 5e6]))
         assert np.all(far.values < 0.02 * near.values[0])
+
+    def test_scalar_detuning_is_a_one_point_scan(self):
+        p = get_preset("spectrum")
+        scalar = C.excitation_spectrum(p, -TWO_PI * 5e6)
+        array = C.excitation_spectrum(p, np.array([-TWO_PI * 5e6]))
+        assert scalar.ok.shape == (1,) and scalar.ok[0]
+        assert scalar.values[0] == array.values[0]
 
     def test_all_points_ok_on_default_grid(self, spectrum):
         assert spectrum.ok.all()

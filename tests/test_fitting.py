@@ -38,6 +38,75 @@ class TestDataSet:
             DataSet("total", [1e-9, 1e-9], [1.0, 2.0])
 
 
+def _clamp_cascade(y, w, s, a0, b0, fit_a, fit_b):
+    """Oracle: the closed-form weighted regression with negative results
+    clamped to zero, in the order scale, then background."""
+    if fit_a and fit_b:
+        sw = w.sum()
+        sws = (w * s).sum()
+        swss = (w * s * s).sum()
+        swy = (w * y).sum()
+        swsy = (w * s * y).sum()
+        det = swss * sw - sws * sws
+        if det <= 1e-14 * max(swss * sw, 1e-300):
+            return a0, b0
+        a = (swsy * sw - swy * sws) / det
+        b = (swss * swy - sws * swsy) / det
+        if b < 0.0:
+            b = 0.0
+            a = swsy / swss if swss > 0.0 else a0
+        if a < 0.0:
+            a = 0.0
+            b = max(swy / sw, 0.0)
+        return a, b
+    if fit_a:
+        swss = (w * s * s).sum()
+        if swss <= 0.0:
+            return a0, b0
+        return max((w * s * (y - b0)).sum() / swss, 0.0), b0
+    if fit_b:
+        return a0, max((w * (y - a0 * s)).sum() / w.sum(), 0.0)
+    return a0, b0
+
+
+class TestSolveAffine:
+    def test_matches_clamp_cascade(self):
+        # non-negative shapes, as excitation spectra are, with true scales
+        # and backgrounds of either sign so that every clamp is reached
+        rng = np.random.default_rng(12)
+        modes = [(True, True), (True, False), (False, True)]
+        clamped = 0
+        for k in range(10_000):
+            n = int(rng.integers(2, 40))
+            s = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            err = rng.uniform(0.1, 2.0, n)
+            y = (rng.normal(1.0, 1.5) * s + rng.normal(0.5, 1.0) * s.mean()
+                 + rng.normal(0.0, 1.0, n) * err * s.mean() * rng.uniform())
+            a0, b0 = rng.uniform(0.0, 2.0, 2)
+            w = 1.0 / err ** 2
+            want = _clamp_cascade(y, w, s, a0, b0, *modes[k % 3])
+            got = fitting._solve_affine(y, w, s, a0, b0, *modes[k % 3])
+            # natural sizes of the scale and the background
+            size = np.abs(y).max() * np.array([1.0 / s.max(), 1.0])
+            assert np.all(np.abs(np.subtract(got, want))
+                          <= 1e-9 * (np.abs(want) + size))
+            chi2 = [(w * (y - a * s - b) ** 2).sum() for a, b in (got, want)]
+            assert chi2[0] <= chi2[1] * (1 + 1e-9) + 1e-12 * (w * y * y).sum()
+            clamped += min(want) == 0.0
+        assert clamped > 1000
+
+    def test_degenerate_and_fixed_cases_keep_the_start(self):
+        y, w = np.array([1.0, 2.0, 3.0]), np.ones(3)
+        for s, fit_a, fit_b in ((np.zeros(3), True, True),
+                                (np.full(3, 2.0), True, True),
+                                (np.zeros(3), True, False),
+                                (np.arange(3.0), False, False)):
+            assert fitting._solve_affine(y, w, s, 0.7, 0.3, fit_a, fit_b) \
+                == (0.7, 0.3)
+            assert _clamp_cascade(y, w, s, 0.7, 0.3, fit_a, fit_b) \
+                == (0.7, 0.3)
+
+
 @pytest.fixture(scope="module")
 def spectrum_truth():
     # counting statistics chosen so the dip widths actually resolve

@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from ionpair import atom
-from ionpair.dynamics import NumericalError, steady_state
+from ionpair.dynamics import Model, NumericalError
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 from ionpair import trajectory as T
 from ionpair.trajectory import (ClickStream, DetectionConfig, DetectorChannel,
@@ -222,7 +222,7 @@ def _renewal(s):
 def _assert_renewal_rate_matches_steady_state(params):
     s = _JumpSampler(params)
     rate, chain = _renewal(s)
-    rho = np.real(np.diag(steady_state(atom.build_liouvillian(params))))
+    rho = np.real(np.diag(Model(params).steady))
     expected = (params.gamma_sp + params.gamma_dp) \
         * (rho[atom.P_MINUS] + rho[atom.P_PLUS])
     assert rate == pytest.approx(expected, rel=1e-10)
@@ -411,7 +411,7 @@ class TestSimulateEmissions:
         assert ts[-1] < weak_emissions.duration_ps
 
     def test_total_rate_near_steady_prediction(self, weak_emissions):
-        rss = steady_state(atom.build_liouvillian(WEAK))
+        rss = Model(WEAK).steady
         p_tot = rss[2, 2].real + rss[3, 3].real
         expected = (WEAK.gamma_sp + WEAK.gamma_dp) * p_tot
         # photon counts here are super-Poissonian (dark-period blinking
@@ -419,7 +419,7 @@ class TestSimulateEmissions:
         assert weak_emissions.rate() == pytest.approx(expected, rel=0.05)
 
     def test_polarization_composition(self, weak_emissions):
-        rss = steady_state(atom.build_liouvillian(WEAK))
+        rss = Model(WEAK).steady
         blue = weak_emissions.select(wavelength="397")
         frac_minus = np.mean(blue.pol == atom.POL_SIGMA_MINUS)
         expect = (2 / 3) * rss[2, 2].real / (rss[2, 2].real + rss[3, 3].real)
