@@ -186,17 +186,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_purity(args) -> int:
     params = _load_params(args.params)
-    grid = _grid(args)
-    model = Model(params)   # one generator for the curves and both counts
-    minus, plus = corr.g2_pair(model, "sigma-", grid)
-    p = corr.purity(minus, plus, args.t_window)
+    grid = _grid(args)      # only -o reads it
+    model = Model(params)   # one generator for every read-out
+    p = corr.purity(model, args.t_window)
     print(f"pair purity p({args.t_window * 1e9:.1f} ns) = {p:.4f}")
     print(f"pair probability p/(1+p) = {corr.pair_probability(p):.6f}")
     for pol in ("sigma-", "sigma+"):
         n = corr.mean_photon_number(model, pol, args.t_window)
         print(f"mean {pol} photons in window = {n:.4f}")
     if args.output:
-        tau, curve = corr.purity_curve(minus, plus)
+        tau, curve = corr.purity_curve(model, grid)
         corr.write_table_csv(
             args.output, tau * 1e9, {"purity": curve}, "tau_ns",
             meta={"params": params.fingerprint(), "command": "purity"})
@@ -261,6 +260,8 @@ def cmd_correlate(args) -> int:
                   "total_pairs": gram.total_pairs,
                   "rate_a": f"{gram.rate_a:.10g}",
                   "rate_b": f"{gram.rate_b:.10g}",
+                  "overlap_s": f"{gram.overlap_s:.10g}",
+                  "pol_a": args.pol_a or "any", "pol_b": args.pol_b or "any",
                   "flagged": gram.flagged})
         print(f"wrote {args.output}")
     return 0

@@ -74,10 +74,19 @@ class CorrelationCurve:
 
 
 def default_grid(t_max: float = 1000e-9, dt: float = 0.5e-9) -> np.ndarray:
-    if dt <= 0 or t_max < dt:
-        raise ValueError(f"need t_max >= dt > 0, got t_max={t_max}, dt={dt}")
+    if not (0 < dt <= t_max < math.inf):     # also rejects NaN
+        raise ValueError(
+            f"need finite t_max >= dt > 0, got t_max={t_max}, dt={dt}")
     n = int(round(t_max / dt))
     return np.arange(n + 1) * dt
+
+
+def _window(t_window: float) -> list[float]:
+    """The grid [0, t_window] of one counting window."""
+    if not 0.0 < t_window < math.inf:
+        raise ValueError(
+            f"window must be positive and finite, got {t_window}")
+    return [0.0, t_window]
 
 
 def _heralded(w: float) -> np.ndarray:
@@ -92,26 +101,6 @@ def _heralded(w: float) -> np.ndarray:
 def _model(x: ExperimentParams | Model) -> Model:
     """Every read-out below takes a parameter set or its shared Model."""
     return x if isinstance(x, Model) else Model(x)
-
-
-def _feeding(model: Model, grid: np.ndarray | None,
-             weight: float | None = None):
-    """(grid, w, g-, g+) after propagating _heralded(w) over the grid
-    (default_grid() if None).
-
-    g- = rho_P-(tau) / rho_P-(inf) and g+ = rho_P+(tau) / rho_P+(inf);
-    every g2 curve is a linear read-out of them.  weight=None prepares
-    the steady branching w = rho_P- / (rho_P- + rho_P+), the ground
-    mixture a polarization-blind first photon leaves behind.
-    """
-    steady = np.real(np.diag(model.steady))
-    p_minus = _check_feeding_population(steady[P_MINUS], "P(-1/2)")
-    p_plus = _check_feeding_population(steady[P_PLUS], "P(+1/2)")
-    if weight is None:
-        weight = p_minus / (p_minus + p_plus)
-    grid = default_grid() if grid is None else grid
-    pops = model.populations(_heralded(weight), grid)
-    return grid, weight, pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
 
 
 @dataclass(frozen=True)
@@ -136,6 +125,34 @@ class ErrorModel:
                 raise ValueError(f"{name} must lie in [0, 0.5], got {v}")
 
 
+def _feeding(model: Model, grid: np.ndarray | None, first: str | None = None,
+             errors: ErrorModel = ErrorModel(), cumulative: bool = False):
+    """(grid as an array, w, g-, g+) after propagating _heralded(w) over
+    the grid (default_grid() if None).
+
+    g- = rho_P-(tau) / rho_P-(inf) and g+ = rho_P+(tau) / rho_P+(inf),
+    or their exact integrals from 0 to tau if cumulative, as measured
+    through `errors` after a `first` photon (see g2_pair).  first=None
+    prepares the steady branching w = rho_P- / (rho_P- + rho_P+), the
+    ground mixture a polarization-blind first photon leaves behind.
+    """
+    steady = np.real(np.diag(model.steady))
+    p_minus = _check_feeding_population(steady[P_MINUS], "P(-1/2)")
+    p_plus = _check_feeding_population(steady[P_PLUS], "P(+1/2)")
+    if first is None:
+        weight = p_minus / (p_minus + p_plus)
+    else:
+        wrong = errors.eps_init
+        weight = 1.0 - wrong if _check_pol(first) == SIGMA_MINUS else wrong
+    grid = default_grid() if grid is None else grid
+    read = model.cumulative if cumulative else model.populations
+    pops = read(_heralded(weight), grid)    # validates the grid
+    gm, gp = pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
+    return (np.asarray(grid, dtype=float), weight,
+            (1.0 - errors.eps_minus) * gm + errors.eps_minus * gp,
+            (1.0 - errors.eps_plus) * gp + errors.eps_plus * gm)
+
+
 def g2_pair(params: ExperimentParams | Model, first: str,
             grid: np.ndarray | None = None,
             errors: ErrorModel = ErrorModel()
@@ -147,18 +164,12 @@ def g2_pair(params: ExperimentParams | Model, first: str,
     ground state, eps_minus/eps_plus mix the two ideal second-photon
     curves.  Each curve's meta records the epsilons.
     """
-    wrong = errors.eps_init
-    weight = 1.0 - wrong if _check_pol(first) == SIGMA_MINUS else wrong
     model = _model(params)
-    grid, _, gm, gp = _feeding(model, grid, weight)
-    values = {
-        SIGMA_MINUS: (1.0 - errors.eps_minus) * gm + errors.eps_minus * gp,
-        SIGMA_PLUS: (1.0 - errors.eps_plus) * gp + errors.eps_plus * gm,
-    }
+    grid, _, *values = _feeding(model, grid, first, errors)
     meta = {"params": model.params.fingerprint(), **asdict(errors)}
-    return tuple(CorrelationCurve(tau=grid.copy(), values=values[second],
+    return tuple(CorrelationCurve(tau=grid.copy(), values=v,
                                   kind=f"{first}|{second}", meta=dict(meta))
-                 for second in (SIGMA_MINUS, SIGMA_PLUS))
+                 for second, v in zip((SIGMA_MINUS, SIGMA_PLUS), values))
 
 
 def g2_conditioned(params: ExperimentParams | Model, first: str, second: str,
@@ -207,28 +218,25 @@ def short_time_grid(dt: float = 0.02e-9, t_max: float = 1.2e-9) -> np.ndarray:
 
 # -- pair purity --------------------------------------------------------
 
-def purity_curve(minus: CorrelationCurve, plus: CorrelationCurve
+def purity_curve(params: ExperimentParams | Model,
+                 grid: np.ndarray | None = None,
+                 errors: ErrorModel = ErrorModel()
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Ratio of integrated sigma- to sigma+ correlations versus window
-    length: p(T) = int_0^T g2(sigma-) / int_0^T g2(sigma+).
-
-    Returns (tau[1:], p) since the ratio is undefined at T = 0.
+    length, p(T) = int_0^T g2(sigma-|sigma-) / int_0^T g2(sigma-|sigma+),
+    exact at each T of the grid (default_grid() if None); `errors` as
+    in g2_pair.  Returns (grid[1:], p): the ratio is undefined at T = 0.
     """
-    if minus.tau.shape != plus.tau.shape or not np.allclose(minus.tau, plus.tau):
-        raise ValueError("purity needs both curves on the same delay grid")
-    from scipy.integrate import cumulative_trapezoid
-    im, ip = (cumulative_trapezoid(c.values, c.tau) for c in (minus, plus))
+    grid, _, im, ip = _feeding(_model(params), grid, SIGMA_MINUS, errors,
+                               cumulative=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return minus.tau[1:].copy(), im / ip
+        return grid[1:].copy(), im[1:] / ip[1:]
 
 
-def purity(minus: CorrelationCurve, plus: CorrelationCurve, t_window: float) -> float:
-    """p(T) for one coincidence window length T (must lie on the grid)."""
-    tau, p = purity_curve(minus, plus)
-    idx = np.argmin(np.abs(tau - t_window))
-    if abs(tau[idx] - t_window) > 1e-12 + 1e-9 * abs(t_window):
-        raise ValueError(f"window {t_window} s is not on the curve grid")
-    return float(p[idx])
+def purity(params: ExperimentParams | Model, t_window: float,
+           errors: ErrorModel = ErrorModel()) -> float:
+    """p(T) of purity_curve for one coincidence window length T > 0."""
+    return float(purity_curve(params, _window(t_window), errors)[1][0])
 
 
 def pair_probability(p: float) -> float:
@@ -257,13 +265,14 @@ def mean_photon_number(params: ExperimentParams | Model, pol: str,
 
     The detection prepares the corresponding ground state, so this is the
     exact integral of the conditioned channel rate Gamma_sp * (2/3) *
-    rho_P(tau) (Model.integral), not t_window times the steady rate.
+    rho_P(tau) (the last row of Model.cumulative on [0, t_window]), not
+    t_window times the steady rate.
     """
     lvl = _SOURCE_LEVEL[_check_pol(pol)]
     model = _model(params)
-    occupation = model.integral(_heralded(float(pol == SIGMA_MINUS)), t_window)
-    return float((2.0 / 3.0) * model.params.gamma_sp
-                 * occupation[lvl, lvl].real)
+    occupation = model.cumulative(_heralded(float(pol == SIGMA_MINUS)),
+                                  _window(t_window))[-1, lvl]
+    return float((2.0 / 3.0) * model.params.gamma_sp * occupation)
 
 
 # -- excitation spectrum ------------------------------------------------

@@ -3,9 +3,10 @@
 A Model holds one parameter set's Liouvillian as a real 64x64 matrix R
 in the Hermitian operator basis of _real_basis(), its steady state and
 one real eigendecomposition, and serves every read-out of that set:
-populations, states and window integrals for any initial state, and the
-steady populations over a scan of the repumper detuning.  It is the only
-entry to the master equation.
+populations, states and the exact cumulative integrals of the
+populations for any initial state, and the steady populations over a
+scan of the repumper detuning.  It is the only entry to the master
+equation.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _D866_BLOCK = _D866[np.ix_(_D866_COORDS, _D866_COORDS)]
 
 
 def _check_drift(traces: np.ndarray) -> None:
-    drift = np.abs(traces - 1.0).max()
+    drift = np.abs(traces - 1.0).max(initial=0.0)
     if not drift <= RESIDUAL_TOL:
         raise NumericalError(
             f"trace drift {drift:.3e} exceeds {RESIDUAL_TOL:.0e} (relative)")
@@ -96,8 +97,8 @@ class Model:
     (Moler & Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
     x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0, with c = 2 for a
     complex mode (its conjugate partner) and 1 for a real one, and
-    vec(rho(t)) = U x(t).  A window integral takes expm1(lam t) / lam
-    (t if lam = 0) in place of exp(lam t).
+    vec(rho(t)) = U x(t).  The integral from 0 to t takes expm1(lam t) /
+    lam (t if lam = 0) in place of exp(lam t).
     """
 
     def __init__(self, params):
@@ -178,22 +179,40 @@ class Model:
                                    check_finite=False)
         return lam, vec, weight * y0[keep]
 
-    def _series(self, rho0, grid, rows: int) -> np.ndarray:
-        """x(t)[:rows] on the grid, x(0) exact, trace drift checked."""
+    def _series(self, rho0, grid, rows: int,
+                cumulative: bool = False) -> np.ndarray:
+        """x(t)[:rows] on the grid, x(0) exact; or, if cumulative, its
+        integral from 0 to t, exactly zero at t = 0.  The trace drift is
+        checked: against 1, or against t for the integral."""
         grid = _check_grid(grid)
         lam, vec, coef = self._modes(rho0)
-        # Re(exp(lam t) w) in real arithmetic: cheaper than a complex exp
-        decay = np.exp(np.outer(grid, lam.real))
-        phase = np.outer(grid, lam.imag)
+        if cumulative:
+            # expm1(lam t) / lam, t at lam = 0; numpy's complex expm1
+            # keeps a small |lam t| free of cancellation
+            f = np.expm1(np.outer(grid, lam)) / np.where(lam == 0.0, 1.0, lam)
+            f[:, lam == 0.0] = grid[:, None]
+            f_re, f_im = f.real, f.imag
+        else:
+            # exp(lam t) in real arithmetic: cheaper than a complex exp
+            decay = np.exp(np.outer(grid, lam.real))
+            phase = np.outer(grid, lam.imag)
+            f_re, f_im = decay * np.cos(phase), decay * np.sin(phase)
         w = coef[:, None] * vec[:rows].T
-        x = (decay * np.cos(phase)) @ w.real - (decay * np.sin(phase)) @ w.imag
-        x[0] = (_UH[:rows] @ np.ravel(rho0)).real
-        _check_drift(x[:, :N_LEVELS].sum(axis=1))
+        x = f_re @ w.real - f_im @ w.imag
+        if not cumulative:
+            x[0] = (_UH[:rows] @ np.ravel(rho0)).real
+        traces = x[:, :N_LEVELS].sum(axis=1)
+        _check_drift(traces[1:] / grid[1:] if cumulative else traces)
         return x
 
     def populations(self, rho0: np.ndarray, grid) -> np.ndarray:
         """Populations on the grid, shape (n, 8), without coherences."""
         return self._series(rho0, grid, N_LEVELS)
+
+    def cumulative(self, rho0: np.ndarray, grid) -> np.ndarray:
+        """Exact integrals int_0^t of the populations at each grid point
+        t, shape (n, 8); a bin integral is a difference of two rows."""
+        return self._series(rho0, grid, N_LEVELS, cumulative=True)
 
     def states(self, rho0: np.ndarray, grid) -> np.ndarray:
         """Density matrices on the grid, shape (n, 8, 8)."""
@@ -201,19 +220,6 @@ class Model:
             -1, N_LEVELS, N_LEVELS)
         out[0] = rho0
         return out
-
-    def integral(self, rho0: np.ndarray, t_end: float) -> np.ndarray:
-        """Exact window integral int_0^t_end rho(t) dt, 8x8."""
-        if not 0.0 < t_end < np.inf:
-            raise ValueError(
-                f"integration window must be positive and finite, got {t_end}")
-        lam, vec, coef = self._modes(rho0)
-        phi = np.full(lam.shape, t_end, dtype=complex)
-        nz = lam != 0.0
-        phi[nz] = np.expm1(lam[nz] * t_end) / lam[nz]
-        x = (vec @ (phi * coef)).real
-        _check_drift(x[:N_LEVELS].sum() / t_end)
-        return (_U @ x).reshape(N_LEVELS, N_LEVELS)
 
     def steady_populations(self, delta_866) -> np.ndarray:
         """Steady populations at each repumper detuning, shape (n, 8).

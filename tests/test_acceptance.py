@@ -10,7 +10,6 @@ value the model actually gives and why.
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 from ionpair.correlations import (
     ErrorModel,
@@ -18,7 +17,6 @@ from ionpair.correlations import (
     default_spectrum_grid,
     excitation_spectrum,
     find_dips,
-    g2_conditioned,
     g2_pair,
     mean_photon_number,
     pair_probability,
@@ -98,19 +96,14 @@ def test_criterion_03_short_time_exponents():
             f"n+ {n_p:.3f} (4.0+-0.2)")
 
 
-def test_criterion_04_purity(weak_pair):
-    minus, plus = weak_pair
-    p24 = purity(minus, plus, 24e-9)
-    fine = default_grid(1e-9, 0.005e-9)
-    fm, fp = g2_pair(WEAK, "sigma-", fine)
-    p1 = purity(fm, fp, 1e-9)
+def test_criterion_04_purity():
+    p24 = purity(WEAK, 24e-9)
+    p1 = purity(WEAK, 1e-9)
     errors = ErrorModel(eps_init=0.025, eps_minus=0.05, eps_plus=0.018)
-    mm, mp = g2_pair(WEAK, "sigma-", minus.tau, errors)
-    tau_c, curve = purity_curve(mm, mp)
+    tau_c, curve = purity_curve(WEAK, default_grid(1000e-9, 0.5e-9), errors)
     i_pk = int(np.argmax(curve))
     peak, tau_pk = float(curve[i_pk]), float(tau_c[i_pk])
-    em_f, ep_f = g2_pair(WEAK, "sigma-", fine, errors)
-    p1_err = purity(em_f, ep_f, 1e-9)
+    p1_err = purity(WEAK, 1e-9, errors)
     # The error model cannot push the purity level below ~16 at these
     # epsilons: equal-amplitude sigma drive pins the two steady P
     # populations equal, and the measured curve is flat near 22.  The
@@ -125,10 +118,9 @@ def test_criterion_04_purity(weak_pair):
             f"(10+-1 near 24), p(1ns) {p1_err:.2f} (9.3+-1)")
 
 
-def test_criterion_05_pair_probability(weak_pair):
-    minus, plus = weak_pair
+def test_criterion_05_pair_probability():
     exact = abs(pair_probability(10.0) - 10.0 / 11.0)
-    prob = pair_probability(purity(minus, plus, 24e-9))
+    prob = pair_probability(purity(WEAK, 24e-9))
     ok = exact < 1e-12 and prob >= 0.99
     _report(5, ok,
             f"pair probability: p=10 -> {pair_probability(10.0):.9f} "
@@ -175,11 +167,14 @@ def test_criterion_08_trajectory_matches_regression():
     histo = correlate(minus, None, config)
     counts = histo.counts[config.n_bins // 2:]
 
-    model = g2_conditioned(WEAK, "sigma-", "sigma-",
-                           default_grid(400e-9, 0.5e-9))
-    integral = cumulative_trapezoid(model.values, model.tau, initial=0.0)
+    # exact bin integrals of g2(sigma-|sigma-): a sigma- photon leaves
+    # the atom in S+1/2, and g2 is rho_P-(tau) / rho_P-(inf)
+    model = Model(WEAK)
+    herald = np.zeros((8, 8))
+    herald[atom.S_PLUS, atom.S_PLUS] = 1.0
     edges_s = np.arange(0, config.window_ps + 1, config.bin_width_ps) / 1e12
-    per_bin = np.diff(np.interp(edges_s, model.tau, integral))
+    per_bin = (np.diff(model.cumulative(herald, edges_s)[:, atom.P_MINUS])
+               / model.steady[atom.P_MINUS, atom.P_MINUS].real)
     expected = histo.rate_a * histo.rate_b * histo.overlap_s * per_bin
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     dof = counts.size

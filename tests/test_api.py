@@ -21,4 +21,6 @@ def test_master_equation_has_one_entry():
         assert not hasattr(dynamics, name), name
     assert not hasattr(dynamics, "_modes")
     assert not hasattr(dynamics.Model, "from_matrix")
+    # Model.cumulative serves every integral; the window integral is gone
+    assert not hasattr(dynamics.Model, "integral")
     assert list(inspect.signature(dynamics.Model).parameters) == ["params"]

@@ -178,6 +178,33 @@ class TestPurityCommand:
         assert val == pytest.approx(128.2, rel=0.01)
         assert "pair probability" in stdout
         assert "mean sigma-" in stdout
+        # four "name = value" lines, the form benchmark scripts parse
+        assert len(re.findall(r"= (\S+)$", stdout, re.M)) == 4
+
+    def test_window_off_the_grid_and_invalid(self, capsys):
+        code, stdout, _ = run(capsys, "purity", "--t-window", "24.3ns")
+        assert code == 0
+        assert "p(24.3 ns)" in stdout
+        code, _, err = run(capsys, "purity", "--t-window", "0ns")
+        assert code == 1
+        assert "window" in err
+
+    def test_builds_no_g2_curve(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("purity built a g2 curve")
+
+        for name in ("g2_pair", "g2_conditioned", "g2_total"):
+            monkeypatch.setattr(corr, name, refuse)
+        out = tmp_path / "p.csv"
+        code, stdout, _ = run(capsys, "purity", "--t-max", "100ns",
+                              "--dt", "1ns", "-o", str(out))
+        assert code == 0
+        printed = float(re.search(r"p\(24\.0 ns\) = (\S+)", stdout).group(1))
+        tau, cols, meta = read_table_csv(out)
+        assert tau.size == 100 and tau[0] == pytest.approx(1.0)
+        assert cols["purity"][tau == 24.0][0] == pytest.approx(printed,
+                                                               abs=1e-4)
+        assert meta["command"] == "purity"
 
 
 class TestSimulateAndCorrelate:
@@ -216,6 +243,7 @@ class TestSimulateAndCorrelate:
         assert x.size == 100
         assert cols["counts"].sum() == float(meta["total_pairs"])
         assert "pairs =" in stdout
+        assert (meta["pol_a"], meta["pol_b"]) == ("any", "any")
 
     def test_autocorrelate_single_stream(self, capsys, tmp_path):
         out = tmp_path / "em.clk"
@@ -226,6 +254,24 @@ class TestSimulateAndCorrelate:
                               "--bin", "10ns", "--window", "500ns")
         assert code == 0
         assert "pairs =" in stdout
+
+    def test_header_records_overlap_and_polarizations(self, capsys,
+                                                      tmp_path):
+        # with the rates, what expected counts per bin need
+        out, csv_out = tmp_path / "em.clk", tmp_path / "c.csv"
+        run(capsys, "simulate", "--duration", "2ms", "--seed", "3",
+            "-o", str(out))
+        code, stdout, _ = run(capsys, "correlate", str(out),
+                              "--pol-a", "sigma-", "--pol-b", "sigma+",
+                              "--bin", "10ns", "--window", "500ns",
+                              "-o", str(csv_out))
+        assert code == 0
+        _, cols, meta = read_table_csv(csv_out)
+        assert (meta["pol_a"], meta["pol_b"]) == ("sigma-", "sigma+")
+        overlap = float(meta["overlap_s"])
+        assert 0.0 < overlap <= 2e-3
+        assert f"overlap = {overlap:.4f} s" in stdout
+        assert cols["counts"].sum() == float(meta["total_pairs"]) > 0
 
 
 class TestFitCommand:

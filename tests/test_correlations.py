@@ -283,17 +283,51 @@ class TestShortTimeExponents:
 
 
 class TestPurity:
-    def test_frozen_purity_and_pair_probability(self, weak_pair):
-        minus, plus = weak_pair
-        p24 = C.purity(minus, plus, 24e-9)
-        assert p24 == pytest.approx(128.2, rel=1e-3)
-        assert C.pair_probability(p24) == pytest.approx(0.99226, abs=1e-4)
+    def test_frozen_purity_and_pair_probability(self):
+        p24 = C.purity(WEAK, 24e-9)
+        assert p24 == pytest.approx(128.2395, rel=1e-6)
+        assert C.pair_probability(p24) == pytest.approx(0.992262, abs=1e-6)
+        assert C.purity(STRONG, 24e-9) == pytest.approx(23.4680, rel=1e-5)
 
-    def test_purity_curve_monotone_tail(self, weak_pair):
+    def test_purity_curve_monotone_tail(self):
         # integrated sigma+ keeps growing relative to sigma-, so p falls
-        tau, p = C.purity_curve(*weak_pair)
+        tau, p = C.purity_curve(WEAK)
+        assert np.array_equal(tau, C.default_grid()[1:])
         sel = tau > 50e-9
         assert np.all(np.diff(p[sel]) < 0)
+
+    @pytest.mark.parametrize("errors", [
+        C.ErrorModel(), C.ErrorModel(eps_init=0.025, eps_minus=0.05,
+                                     eps_plus=0.018)])
+    def test_exact_integrals_are_the_trapezoid_limit(self, errors):
+        # the ratio of the integrated g2_pair curves, as measured through
+        # the same errors; the trapezoid's error on a 5 ps grid is 4e-8
+        from scipy.integrate import trapezoid
+        grid = C.default_grid(24e-9, 0.005e-9)
+        minus, plus = C.g2_pair(WEAK, "sigma-", grid, errors)
+        ratio = trapezoid(minus.values, grid) / trapezoid(plus.values, grid)
+        assert C.purity(WEAK, 24e-9, errors) == pytest.approx(ratio,
+                                                              rel=1e-6)
+        assert C.purity_curve(WEAK, grid, errors)[1][-1] == pytest.approx(
+            ratio, rel=1e-6)
+
+    def test_window_validation(self):
+        # any positive window, on no grid at all
+        model = Model(WEAK)
+        tau, p = C.purity_curve(model, np.array([0.0, 12e-9, 24.3e-9]))
+        assert C.purity(model, 24.3e-9) == p[-1]
+        for t_window in (0.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="window"):
+                C.purity(model, t_window)
+
+    def test_list_grids_give_array_delays(self):
+        grid = list(C.short_time_grid())
+        minus, plus = C.g2_pair(WEAK, "sigma-", grid)
+        total = C.g2_total(WEAK, grid)
+        for curve in (minus, plus, total):
+            assert isinstance(curve.tau, np.ndarray)
+            assert np.array_equal(curve.tau, np.array(grid))
+        assert C.short_time_exponent(minus) == pytest.approx(1.969, abs=0.01)
 
     def test_pair_probability_arithmetic(self):
         assert C.pair_probability(10.0) == pytest.approx(10.0 / 11.0)
@@ -301,15 +335,6 @@ class TestPurity:
         assert C.pair_probability(float("inf")) == 1.0
         with pytest.raises(ValueError):
             C.pair_probability(-0.1)
-
-    def test_grid_mismatch_rejected(self, weak_pair):
-        minus, plus = weak_pair
-        other = C.CorrelationCurve(tau=minus.tau[:-1], values=minus.values[:-1],
-                                   kind="x")
-        with pytest.raises(ValueError):
-            C.purity(minus, other, 24e-9)
-        with pytest.raises(ValueError):
-            C.purity(minus, plus, 24.3e-9)  # off-grid window
 
 
 class TestErrorModel:
@@ -345,9 +370,9 @@ class TestErrorModel:
         """Model value for the quoted analyzer errors; the purity plateau
         sits near 22 and peaks between 10 and 30 ns."""
         errors = C.ErrorModel(eps_init=0.025, eps_minus=0.05, eps_plus=0.018)
-        em, ep = C.g2_pair(WEAK, "sigma-", errors=errors)
-        assert C.purity(em, ep, 24e-9) == pytest.approx(21.84, rel=1e-2)
-        tau, p = C.purity_curve(em, ep)
+        assert C.purity(WEAK, 24e-9, errors) == pytest.approx(21.843,
+                                                              rel=1e-4)
+        tau, p = C.purity_curve(WEAK, errors=errors)
         t_pk = tau[np.argmax(p)]
         assert 5e-9 < t_pk < 40e-9
 
@@ -369,14 +394,13 @@ class TestPhotonBudget:
             block = np.zeros((65, 65), complex)
             block[:64, :64] = mat
             block[:64, 64] = rho0.reshape(-1)
-            for t_window in (12e-9, 24e-9, 30e-6):
-                ref = scipy.linalg.expm(block * t_window)[:64, 64]
-                ref = ref.reshape(8, 8)
-                got = Model(params).integral(rho0, t_window)
-                assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+            grid = np.array([0.0, 12e-9, 24e-9, 30e-6])
+            got = Model(params).cumulative(rho0, grid)
+            for t_window, row in zip(grid[1:], got[1:]):
+                ref = scipy.linalg.expm(block * t_window)[:64:9, 64].real
+                assert np.abs(row - ref).max() <= 1e-10 * np.abs(ref).max()
                 n = C.mean_photon_number(params, "sigma-", t_window)
-                expect = (2.0 / 3.0) * params.gamma_sp \
-                    * ref[atom.P_MINUS, atom.P_MINUS].real
+                expect = (2.0 / 3.0) * params.gamma_sp * ref[atom.P_MINUS]
                 assert n == pytest.approx(expect, rel=1e-10)
 
     def test_frozen_budgets(self):
@@ -401,8 +425,8 @@ class TestPhotonBudget:
         assert C.emission_rate(STRONG, "sigma+") == pytest.approx(expect)
 
     def test_window_validation(self):
-        for t_window in (-1e-9, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for t_window in (0.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="window"):
                 C.mean_photon_number(WEAK, "sigma-", t_window)
 
 

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ionpair import atom, dynamics
-from ionpair.correlations import g2_pair
+from ionpair.correlations import default_grid, g2_pair
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 from ionpair.dynamics import (DegenerateSteadyStateError, Model,
                               NumericalError)
@@ -100,6 +100,10 @@ class TestPropagate:
         for grid in ([0.0, 1e-9, np.nan], [0.0, np.inf]):
             with pytest.raises(ValueError, match="finite"):
                 g2_pair(get_preset("weak"), "sigma-", grid)
+        for t_max, dt in ((np.inf, 1e-9), (np.nan, 1e-9), (1e-6, np.nan),
+                          (1e-6, np.inf), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                default_grid(t_max, dt)
 
     def test_rho0_validation(self):
         model = Model(get_preset("weak"))
@@ -115,14 +119,16 @@ class TestPropagate:
         with pytest.raises(NumericalError):
             model.states(rho0, np.array([0.0, 1e-9]))
         with pytest.raises(NumericalError):
-            model.integral(rho0, 1e-9)
+            model.cumulative(rho0, np.array([0.0, 1e-9]))
 
     def test_integration_window_validation(self):
         model = Model(get_preset("weak"))
         rho0 = np.eye(8, dtype=complex) / 8
         for t_end in (0.0, -1e-9, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                model.integral(rho0, t_end)
+                model.cumulative(rho0, [0.0, t_end])
+        # a lone t = 0 is a valid grid, and its integral is zero
+        assert np.array_equal(model.cumulative(rho0, [0.0]), np.zeros((1, 8)))
 
 
 # -- per-point matrix-exponential oracle ---------------------------------
@@ -140,13 +146,24 @@ def _expm_populations(mat, rho0, grid):
     return np.einsum("kii->ki", _expm_states(mat, rho0, grid)).real
 
 
-def _van_loan_integral(mat, rho0, t_end):
+def _van_loan_populations(mat, rho0, grid):
     """Van Loan (IEEE TAC 23, 395, 1978): the last column of
-    expm([[L, x0], [0, 0]] T) holds int_0^T exp(L t) x0 dt."""
+    expm([[L, x0], [0, 0]] T) holds int_0^T exp(L t) x0 dt; its
+    populations at each T of the grid."""
     block = np.zeros((65, 65), complex)
     block[:64, :64] = mat
     block[:64, 64] = rho0.reshape(-1)
-    return scipy.linalg.expm(block * t_end)[:64, 64].reshape(8, 8)
+    return np.array([scipy.linalg.expm(block * t)[:64:9, 64].real
+                     for t in grid])
+
+
+def _assert_cumulative_matches_van_loan(model, mat, rho0, grid):
+    """Model.cumulative within 1e-13 t of Van Loan at each t > 0, and
+    exactly zero at t = 0."""
+    got = model.cumulative(rho0, grid)
+    assert np.array_equal(got[0], np.zeros(8))
+    gap = np.abs(got - _van_loan_populations(mat, rho0, grid)).max(axis=1)
+    assert np.all(gap[1:] <= 1e-13 * grid[1:]), (gap[1:] / grid[1:]).max()
 
 
 def _direct_steady_state(mat):
@@ -280,7 +297,7 @@ class TestRealBasis:
         grid = np.array([0.0, 1e-9])
         for call in (lambda: model.states(rho0, grid),
                      lambda: model.populations(rho0, grid),
-                     lambda: model.integral(rho0, 1e-9)):
+                     lambda: model.cumulative(rho0, grid)):
             with pytest.raises(ValueError, match="not Hermitian"):
                 call()
 
@@ -291,7 +308,7 @@ class TestRealBasis:
         grid = np.array([0.0, 1e-9])
         for call in (lambda: broken.states(rho0, grid),
                      lambda: broken.populations(rho0, grid),
-                     lambda: broken.integral(rho0, 1e-9)):
+                     lambda: broken.cumulative(rho0, grid)):
             with pytest.raises(NumericalError):
                 call()
 
@@ -357,7 +374,7 @@ class TestModel:
     def _assert_matches_matrix_path(self, params, seed, tol):
         """Model(params) against the complex matrix build_liouvillian(params)
         through independent solvers: a direct steady-state solve, expm per
-        grid point and Van Loan's block expm for the window integrals.
+        grid point and Van Loan's block expm for the cumulative integrals.
 
         Round-off in R and in the modes grows in x(t) roughly as t: up to
         1 us (a g2 grid) the read-outs agree to `tol`, and over the whole
@@ -377,10 +394,8 @@ class TestModel:
             assert gap[short].max() <= tol and gap.max() <= 1e-12
             gap = np.abs(model.states(rho0, _ORACLE_GRID) - ref)
             assert gap[short].max() <= tol and gap.max() <= 1e-12
-            for t_end in (1e-9, 24e-9, 5e-6):
-                assert np.abs(model.integral(rho0, t_end)
-                              - _van_loan_integral(mat, rho0, t_end)
-                              ).max() <= 1e-13 * t_end
+            _assert_cumulative_matches_van_loan(
+                model, mat, rho0, np.array([0.0, 1e-9, 24e-9, 5e-6]))
 
     @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
     def test_presets_match_matrix_path(self, preset):
@@ -404,6 +419,31 @@ class TestModel:
             omega_866=TWO_PI * omega_866_mhz * 1e6,
             linewidth_397=TWO_PI * linewidth_mhz * 1e6), seed, tol=1e-12)
 
+    # the ranges of the sampler's renewal-identity test
+    @settings(max_examples=30, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cumulative_random_parameters(
+            self, log10_b, delta_397_mhz, delta_866_mhz, omega_397_mhz,
+            omega_866_mhz, alpha_397_pi, alpha_866_pi, seed):
+        params = get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi)
+        grid = np.array([0.0, 0.5e-9, 4e-9, 24e-9, 400e-9, 5e-6])
+        _assert_cumulative_matches_van_loan(
+            Model(params), atom.build_liouvillian(params),
+            _random_state(seed), grid)
+
     def test_steady_state_and_eig_are_computed_once(self, monkeypatch):
         model = Model(get_preset("weak"))
         calls = []
@@ -418,7 +458,7 @@ class TestModel:
         for w in (1.0, 0.0, 0.5):
             rho0 = np.diag([1.0 - w, w, 0, 0, 0, 0, 0, 0]).astype(complex)
             model.populations(rho0, _ORACLE_GRID)
-            model.integral(rho0, 24e-9)
+            model.cumulative(rho0, _ORACLE_GRID)
         assert calls == [(64, 64)]
 
     def test_trace_holds_at_long_delay_near_a_slow_mode(self):
@@ -446,7 +486,7 @@ class TestModel:
         with pytest.raises(ValueError):
             model.populations(np.eye(8) / 8, np.array([1e-9, 2e-9]))
         with pytest.raises(ValueError):
-            model.integral(np.eye(8) / 8, 0.0)
+            model.cumulative(np.eye(8) / 8, np.array([0.0, 0.0]))
 
     def test_degenerate_steady_state_names_dark_states(self):
         # B = 0 on two-photon resonance: a dark superposition is stationary
