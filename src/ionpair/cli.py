@@ -26,6 +26,7 @@ import argparse
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -107,16 +108,20 @@ def _load_params(spec: str) -> ExperimentParams:
         raise _InputError(f"cannot read parameters from {spec}: {exc}")
 
 
-def _grid(args) -> np.ndarray:
-    """The --t-max / --dt delay grid; one too large to allocate is a
-    usage error."""
+@contextmanager
+def _sized(request: str):
+    """A MemoryError inside is a usage error naming the `request`."""
     try:
-        return corr.default_grid(args.t_max, args.dt)
+        yield
     except MemoryError:
-        raise _UsageError(
-            f"--t-max {args.t_max:g} s at --dt {args.dt:g} s needs a grid of "
-            f"{round(args.t_max / args.dt) + 1} points, more than fits in "
-            "memory") from None
+        raise _UsageError(f"{request}, more than fits in memory") from None
+
+
+def _grid(args) -> np.ndarray:
+    """The --t-max / --dt delay grid."""
+    with _sized(f"--t-max {args.t_max:g} s at --dt {args.dt:g} s needs a "
+                f"grid of {round(args.t_max / args.dt) + 1} points"):
+        return corr.default_grid(args.t_max, args.dt)
 
 
 def _mhz(omega: float) -> float:
@@ -159,9 +164,10 @@ def cmd_spectrum(args) -> int:
     if args.points < 1:
         raise _UsageError(f"--points must be at least 1, got {args.points}")
     params = _load_params(args.params)
-    grid = np.linspace(args.lo, args.hi, args.points)
-    sc = corr.excitation_spectrum(params, grid, scale=args.scale,
-                                  background=args.background)
+    with _sized(f"--points asks for a spectrum of {args.points} points"):
+        grid = np.linspace(args.lo, args.hi, args.points)
+        sc = corr.excitation_spectrum(params, grid, scale=args.scale,
+                                      background=args.background)
     bad = int(np.sum(~sc.ok))
     if bad:
         print(f"warning: {bad} of {sc.ok.size} points failed to solve",
@@ -243,8 +249,10 @@ def cmd_correlate(args) -> int:
         stream_b = load_stream(args.stream_b)
         if args.wavelength:
             stream_b = stream_b.select(wavelength=args.wavelength)
-    gram = conditioned_g2_estimate(stream_a, stream_b, config,
-                                   pol_1=args.pol_a, pol_2=args.pol_b)
+    with _sized(f"--window {args.window} ps at --bin {args.bin} ps needs a "
+                f"histogram of {config.n_bins} bins"):
+        gram = conditioned_g2_estimate(stream_a, stream_b, config,
+                                       pol_1=args.pol_a, pol_2=args.pol_b)
     if gram.flagged:
         print("warning: a stream is empty inside the overlap, "
               "values are unnormalized", file=sys.stderr)
@@ -580,19 +588,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:      # argparse --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, StreamFormatError) as exc:
+    except (_InputError, OSError, StreamFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

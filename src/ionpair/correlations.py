@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -372,6 +373,44 @@ def find_dips(spectrum: SpectrumCurve, min_prominence: float = 0.1) -> np.ndarra
 
 
 # -- CSV serialization --------------------------------------------------
+# Tables and click streams share one layout, written and parsed only
+# here: '# key = value' meta lines, a csv header row, one record a line.
+
+def _write_csv(path, header: list[str], row: str, cells: np.ndarray,
+               meta: dict | None = None) -> None:
+    """Meta by key, the header, then the body as one `row` % call per
+    record of the 2-D `cells`: "%.10g" % v == f"{v:.10g}"."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for key in sorted(meta or {}):
+            fh.write(f"# {key} = {meta[key]}\n")
+        csv.writer(fh).writerow(header)
+        fh.write(row * len(cells) % tuple(np.ravel(cells).tolist()))
+
+
+def _read_csv(path, dtype=None, converters=None):
+    """(meta, header, records): meta from the '#' lines before the
+    header, records by one np.loadtxt into `dtype`, by default a float
+    per header cell.  Blank lines and later '#' lines are skipped."""
+    meta: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = filter(None, map(str.strip, fh))
+        for line in lines:
+            if not line.startswith("#"):
+                break
+            key, eq, val = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = val.strip()
+        else:
+            raise ValueError(f"{path}: no header row")
+        header = next(csv.reader([line]))
+        if dtype is None:
+            dtype = [(f"c{j}", "f8") for j in range(len(header))]
+        with warnings.catch_warnings():   # no rows: empty, not a warning
+            warnings.simplefilter("ignore", UserWarning)
+            records = np.loadtxt(lines, dtype, delimiter=",", quotechar='"',
+                                 converters=converters, ndmin=1)
+    return meta, header, records
+
 
 def write_table_csv(path, x: np.ndarray, columns: dict[str, np.ndarray],
                     x_label: str, meta: dict | None = None) -> None:
@@ -379,33 +418,16 @@ def write_table_csv(path, x: np.ndarray, columns: dict[str, np.ndarray],
     for label, col in columns.items():
         if len(col) != len(x):
             raise ValueError(f"column {label!r} length mismatch")
-    cells = np.column_stack([x, *columns.values()])
-    row = ",".join(["%.10g"] * (1 + len(columns))) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key} = {(meta or {})[key]}\n")
-        csv.writer(fh).writerow([x_label, *columns.keys()])
-        # one format call for the body: "%.10g" % v == f"{v:.10g}"
-        fh.write(row * len(x) % tuple(np.ravel(cells).tolist()))
+    _write_csv(path, [x_label, *columns],
+               ",".join(["%.10g"] * (1 + len(columns))) + "\r\n",
+               np.column_stack([x, *columns.values()]), meta)
 
 
 def read_table_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
     """Inverse of write_table_csv: (x, columns, meta)."""
-    meta: dict[str, str] = {}
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in filter(None, map(str.strip, fh)):
-            if not line.startswith("#"):
-                rows.append(next(csv.reader([line])))
-            elif "=" in line:
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-    if len(rows) < 2:
+    meta, header, records = _read_csv(path)
+    if not len(records):
         raise ValueError(f"{path}: no tabular data found")
-    header = rows.pop(0)
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path}: ragged rows")
-    data = np.array([[float(c) for c in row] for row in rows])
-    x = data[:, 0]
-    columns = {name: data[:, j + 1] for j, name in enumerate(header[1:])}
-    return x, columns, meta
+    columns = {name: records[f"c{j}"]
+               for j, name in enumerate(header[1:], 1)}
+    return records["c0"], columns, meta

@@ -10,26 +10,35 @@ IONCLK1 layout, little-endian throughout:
              (packed, 10 bytes per event)
 
 Polarization codes 0/1/2 = sigma-/pi/sigma+; wavelength 0/1 = 397/866 nm.
-The CSV mirror holds the same fields in plain text for inspection.
+The CSV mirror holds the same fields as text in the layout of the
+correlations tables: channel and duration_ps as '# key = value' lines
+before the header, then one row per event with the tags by name.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 
 import numpy as np
 
 from . import atom
+from .correlations import _read_csv, _write_csv
 from .trajectory import ClickStream
 
 MAGIC = b"IONCLK1"
 _HEADER = struct.Struct("<7sIQQ")
 _EVENT_DTYPE = np.dtype([("ts", "<u8"), ("pol", "u1"), ("wl", "u1")])
 
+_CSV_HEADER = ["timestamp_ps", "pol", "wavelength"]
+_CSV_DTYPE = np.dtype([("ts", "i8"), ("pol", "u1"), ("wl", "u1")])
+_CSV_TAGS = {1: lambda cell: atom.POL_TAGS[cell.strip()],
+             2: lambda cell: atom.WL_TAGS[cell.strip()]}
+_POL_CELLS = np.array(list(atom.POL_NAMES.values()), dtype=object)
+_WL_CELLS = np.array(list(atom.WL_NAMES.values()), dtype=object)
+
 
 class StreamFormatError(ValueError):
-    """The file is not a well-formed IONCLK1 stream."""
+    """The file is not a well-formed IONCLK1 or CSV click stream."""
 
 
 def write_stream(path, stream: ClickStream) -> None:
@@ -71,58 +80,23 @@ def read_stream(path) -> ClickStream:
 
 
 def write_stream_csv(path, stream: ClickStream) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# channel = {stream.channel}\n")
-        fh.write(f"# duration_ps = {stream.duration_ps}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp_ps", "pol", "wavelength"])
-        for ts, pol, wl in zip(stream.timestamps_ps, stream.pol,
-                               stream.wavelength):
-            writer.writerow([int(ts), atom.POL_NAMES[int(pol)],
-                             atom.WL_NAMES[int(wl)]])
+    cells = np.column_stack([stream.timestamps_ps.astype(object),
+                             _POL_CELLS[stream.pol],
+                             _WL_CELLS[stream.wavelength]])
+    _write_csv(path, _CSV_HEADER, "%d,%s,%s\r\n", cells,
+               {"channel": stream.channel,
+                "duration_ps": stream.duration_ps})
 
 
 def read_stream_csv(path) -> ClickStream:
-    channel = 0
-    duration_ps = None
-    ts, pol, wl = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, val = body.partition("=")
-                key = key.strip()
-                if key == "channel":
-                    channel = int(val)
-                elif key == "duration_ps":
-                    duration_ps = int(val)
-                continue
-            cells = next(csv.reader([line]))
-            if not header_seen:
-                if cells != ["timestamp_ps", "pol", "wavelength"]:
-                    raise StreamFormatError(f"{path}: unexpected header {cells}")
-                header_seen = True
-                continue
-            try:
-                ts.append(int(cells[0]))
-                pol.append(atom.POL_TAGS[cells[1].strip()])
-                wl.append(atom.WL_TAGS[cells[2].strip()])
-            except (ValueError, IndexError, KeyError):
-                raise StreamFormatError(f"{path}: bad row {cells}") from None
-    if not header_seen:
-        raise StreamFormatError(f"{path}: no header row")
-    if duration_ps is None:
-        duration_ps = (ts[-1] + 1) if ts else 1
     try:
-        return ClickStream(timestamps_ps=np.array(ts, dtype=np.int64),
-                           pol=np.array(pol, dtype=np.uint8),
-                           wavelength=np.array(wl, dtype=np.uint8),
-                           duration_ps=duration_ps, channel=channel,
-                           meta={"path": str(path)})
+        meta, header, rows = _read_csv(path, _CSV_DTYPE, _CSV_TAGS)
+        if header != _CSV_HEADER:
+            raise ValueError(f"unexpected header {header}")
+        last = int(rows["ts"][-1]) if len(rows) else 0
+        return ClickStream(rows["ts"], rows["pol"], rows["wl"],
+                           int(meta.get("duration_ps", last + 1)),
+                           int(meta.get("channel", 0)), {"path": str(path)})
     except ValueError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
 

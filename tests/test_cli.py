@@ -452,6 +452,44 @@ class TestExitCodes:
             assert code == 1, command
             assert "1000000000001 points" in err
 
+    def test_sizes_too_large_to_allocate(self, capsys, monkeypatch,
+                                         tmp_path):
+        # numpy's own refusal, raised before any large request is made
+        def refuse(name, size):
+            real = getattr(np, name)
+
+            def alloc(*args, **kwargs):
+                if size(*args, **kwargs) > 10**9:
+                    raise MemoryError("Unable to allocate 727. GiB")
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np, name, alloc)
+
+        refuse("linspace", lambda start, stop, num=50, *_, **__: num)
+        refuse("zeros", lambda shape, *_, **__: np.prod(shape))
+        stream = tmp_path / "run.csv"
+        stream.write_text("timestamp_ps,pol,wavelength\n10,pi,397\n")
+        for argv, size in (
+                (["spectrum", "--points", "100000000000"],
+                 "100000000000 points"),
+                (["correlate", str(stream), "--bin", "1ps",
+                  "--window", "10s"], "20000000000000 bins")):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.count("\n") == 1 and err.startswith("error:")
+            assert size in err and "memory" in err
+
+    def test_malformed_stream_csv(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        head = "timestamp_ps,pol,wavelength\n"
+        for text in ("# channel = x\n" + head + "10,pi,397\n",
+                     "# duration_ps = x\n" + head + "10,pi,397\n",
+                     head + "10,sigma-,397,junk\n",
+                     head + "10,sigma-\n"):
+            path.write_text(text)
+            code, _, err = run(capsys, "correlate", str(path))
+            assert code == 2, text
+            assert err.count("\n") == 1 and str(path) in err
+
     def test_bad_fit_budget(self, capsys, tmp_path):
         spec = tmp_path / "spec.csv"
         run(capsys, "spectrum", "--params", "spectrum", "--points", "21",

@@ -600,6 +600,23 @@ def _per_row_csv(path, x, columns, x_label, meta=None):
                              *(f"{col[i]:.10g}" for col in columns.values())])
 
 
+def _per_line_csv(path):
+    """Oracle: the line-by-line csv.reader parser that read_table_csv's
+    single np.loadtxt call replaces."""
+    meta, rows = {}, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in filter(None, map(str.strip, fh)):
+            if not line.startswith("#"):
+                rows.append(next(csv.reader([line])))
+            elif "=" in line:
+                key, _, val = line[1:].partition("=")
+                meta[key.strip()] = val.strip()
+    header = rows.pop(0)
+    data = np.array([[float(c) for c in row] for row in rows])
+    columns = {n: data[:, j + 1] for j, n in enumerate(header[1:])}
+    return data[:, 0], columns, meta
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
@@ -636,6 +653,40 @@ class TestCsvRoundTrip:
             C.write_table_csv(got, x, columns, "tau_ns", meta)
             _per_row_csv(want, x, columns, "tau_ns", meta)
             assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=50, database=None)
+    @given(data=st.data(), rows=st.integers(1, 20), ncols=st.integers(0, 3))
+    def test_reads_match_per_line_reader(self, data, rows, ncols):
+        x = np.array(data.draw(st.lists(_CELLS, min_size=rows,
+                                        max_size=rows)))
+        columns = {f"c{j}": np.array(data.draw(
+            st.lists(_CELLS, min_size=rows, max_size=rows)))
+            for j in range(ncols)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            C.write_table_csv(path, x, columns, "tau_ns", {"bin": 4})
+            got, want = C.read_table_csv(path), _per_line_csv(path)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].keys() == want[1].keys()
+        for name in got[1]:
+            np.testing.assert_array_equal(got[1][name], want[1][name])
+        assert got[2] == want[2] == {"bin": "4"}
+
+    def test_hand_edited_table_reads_as_before(self, tmp_path):
+        path = tmp_path / "edited.csv"
+        path.write_bytes(b"# params = weak \r\n  #command=g2\n\n"
+                         b"tau_ns, g2 ,\"err\"\r\n"
+                         b"0, 1.5 ,\"0.25\"\n\n   \n"
+                         b" 2.5e1,nan,-inf\r\n")
+        x, cols, meta = C.read_table_csv(path)
+        want_x, want_cols, want_meta = _per_line_csv(path)
+        np.testing.assert_array_equal(x, want_x)
+        assert cols.keys() == want_cols.keys() == {" g2 ", "err"}
+        for name in cols:
+            np.testing.assert_array_equal(cols[name], want_cols[name])
+        assert meta == want_meta == {"params": "weak", "command": "g2"}
+        assert x.tolist() == [0.0, 25.0]
+        assert cols["err"].tolist() == [0.25, -math.inf]
 
     def test_ragged_and_empty_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

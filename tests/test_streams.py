@@ -1,11 +1,15 @@
 """Click-stream file formats: binary layout and round trips."""
 
+import csv
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionpair import atom
 from ionpair.streams import (MAGIC, StreamFormatError, load_stream,
                              read_stream, read_stream_csv, save_stream,
                              write_stream, write_stream_csv)
@@ -168,3 +172,104 @@ class TestLoad:
         path.write_bytes(b"definitely not a click stream")
         with pytest.raises(StreamFormatError, match="magic"):
             load_stream(path)
+
+
+def _per_row_stream_csv(path, stream):
+    """Oracle: the row-by-row csv.writer mirror that write_stream_csv's
+    single format call replaces."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# channel = {stream.channel}\n")
+        fh.write(f"# duration_ps = {stream.duration_ps}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp_ps", "pol", "wavelength"])
+        for ts, pol, wl in zip(stream.timestamps_ps, stream.pol,
+                               stream.wavelength):
+            writer.writerow([int(ts), atom.POL_NAMES[int(pol)],
+                             atom.WL_NAMES[int(wl)]])
+
+
+def _per_line_stream_csv(path):
+    """Oracle: the line-by-line parser that read_stream_csv's single
+    np.loadtxt call replaces."""
+    channel, duration_ps, header_seen = 0, None, False
+    ts, pol, wl = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in filter(None, map(str.strip, fh)):
+            if line.startswith("#"):
+                key, _, val = line[1:].strip().partition("=")
+                if key.strip() == "channel":
+                    channel = int(val)
+                elif key.strip() == "duration_ps":
+                    duration_ps = int(val)
+                continue
+            cells = next(csv.reader([line]))
+            if not header_seen:
+                assert cells == ["timestamp_ps", "pol", "wavelength"]
+                header_seen = True
+                continue
+            ts.append(int(cells[0]))
+            pol.append(atom.POL_TAGS[cells[1].strip()])
+            wl.append(atom.WL_TAGS[cells[2].strip()])
+    assert header_seen
+    return ClickStream(np.array(ts, dtype=np.int64),
+                       np.array(pol, dtype=np.uint8),
+                       np.array(wl, dtype=np.uint8),
+                       duration_ps=(duration_ps if duration_ps is not None
+                                    else (ts[-1] + 1 if ts else 1)),
+                       channel=channel)
+
+
+class TestCsvCodec:
+    """The CSV mirror against the row-by-row writer and reader it
+    replaced, and the rows that reader let through or rejected."""
+
+    @settings(max_examples=100, database=None)
+    @given(s=streams())
+    def test_bytes_and_streams_match_per_row_codec(self, s):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_stream_csv(got, s)
+            _per_row_stream_csv(want, s)
+            assert got.read_bytes() == want.read_bytes()
+            assert_streams_equal(read_stream_csv(want),
+                                 _per_line_stream_csv(want))
+
+    def test_hand_edited_file_reads_as_before(self, tmp_path):
+        path = tmp_path / "edited.csv"
+        path.write_bytes(b"  # channel = 2 \r\n#duration_ps=900\n\n"
+                         b"timestamp_ps,pol,wavelength\r\n"
+                         b" 10 , sigma+ ,866\n\n   \n20,pi, 397\r\n")
+        got = read_stream_csv(path)
+        assert_streams_equal(got, _per_line_stream_csv(path))
+        assert got.channel == 2 and got.duration_ps == 900
+        assert got.timestamps_ps.tolist() == [10, 20]
+
+    def test_header_only_is_an_empty_stream(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("timestamp_ps,pol,wavelength\n")
+        got = read_stream_csv(path)
+        assert len(got) == 0 and got.duration_ps == 1 and got.channel == 0
+
+    def test_meta_after_the_header_is_a_comment(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text("# channel = 1\ntimestamp_ps,pol,wavelength\n"
+                        "10,pi,397\n# channel = 5\n20,pi,397\n")
+        got = read_stream_csv(path)
+        assert got.channel == 1 and len(got) == 2
+
+    @pytest.mark.parametrize("text", [
+        "# channel = x\ntimestamp_ps,pol,wavelength\n10,pi,397\n",
+        "# duration_ps = 1e3\ntimestamp_ps,pol,wavelength\n10,pi,397\n",
+        "timestamp_ps,pol,wavelength\n10,sigma-,397,junk\n",
+        "timestamp_ps,pol,wavelength\n10,sigma-\n",
+        "timestamp_ps,pol,wavelength\n10,pi,532\n",
+        "timestamp_ps,pol,wavelength\n1_000,pi,397\n",
+        "timestamp_ps,pol,wavelength\n9223372036854775808,pi,397\n",
+        "timestamp_ps,pol,wavelength\n20,pi,397\n10,pi,397\n",
+        "# only meta\n",
+    ])
+    def test_malformed_rows_and_meta_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(StreamFormatError, match="bad.csv"):
+            read_stream_csv(path)
