@@ -35,8 +35,9 @@ import numpy as np
 from . import correlations as corr
 from .correlator import CorrelatorConfig, conditioned_g2_estimate, correlate
 from .dynamics import Model, NumericalError
-from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
-from .params import PRESETS, TWO_PI, ExperimentParams, get_preset
+from .fitting import (_DECLARED, DataSet, FitResult, fit_g2_joint,
+                      fit_spectrum)
+from .params import PRESETS, TWO_PI, ExperimentParams, _to_mhz, get_preset
 from .streams import StreamFormatError, load_stream, save_stream
 from .trajectory import (DetectionConfig, DetectorChannel, detect,
                          simulate_emissions)
@@ -124,10 +125,6 @@ def _grid(args) -> np.ndarray:
         return corr.default_grid(args.t_max, args.dt)
 
 
-def _mhz(omega: float) -> float:
-    return omega / TWO_PI / 1e6
-
-
 # -- g2 ------------------------------------------------------------------
 
 def cmd_g2(args) -> int:
@@ -175,11 +172,11 @@ def cmd_spectrum(args) -> int:
     if args.dips:
         dips = corr.find_dips(sc)
         raman = corr.raman_positions(params)
-        print("dips_mhz:", " ".join(f"{_mhz(d):.3f}" for d in dips))
-        print("raman_mhz:", " ".join(f"{_mhz(r):.3f}" for r in raman))
+        print("dips_mhz:", " ".join(f"{_to_mhz(d):.3f}" for d in dips))
+        print("raman_mhz:", " ".join(f"{_to_mhz(r):.3f}" for r in raman))
     if args.output:
         corr.write_table_csv(
-            args.output, grid / TWO_PI / 1e6,
+            args.output, _to_mhz(grid),
             {"rate": sc.values, "ok": sc.ok.astype(float)},
             "delta_866_mhz",
             meta={"params": params.fingerprint(), "command": "spectrum",
@@ -295,30 +292,25 @@ def _read_fit_table(path, kind, x_unit):
         raise _InputError(f"{path}: {exc}")
 
 
+# value and one-sigma text of a fitted parameter by its declared unit
+_FIT_TEXT = {
+    "mhz": (lambda v: f"2pi x {_to_mhz(v):.6g} MHz",
+            lambda s: f"2pi x {_to_mhz(s):.3g} MHz"),
+    "angle": (lambda v: f"{v / math.pi:.10g}pi", lambda s: f"{s:.3g} rad"),
+    "gauss": (lambda v: f"{v:.5g} G", lambda s: f"{s:.3g} G"),
+    None: (lambda v: f"{v:.6g}", lambda s: f"{s:.3g}"),
+}
+
+
 def _print_fit(res: FitResult) -> None:
     state = "converged" if res.converged else "did not converge"
     print(f"{state}: chi2 = {res.chi2:.2f} over {res.dof} dof "
           f"(reduced {res.reduced_chi2():.3f}), nfev = {res.nfev}")
     for name, value in res.params.items():
         sig = res.sigma.get(name) if res.sigma else None
-        err_txt = "" if sig is None else " +- "
-        if name.startswith(("omega", "delta")):
-            txt = f"2pi x {_mhz(value):.6g} MHz"
-            if sig is not None:
-                err_txt += f"2pi x {_mhz(sig):.3g} MHz"
-        elif name.startswith("alpha"):
-            txt = f"{value / math.pi:.10g}pi"
-            if sig is not None:
-                err_txt += f"{sig:.3g} rad"
-        elif name == "b_field":
-            txt = f"{value:.5g} G"
-            if sig is not None:
-                err_txt += f"{sig:.3g} G"
-        else:
-            txt = f"{value:.6g}"
-            if sig is not None:
-                err_txt += f"{sig:.3g}"
-        print(f"  {name} = {txt}{err_txt}")
+        text, sig_text = _FIT_TEXT[_DECLARED[name]["unit"]]
+        err = "" if sig is None else f" +- {sig_text(sig)}"
+        print(f"  {name} = {text(value)}{err}")
 
 
 def _report_fit(res: FitResult, args) -> int:

@@ -18,22 +18,25 @@ spectrum that of one Model at an anchor repumper detuning.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import atom
-from .atom import P_MINUS, P_PLUS, S_MINUS, S_PLUS
+from .atom import P_MINUS, P_PLUS
 from .dynamics import Model, NumericalError
-from .params import ExperimentParams
+from .params import ExperimentParams, _check_fields, _quantity
 
 SIGMA_MINUS = "sigma-"
 SIGMA_PLUS = "sigma+"
 
-# This P sublevel feeds that emission channel.
-_SOURCE_LEVEL = {SIGMA_MINUS: P_MINUS, SIGMA_PLUS: P_PLUS}
+# The two 397 sigma channels (atom.Transition rows) by polarization.
+_CHANNEL = {atom.POL_NAMES[t.pol_tag]: t
+            for t in atom.transition_amplitudes("SP") if t.q != 0}
 
 
 def _check_pol(pol: str) -> str:
@@ -94,8 +97,8 @@ def _heralded(w: float) -> np.ndarray:
     """Ground state after a first photon that was sigma- with probability
     w: w |S+1/2><S+1/2| + (1 - w) |S-1/2><S-1/2|."""
     rho = np.zeros((atom.N_LEVELS, atom.N_LEVELS), dtype=complex)
-    rho[S_PLUS, S_PLUS] = w
-    rho[S_MINUS, S_MINUS] = 1.0 - w
+    ground = [_CHANNEL[SIGMA_MINUS].lower, _CHANNEL[SIGMA_PLUS].lower]
+    rho[ground, ground] = w, 1.0 - w
     return rho
 
 
@@ -115,15 +118,12 @@ class ErrorModel:
     eps_plus:  mirror image for the measured sigma+ curve.
     """
 
-    eps_init: float = 0.0
-    eps_minus: float = 0.0
-    eps_plus: float = 0.0
+    eps_init: float = _quantity(None, 0.0, 0.5, default=0.0)
+    eps_minus: float = _quantity(None, 0.0, 0.5, default=0.0)
+    eps_plus: float = _quantity(None, 0.0, 0.5, default=0.0)
 
     def __post_init__(self):
-        for name in ("eps_init", "eps_minus", "eps_plus"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 0.5:
-                raise ValueError(f"{name} must lie in [0, 0.5], got {v}")
+        _check_fields(self)
 
 
 def _feeding(model: Model, grid: np.ndarray | None, first: str | None = None,
@@ -254,9 +254,10 @@ def pair_probability(p: float) -> float:
 
 def emission_rate(params: ExperimentParams | Model, pol: str) -> float:
     """Steady-state emission rate (photons/s) of one 397 sigma channel."""
-    lvl = _SOURCE_LEVEL[_check_pol(pol)]
+    t = _CHANNEL[_check_pol(pol)]
     model = _model(params)
-    return (2.0 / 3.0) * model.params.gamma_sp * model.steady[lvl, lvl].real
+    return t.amplitude ** 2 * model.params.gamma_sp \
+        * model.steady[t.upper, t.upper].real
 
 
 def mean_photon_number(params: ExperimentParams | Model, pol: str,
@@ -265,15 +266,15 @@ def mean_photon_number(params: ExperimentParams | Model, pol: str,
     `pol` photon.
 
     The detection prepares the corresponding ground state, so this is the
-    exact integral of the conditioned channel rate Gamma_sp * (2/3) *
-    rho_P(tau) (the last row of Model.cumulative on [0, t_window]), not
-    t_window times the steady rate.
+    exact integral of the channel rate Gamma_sp * A^2 * rho_P(tau), A the
+    channel amplitude (the last row of Model.cumulative on [0, t_window]),
+    not t_window times the steady rate.
     """
-    lvl = _SOURCE_LEVEL[_check_pol(pol)]
+    t = _CHANNEL[_check_pol(pol)]
     model = _model(params)
     occupation = model.cumulative(_heralded(float(pol == SIGMA_MINUS)),
-                                  _window(t_window))[-1, lvl]
-    return float((2.0 / 3.0) * model.params.gamma_sp * occupation)
+                                  _window(t_window))[-1, t.upper]
+    return float(t.amplitude ** 2 * model.params.gamma_sp * occupation)
 
 
 # -- excitation spectrum ------------------------------------------------
@@ -390,7 +391,8 @@ def _write_csv(path, header: list[str], row: str, cells: np.ndarray,
 def _read_csv(path, dtype=None, converters=None):
     """(meta, header, records): meta from the '#' lines before the
     header, records by one np.loadtxt into `dtype`, by default a float
-    per header cell.  Blank lines and later '#' lines are skipped."""
+    per header cell.  Blank lines and later '#' lines are skipped; a
+    rejected row is reported by its line number in the file."""
     meta: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, map(str.strip, fh))
@@ -405,11 +407,35 @@ def _read_csv(path, dtype=None, converters=None):
         header = next(csv.reader([line]))
         if dtype is None:
             dtype = [(f"c{j}", "f8") for j in range(len(header))]
+        parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",",
+                                  quotechar='"', converters=converters,
+                                  ndmin=1)
         with warnings.catch_warnings():   # no rows: empty, not a warning
             warnings.simplefilter("ignore", UserWarning)
-            records = np.loadtxt(lines, dtype, delimiter=",", quotechar='"',
-                                 converters=converters, ndmin=1)
+            try:
+                records = parse(lines)
+            except ValueError as exc:
+                text = str(exc).split("; use `usecols`")[0]
+                bad = _first_bad_line(path, parse)
+                raise ValueError(re.sub(r"at row \d+", f"at line {bad}",
+                                        text)) from None
     return meta, header, records
+
+
+def _first_bad_line(path, parse) -> int:
+    """File line number of the first body row that `parse` rejects; rows
+    fail on their own, so halving the body finds it in about one parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        body = [(n, s) for n, line in enumerate(fh, 1) if (s := line.strip())]
+    body = body[1 + next(i for i, (_, s) in enumerate(body) if s[0] != "#"):]
+    while len(body) > 1:
+        half = body[:len(body) // 2]
+        try:
+            parse([s for _, s in half])
+            body = body[len(half):]
+        except ValueError:
+            body = half
+    return body[0][0]
 
 
 def write_table_csv(path, x: np.ndarray, columns: dict[str, np.ndarray],

@@ -16,7 +16,7 @@ residuals over all free parameters at the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.optimize
@@ -29,30 +29,18 @@ from .params import TWO_PI, ExperimentParams
 PHYSICS_PARAMS = ("omega_397", "omega_866", "delta_397", "delta_866",
                   "b_field", "alpha_397", "alpha_866")
 AFFINE_PARAMS = ("scale", "background")
-ERROR_PARAMS = ("eps_init", "eps_minus", "eps_plus")
+ERROR_PARAMS = tuple(f.name for f in fields(ErrorModel))
 
-_BOUNDS = {
-    "omega_397": (0.0, math.inf),
-    "omega_866": (0.0, math.inf),
-    "delta_397": (-math.inf, math.inf),
-    "delta_866": (-math.inf, math.inf),
-    "b_field": (0.0, math.inf),
-    "alpha_397": (0.0, math.pi),
-    "alpha_866": (0.0, math.pi),
-    "scale": (0.0, math.inf),
-    "background": (0.0, math.inf),
-    "eps_init": (0.0, 0.5),
-    "eps_minus": (0.0, 0.5),
-    "eps_plus": (0.0, 0.5),
-}
+# unit and legal range of each fit parameter: the fields as their class
+# declares them (params._quantity), and count-like scale and background
+_DECLARED = {f.name: f.metadata
+             for c in (ExperimentParams, ErrorModel) for f in fields(c)} \
+    | dict.fromkeys(AFFINE_PARAMS, {"unit": None, "range": (0.0, math.inf)})
+_BOUNDS = {n: m["range"] for n, m in _DECLARED.items()}
 
 # internal optimizer units: frequencies in 2pi MHz, everything else native
-_UNIT = {
-    "omega_397": TWO_PI * 1e6, "omega_866": TWO_PI * 1e6,
-    "delta_397": TWO_PI * 1e6, "delta_866": TWO_PI * 1e6,
-    "b_field": 1.0, "alpha_397": 1.0, "alpha_866": 1.0,
-    "eps_init": 1.0, "eps_minus": 1.0, "eps_plus": 1.0,
-}
+_UNIT = {n: TWO_PI * 1e6 if m["unit"] == "mhz" else 1.0
+         for n, m in _DECLARED.items()}
 
 # relative finite-difference step of the Jacobian in optimizer units
 _DIFF_STEP = 1e-7

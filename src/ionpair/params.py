@@ -4,6 +4,9 @@ All internal values are SI angular frequencies (rad/s), tesla-free gauss
 for the field, and radians for polarization angles.  The JSON file format
 uses spectroscopist units instead (MHz for frequencies divided by 2*pi,
 gauss, and angle strings with an explicit "pi" or "deg" suffix).
+Each field declares its unit and legal range once, in its _quantity.
+The unit fixes the JSON key (<name>_mhz, <name>_gauss or the bare angle
+name) and codec; validation errors name the field.
 """
 
 from __future__ import annotations
@@ -75,6 +78,41 @@ def _from_mhz(mhz: float) -> float:
     return omega
 
 
+def _number(value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+# unit -> (JSON key suffix, encoder, decoder) of a field's file value
+_CODEC = {
+    "mhz": ("_mhz", _to_mhz, lambda v: _from_mhz(_number(v))),
+    "gauss": ("_gauss", lambda v: v, _number),
+    "angle": ("", format_angle, parse_angle),
+}
+
+
+def _quantity(unit: str | None = None, lo: float = -math.inf,
+              hi: float = math.inf, **default):
+    """A dataclass field with values in [lo, hi] and a `unit`: a _CODEC
+    key, or None for a plain number."""
+    return dataclasses.field(metadata={"unit": unit, "range": (lo, hi)},
+                             **default)
+
+
+def _check_fields(obj) -> None:
+    """Each _quantity field of `obj` must be finite and within its range."""
+    for f in dataclasses.fields(obj):
+        if "range" not in f.metadata:
+            continue
+        v = getattr(obj, f.name)
+        lo, hi = f.metadata["range"]
+        if not math.isfinite(v):   # NaN passes every comparison
+            raise ValueError(f"{f.name} must be finite, got {v}")
+        if not lo <= v <= hi:
+            raise ValueError(f"{f.name} must lie in [{lo:g}, {hi:g}], got {v}")
+
+
 @dataclass(frozen=True)
 class ExperimentParams:
     """Laser and field settings for the eight-level ion model.
@@ -84,45 +122,34 @@ class ExperimentParams:
         two-level transition with unit amplitude oscillates at omega.
     delta_397, delta_866:  laser detunings from the unshifted transition,
         rad/s (negative = red).
-    b_field:               magnetic field along the quantization axis, gauss.
+    b_field:               magnetic field along the quantization axis, gauss;
+        the level ordering fixes its direction, so it is not negative.
     alpha_397, alpha_866:  angle between each laser's linear polarization
         and the quantization axis, radians.  pi/2 drives pure sigma+/sigma-.
     gamma_sp, gamma_dp:    spontaneous rates of the P->S and P->D branches.
     linewidth_397, linewidth_866:  laser linewidths (FWHM, rad/s) applied
         as pure dephasing; zero by default.
+
+    Each field's _quantity gives its file unit and legal range [lo, hi];
+    every value must be finite, and gamma_sp positive.
     """
 
-    omega_397: float
-    omega_866: float
-    delta_397: float
-    delta_866: float
-    b_field: float = 3.5
-    alpha_397: float = math.pi / 2
-    alpha_866: float = math.pi / 2
-    gamma_sp: float = GAMMA_SP_DEFAULT
-    gamma_dp: float = GAMMA_DP_DEFAULT
-    linewidth_397: float = 0.0
-    linewidth_866: float = 0.0
+    omega_397: float = _quantity("mhz", 0.0)
+    omega_866: float = _quantity("mhz", 0.0)
+    delta_397: float = _quantity("mhz")
+    delta_866: float = _quantity("mhz")
+    b_field: float = _quantity("gauss", 0.0, default=3.5)
+    alpha_397: float = _quantity("angle", 0.0, math.pi, default=math.pi / 2)
+    alpha_866: float = _quantity("angle", 0.0, math.pi, default=math.pi / 2)
+    gamma_sp: float = _quantity("mhz", 0.0, default=GAMMA_SP_DEFAULT)
+    gamma_dp: float = _quantity("mhz", 0.0, default=GAMMA_DP_DEFAULT)
+    linewidth_397: float = _quantity("mhz", 0.0, default=0.0)
+    linewidth_866: float = _quantity("mhz", 0.0, default=0.0)
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below, so it is caught here first
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
-        if self.omega_397 < 0 or self.omega_866 < 0:
-            raise ValueError("Rabi frequencies must be non-negative")
-        if self.gamma_sp <= 0 or self.gamma_dp < 0:
-            raise ValueError("gamma_sp must be positive and gamma_dp non-negative")
-        if self.b_field < 0:
-            raise ValueError("b_field must be non-negative; the field direction "
-                             "is fixed by the level ordering")
-        for name in ("alpha_397", "alpha_866"):
-            a = getattr(self, name)
-            if not 0.0 <= a <= math.pi:
-                raise ValueError(f"{name} must lie in [0, pi], got {a}")
-        if self.linewidth_397 < 0 or self.linewidth_866 < 0:
-            raise ValueError("laser linewidths must be non-negative")
+        _check_fields(self)
+        if self.gamma_sp <= 0:
+            raise ValueError(f"gamma_sp must be positive, got {self.gamma_sp}")
 
     def replace(self, **changes) -> "ExperimentParams":
         return dataclasses.replace(self, **changes)
@@ -131,61 +158,30 @@ class ExperimentParams:
 
     def to_dict(self) -> dict:
         """Spectroscopist-unit dict, the on-disk JSON layout."""
-        return {
-            "omega_397_mhz": _to_mhz(self.omega_397),
-            "omega_866_mhz": _to_mhz(self.omega_866),
-            "delta_397_mhz": _to_mhz(self.delta_397),
-            "delta_866_mhz": _to_mhz(self.delta_866),
-            "b_field_gauss": self.b_field,
-            "alpha_397": format_angle(self.alpha_397),
-            "alpha_866": format_angle(self.alpha_866),
-            "gamma_sp_mhz": _to_mhz(self.gamma_sp),
-            "gamma_dp_mhz": _to_mhz(self.gamma_dp),
-            "linewidth_397_mhz": _to_mhz(self.linewidth_397),
-            "linewidth_866_mhz": _to_mhz(self.linewidth_866),
-        }
+        out = {}
+        for f in dataclasses.fields(self):
+            suffix, encode, _ = _CODEC[f.metadata["unit"]]
+            out[f.name + suffix] = encode(getattr(self, f.name))
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentParams":
-        known = {
-            "omega_397_mhz", "omega_866_mhz", "delta_397_mhz", "delta_866_mhz",
-            "b_field_gauss", "alpha_397", "alpha_866",
-            "gamma_sp_mhz", "gamma_dp_mhz", "linewidth_397_mhz", "linewidth_866_mhz",
-        }
-        unknown = set(data) - known
+        keys = {f.name + _CODEC[f.metadata["unit"]][0]: f
+                for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(keys)
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        required = {"omega_397_mhz", "omega_866_mhz", "delta_397_mhz", "delta_866_mhz"}
-        missing = required - set(data)
+        missing = {k for k, f in keys.items()
+                   if f.default is dataclasses.MISSING} - set(data)
         if missing:
             raise ValueError(f"missing parameter keys: {sorted(missing)}")
-
-        def mhz(key: str, default: float | None = None) -> float:
-            if key not in data:
-                return default
-            v = data[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"{key} must be a number in MHz, got {v!r}")
-            return _from_mhz(float(v))
-
-        kwargs = {
-            "omega_397": mhz("omega_397_mhz"),
-            "omega_866": mhz("omega_866_mhz"),
-            "delta_397": mhz("delta_397_mhz"),
-            "delta_866": mhz("delta_866_mhz"),
-            "gamma_sp": mhz("gamma_sp_mhz", GAMMA_SP_DEFAULT),
-            "gamma_dp": mhz("gamma_dp_mhz", GAMMA_DP_DEFAULT),
-            "linewidth_397": mhz("linewidth_397_mhz", 0.0),
-            "linewidth_866": mhz("linewidth_866_mhz", 0.0),
-        }
-        if "b_field_gauss" in data:
-            b = data["b_field_gauss"]
-            if not isinstance(b, (int, float)) or isinstance(b, bool):
-                raise ValueError(f"b_field_gauss must be a number, got {b!r}")
-            kwargs["b_field"] = float(b)
-        for key in ("alpha_397", "alpha_866"):
+        kwargs = {}
+        for key, f in keys.items():
             if key in data:
-                kwargs[key] = parse_angle(data[key])
+                try:
+                    kwargs[f.name] = _CODEC[f.metadata["unit"]][2](data[key])
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
         return cls(**kwargs)
 
     def save(self, path) -> None:

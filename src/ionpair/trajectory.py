@@ -31,7 +31,7 @@ import numpy as np
 
 from . import atom
 from .dynamics import NumericalError
-from .params import ExperimentParams
+from .params import ExperimentParams, _check_fields, _quantity
 
 PS_PER_S = 1_000_000_000_000
 
@@ -383,20 +383,15 @@ class DetectorChannel:
         photons.
     """
 
-    efficiency: float
+    efficiency: float = _quantity(None, 0.0, 1.0)
     accepted_pol: str | None = None
-    crosstalk: float = 0.0
-    dark_rate: float = 0.0
+    crosstalk: float = _quantity(None, 0.0, 1.0, default=0.0)
+    dark_rate: float = _quantity(None, 0.0, default=0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
+        _check_fields(self)
         if self.accepted_pol is not None and self.accepted_pol not in atom.POL_TAGS:
             raise ValueError(f"unknown polarization {self.accepted_pol!r}")
-        if not 0.0 <= self.crosstalk <= 1.0:
-            raise ValueError("crosstalk must be in [0, 1]")
-        if self.dark_rate < 0.0:
-            raise ValueError("dark_rate must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ frozen table cannot hide.
 """
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -418,3 +419,132 @@ class TestParamsSerialization:
             assert p.b_field == 3.5
         with pytest.raises(ValueError):
             get_preset("medium")
+
+
+# -- per-field JSON codec oracle -----------------------------------------
+# The codec spelled out one key at a time, as it was before each field
+# declared its unit; ExperimentParams.to_dict/from_dict must match it.
+
+def _per_field_to_dict(p: ExperimentParams) -> dict:
+    from ionpair.params import _to_mhz, format_angle
+    return {
+        "omega_397_mhz": _to_mhz(p.omega_397),
+        "omega_866_mhz": _to_mhz(p.omega_866),
+        "delta_397_mhz": _to_mhz(p.delta_397),
+        "delta_866_mhz": _to_mhz(p.delta_866),
+        "b_field_gauss": p.b_field,
+        "alpha_397": format_angle(p.alpha_397),
+        "alpha_866": format_angle(p.alpha_866),
+        "gamma_sp_mhz": _to_mhz(p.gamma_sp),
+        "gamma_dp_mhz": _to_mhz(p.gamma_dp),
+        "linewidth_397_mhz": _to_mhz(p.linewidth_397),
+        "linewidth_866_mhz": _to_mhz(p.linewidth_866),
+    }
+
+
+def _per_field_from_dict(data: dict) -> ExperimentParams:
+    from ionpair.params import _from_mhz, parse_angle
+
+    def mhz(key, default=None):
+        return _from_mhz(float(data[key])) if key in data else default
+
+    kwargs = {
+        "omega_397": mhz("omega_397_mhz"),
+        "omega_866": mhz("omega_866_mhz"),
+        "delta_397": mhz("delta_397_mhz"),
+        "delta_866": mhz("delta_866_mhz"),
+        "gamma_sp": mhz("gamma_sp_mhz", GAMMA_SP_DEFAULT),
+        "gamma_dp": mhz("gamma_dp_mhz", GAMMA_DP_DEFAULT),
+        "linewidth_397": mhz("linewidth_397_mhz", 0.0),
+        "linewidth_866": mhz("linewidth_866_mhz", 0.0),
+    }
+    if "b_field_gauss" in data:
+        kwargs["b_field"] = float(data["b_field_gauss"])
+    for key in ("alpha_397", "alpha_866"):
+        if key in data:
+            kwargs[key] = parse_angle(data[key])
+    return ExperimentParams(**kwargs)
+
+
+def _saved_bytes(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class TestParamsDeclarations:
+    """Each field's unit and range, declared once, drive the codec and
+    the validation."""
+
+    @settings(max_examples=200, database=None)
+    @given(omega=st.tuples(st.floats(0.0, 1e11), st.floats(0.0, 1e11)),
+           delta=st.tuples(st.floats(-1e11, 1e11), st.floats(-1e11, 1e11)),
+           b_field=st.floats(0.0, 100.0),
+           alpha=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)),
+           gamma=st.tuples(st.floats(1e-3, 1e11), st.floats(0.0, 1e11)),
+           linewidth=st.tuples(st.floats(0.0, 1e9), st.floats(0.0, 1e9)))
+    def test_codec_matches_per_field_oracle(self, omega, delta, b_field,
+                                            alpha, gamma, linewidth):
+        p = ExperimentParams(
+            omega_397=omega[0], omega_866=omega[1], delta_397=delta[0],
+            delta_866=delta[1], b_field=b_field, alpha_397=alpha[0],
+            alpha_866=alpha[1], gamma_sp=gamma[0], gamma_dp=gamma[1],
+            linewidth_397=linewidth[0], linewidth_866=linewidth[1])
+        got, want = p.to_dict(), _per_field_to_dict(p)
+        assert got == want and list(got) == list(want)
+        assert _saved_bytes(got) == _saved_bytes(want)
+        text = json.loads(_saved_bytes(got))
+        assert ExperimentParams.from_dict(text) == _per_field_from_dict(text)
+
+    def test_partial_files_match_per_field_oracle(self):
+        full = get_preset("spectrum").replace(
+            b_field=2, linewidth_866=TWO_PI * 0.2e6).to_dict()
+        required = ("omega_397_mhz", "omega_866_mhz", "delta_397_mhz",
+                    "delta_866_mhz")
+        for key in [k for k in full if k not in required]:
+            data = {k: v for k, v in full.items() if k != key}
+            assert ExperimentParams.from_dict(data) \
+                == _per_field_from_dict(data), key
+        data = {k: full[k] for k in required}
+        assert ExperimentParams.from_dict(data) == _per_field_from_dict(data)
+
+    def test_units_fix_the_keys(self):
+        units = {f.name: f.metadata["unit"]
+                 for f in dataclasses.fields(ExperimentParams)}
+        suffix = {"mhz": "_mhz", "gauss": "_gauss", "angle": ""}
+        assert list(get_preset("weak").to_dict()) == [
+            name + suffix[unit] for name, unit in units.items()]
+
+    @pytest.mark.parametrize("name, bad, message", [
+        ("omega_397", -1.0, r"omega_397 must lie in \[0, inf\], got -1.0"),
+        ("omega_866", -1.0, r"omega_866 must lie in \[0, inf\]"),
+        ("b_field", -0.5, r"b_field must lie in \[0, inf\], got -0.5"),
+        ("alpha_397", 4.0, r"alpha_397 must lie in \[0, 3.14159\], got 4.0"),
+        ("alpha_866", -0.1, r"alpha_866 must lie in \[0, 3.14159\]"),
+        ("gamma_sp", 0.0, r"gamma_sp must be positive, got 0.0"),
+        ("gamma_sp", -1.0, r"gamma_sp must lie in \[0, inf\]"),
+        ("gamma_dp", -1.0, r"gamma_dp must lie in \[0, inf\]"),
+        ("linewidth_397", -1.0, r"linewidth_397 must lie in \[0, inf\]"),
+        ("linewidth_866", -1.0, r"linewidth_866 must lie in \[0, inf\]"),
+    ])
+    def test_range_errors_name_the_field(self, name, bad, message):
+        with pytest.raises(ValueError, match=message):
+            get_preset("weak").replace(**{name: bad})
+
+    def test_range_edges_are_legal(self):
+        p = get_preset("weak").replace(
+            omega_397=0.0, omega_866=0.0, b_field=0.0, alpha_397=0.0,
+            alpha_866=math.pi, gamma_dp=0.0)
+        q = ExperimentParams.from_dict(p.to_dict())
+        assert q.to_dict() == p.to_dict() and q.alpha_866 == math.pi
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("omega_397_mhz", "9.2", r"omega_397_mhz: must be a number, got '9.2'"),
+        ("gamma_dp_mhz", True, r"gamma_dp_mhz: must be a number, got True"),
+        ("b_field_gauss", None, r"b_field_gauss: must be a number, got None"),
+        ("alpha_866", 1.57, r"alpha_866: angle 1.57 has no unit"),
+        ("alpha_397", "half pi", r"alpha_397: cannot parse angle 'half pi'"),
+        ("alpha_397", "90 degrees", r"alpha_397: angle '90 degrees' must end"),
+    ])
+    def test_decode_errors_name_the_key(self, key, value, message):
+        data = {**get_preset("weak").to_dict(), key: value}
+        with pytest.raises(ValueError, match=message):
+            ExperimentParams.from_dict(data)

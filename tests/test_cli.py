@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import ionpair
 from ionpair import correlations as corr
-from ionpair.cli import main, parse_freq, parse_time, parse_time_ps
+from ionpair.cli import _print_fit, main, parse_freq, parse_time, parse_time_ps
 from ionpair.correlations import read_table_csv
+from ionpair.fitting import (AFFINE_PARAMS, ERROR_PARAMS, PHYSICS_PARAMS,
+                             FitResult)
 from ionpair.params import TWO_PI, format_angle, get_preset, parse_angle
 from ionpair.streams import load_stream
 
@@ -274,6 +276,55 @@ class TestSimulateAndCorrelate:
         assert cols["counts"].sum() == float(meta["total_pairs"]) > 0
 
 
+# fitted values and one-sigma errors of each unit: MHz, angle, gauss and
+# plain numbers (an affine and a detection-error parameter)
+_FIT_VALUES = {"omega_866": TWO_PI * 1.3e6, "alpha_397": 0.46 * math.pi,
+               "b_field": 3.5, "scale": 64000.0, "eps_init": 0.025}
+_FIT_SIGMAS = {"omega_866": TWO_PI * 0.0123e6, "alpha_397": 0.0123,
+               "b_field": 0.0456, "scale": 789.0, "eps_init": 0.0031}
+
+
+class TestFitReport:
+    """_print_fit's text, pinned for every unit."""
+
+    def _report(self, capsys, sigma, converged=True):
+        _print_fit(FitResult(params=_FIT_VALUES, experiment=get_preset("weak"),
+                             chi2=12.345, dof=7, cov=None, sigma=sigma,
+                             converged=converged, nfev=42, message=""))
+        return capsys.readouterr().out
+
+    def test_with_sigma(self, capsys):
+        assert self._report(capsys, _FIT_SIGMAS) == (
+            "converged: chi2 = 12.35 over 7 dof (reduced 1.764), nfev = 42\n"
+            "  omega_866 = 2pi x 1.3 MHz +- 2pi x 0.0123 MHz\n"
+            "  alpha_397 = 0.46pi +- 0.0123 rad\n"
+            "  b_field = 3.5 G +- 0.0456 G\n"
+            "  scale = 64000 +- 789\n"
+            "  eps_init = 0.025 +- 0.0031\n")
+
+    def test_without_sigma(self, capsys):
+        assert self._report(capsys, None, converged=False) == (
+            "did not converge: chi2 = 12.35 over 7 dof (reduced 1.764), "
+            "nfev = 42\n"
+            "  omega_866 = 2pi x 1.3 MHz\n"
+            "  alpha_397 = 0.46pi\n"
+            "  b_field = 3.5 G\n"
+            "  scale = 64000\n"
+            "  eps_init = 0.025\n")
+
+    def test_every_fit_name_has_a_format(self, capsys):
+        names = PHYSICS_PARAMS + AFFINE_PARAMS + ERROR_PARAMS
+        values = dict.fromkeys(names, 0.25)
+        _print_fit(FitResult(params=values, experiment=get_preset("weak"),
+                             chi2=1.0, dof=1, cov=None, sigma=values,
+                             converged=True, nfev=1, message=""))
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [l.split(" = ")[0].strip() for l in lines] == list(names)
+        assert sum(l.endswith("MHz") for l in lines) == 4
+        assert sum(l.endswith("rad") for l in lines) == 2
+        assert sum(l.endswith(" G") for l in lines) == 1
+
+
 class TestFitCommand:
     def test_spectrum_affine_fit(self, capsys, tmp_path):
         spec = tmp_path / "spec.csv"
@@ -478,6 +529,48 @@ class TestExitCodes:
             assert err.count("\n") == 1 and err.startswith("error:")
             assert size in err and "memory" in err
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("omega_397_mhz", -1.0, "omega_397 must lie in [0, inf]"),
+        ("omega_866_mhz", -0.5, "omega_866 must lie in [0, inf]"),
+        ("delta_397_mhz", math.inf, "delta_397 must be finite"),
+        ("delta_866_mhz", -math.inf, "delta_866 must be finite"),
+        ("b_field_gauss", -3.5, "b_field must lie in [0, inf]"),
+        ("alpha_397", "1.5pi", "alpha_397 must lie in [0, 3.14159]"),
+        ("alpha_866", "-10deg", "alpha_866 must lie in [0, 3.14159]"),
+        ("gamma_sp_mhz", 0.0, "gamma_sp must be positive"),
+        ("gamma_dp_mhz", -1.69, "gamma_dp must lie in [0, inf]"),
+        ("linewidth_397_mhz", -0.1, "linewidth_397 must lie in [0, inf]"),
+        ("linewidth_866_mhz", -0.1, "linewidth_866 must lie in [0, inf]"),
+        ("omega_397_mhz", "9.2", "omega_397_mhz: must be a number"),
+        ("delta_866_mhz", "5.8MHz", "delta_866_mhz: must be a number"),
+        ("b_field_gauss", "3.5", "b_field_gauss: must be a number"),
+        ("gamma_sp_mhz", [20.7], "gamma_sp_mhz: must be a number"),
+        ("alpha_397", 0.5, "alpha_397: angle 0.5 has no unit"),
+    ])
+    def test_bad_parameter_file_names_the_field(self, capsys, tmp_path, key,
+                                                value, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**get_preset("weak").to_dict(),
+                                    key: value}))
+        code, out, err = run(capsys, "purity", "--params", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and field in err and str(path) in err
+
+    def test_malformed_csv_names_the_file_line(self, capsys, tmp_path):
+        table = tmp_path / "scan.csv"
+        table.write_text("# command = spectrum\ndelta_866_mhz,counts\n"
+                         "-1,10\n\n0,11,12\n")
+        code, _, err = run(capsys, "fit", "spectrum", str(table),
+                           "--free", "scale")
+        assert code == 2
+        assert "found at line 5" in err and str(table) in err
+        stream = tmp_path / "arm.csv"
+        stream.write_text("timestamp_ps,pol,wavelength\n10,pi,397\n"
+                          "# note\n20,pi,398\n")
+        code, _, err = run(capsys, "correlate", str(stream))
+        assert code == 2
+        assert "'398' to uint8 at line 4, column 3" in err
+
     def test_malformed_stream_csv(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         head = "timestamp_ps,pol,wavelength\n"
@@ -512,6 +605,20 @@ class TestExitCodes:
             assert code == 1, argv
             assert "1e999" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--dark-rate", "nan", "dark_rate must be finite"),
+        ("--dark-rate", "inf", "dark_rate must be finite"),
+        ("--crosstalk", "nan", "crosstalk must be finite"),
+        ("--detect", "1.5", "efficiency must lie in [0, 1]"),
+    ])
+    def test_bad_detector_setting_names_the_field(self, capsys, tmp_path,
+                                                  flag, value, field):
+        out = tmp_path / "x.clk"
+        code, _, err = run(capsys, "simulate", "--duration", "10us",
+                           "--detect", "0.5", flag, value, "-o", str(out))
+        assert code == 1 and field in err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_event_cap(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--duration", "1us",

@@ -382,6 +382,47 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             C.ErrorModel(eps_minus=0.6)
 
+    @pytest.mark.parametrize("name", ["eps_init", "eps_minus", "eps_plus"])
+    def test_errors_name_the_field(self, name):
+        with pytest.raises(ValueError, match=rf"{name} must be finite"):
+            C.ErrorModel(**{name: math.nan})
+        with pytest.raises(ValueError,
+                           match=rf"{name} must lie in \[0, 0.5\], got 0.7"):
+            C.ErrorModel(**{name: 0.7})
+        assert getattr(C.ErrorModel(**{name: 0.5}), name) == 0.5
+
+
+class TestSigmaChannels:
+    """The two 397 sigma channels come from atom.TRANSITIONS; the read-outs
+    equal the literal P(-+1/2) -> S(+-1/2), amplitude^2 = 2/3 forms."""
+
+    def test_channel_rows(self):
+        minus, plus = C._CHANNEL["sigma-"], C._CHANNEL["sigma+"]
+        assert (minus.upper, minus.lower) == (atom.P_MINUS, atom.S_PLUS)
+        assert (plus.upper, plus.lower) == (atom.P_PLUS, atom.S_MINUS)
+        assert minus.amplitude ** 2 == plus.amplitude ** 2 == 2.0 / 3.0
+
+    def test_heralded_state(self):
+        rho = C._heralded(0.3)
+        want = np.zeros((8, 8), complex)
+        want[atom.S_PLUS, atom.S_PLUS] = 0.3
+        want[atom.S_MINUS, atom.S_MINUS] = 0.7
+        assert np.array_equal(rho, want)
+
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_read_outs_bit_identical_to_literal_forms(self, preset):
+        model = Model(get_preset(preset))
+        gamma = model.params.gamma_sp
+        for pol, lvl, s in (("sigma-", atom.P_MINUS, atom.S_PLUS),
+                            ("sigma+", atom.P_PLUS, atom.S_MINUS)):
+            rate = (2.0 / 3.0) * gamma * model.steady[lvl, lvl].real
+            assert C.emission_rate(model, pol) == rate
+            rho0 = np.zeros((8, 8), complex)
+            rho0[s, s] = 1.0
+            occ = model.cumulative(rho0, [0.0, 24e-9])[-1, lvl]
+            assert C.mean_photon_number(model, pol, 24e-9) \
+                == float((2.0 / 3.0) * gamma * occ)
+
 
 class TestPhotonBudget:
     def test_conditioned_integral_matches_van_loan(self):
@@ -695,6 +736,37 @@ class TestCsvRoundTrip:
             C.read_table_csv(path)
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ValueError):
+            C.read_table_csv(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("# a = 1\n\nx,y\n1,2\n\n3,abc\n",
+         "could not convert string 'abc' to float64 at line 6, column 2"),
+        ("x,y\n1,2\n3,4,5\n", "requires 2 columns but 3 were found at line 3"),
+        ("x,y\n1,2,5\n3,4\n", "requires 2 columns but 3 were found at line 2"),
+        ("x,y\nabc,2\n3,4\n", "'abc' to float64 at line 2, column 1"),
+        ("x,y\r\n1,2\r\n# note\r\n\r\n3\r\n",
+         "requires 2 columns but 1 were found at line 5"),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as info:
+            C.read_table_csv(path)
+        assert where in str(info.value)
+        assert "row" not in str(info.value)
+
+    def test_deep_error_names_its_file_line(self, tmp_path):
+        lines = ["# params = weak", "tau_ns,g2"]
+        for i in range(3000):
+            lines += [f"{i},{i / 7}"] + ([""] if i % 5 == 0 else []) \
+                + (["# a comment"] if i % 11 == 0 else [])
+        bad = 3 + len(lines) // 2
+        lines[bad - 1] = "17,0x1f"
+        lines[bad + 300] = "18,zz"   # a second, later error is not named
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"'0x1f' to float64 at line "
+                                             rf"{bad}, column 2"):
             C.read_table_csv(path)
 
     def test_column_length_mismatch(self, tmp_path):

@@ -352,3 +352,28 @@ class TestBudget:
             restarts=1, maxfev=3)
         # residual evaluations plus the Jacobian steps scipy leaves out
         assert res.nfev == calls.count("g2_pair") > 3
+
+
+class TestDeclaredBounds:
+    """Fit bounds and optimizer units come from the parameter classes'
+    field declarations; they equal the literal table they replaced."""
+
+    def test_bounds_and_units_of_every_fit_name(self):
+        inf = math.inf
+        bounds = {
+            "omega_397": (0.0, inf), "omega_866": (0.0, inf),
+            "delta_397": (-inf, inf), "delta_866": (-inf, inf),
+            "b_field": (0.0, inf), "alpha_397": (0.0, math.pi),
+            "alpha_866": (0.0, math.pi), "scale": (0.0, inf),
+            "background": (0.0, inf), "eps_init": (0.0, 0.5),
+            "eps_minus": (0.0, 0.5), "eps_plus": (0.0, 0.5)}
+        mhz = TWO_PI * 1e6
+        units = {"omega_397": mhz, "omega_866": mhz, "delta_397": mhz,
+                 "delta_866": mhz, "b_field": 1.0, "alpha_397": 1.0,
+                 "alpha_866": 1.0, "eps_init": 1.0, "eps_minus": 1.0,
+                 "eps_plus": 1.0}
+        names = (fitting.PHYSICS_PARAMS + fitting.AFFINE_PARAMS
+                 + fitting.ERROR_PARAMS)
+        assert {n: fitting._BOUNDS[n] for n in names} == bounds
+        assert {n: fitting._UNIT[n] for n in units} == units
+        assert fitting.ERROR_PARAMS == ("eps_init", "eps_minus", "eps_plus")

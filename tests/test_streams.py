@@ -257,6 +257,21 @@ class TestCsvCodec:
         got = read_stream_csv(path)
         assert got.channel == 1 and len(got) == 2
 
+    @pytest.mark.parametrize("text, where", [
+        ("# channel = 1\ntimestamp_ps,pol,wavelength\n10,pi,397\n\n"
+         "20,sigmaX,397\n", "'sigmaX' to uint8 at line 5, column 2"),
+        ("timestamp_ps,pol,wavelength\n10,pi,397\n20,pi,397,junk\n",
+         "requires 3 columns but 4 were found at line 3"),
+        ("timestamp_ps,pol,wavelength\r\n# c\r\nx,pi,397\r\n",
+         "'x' to int64 at line 3, column 1"),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(StreamFormatError) as info:
+            read_stream_csv(path)
+        assert where in str(info.value) and "row" not in str(info.value)
+
     @pytest.mark.parametrize("text", [
         "# channel = x\ntimestamp_ps,pol,wavelength\n10,pi,397\n",
         "# duration_ps = 1e3\ntimestamp_ps,pol,wavelength\n10,pi,397\n",

@@ -479,6 +479,29 @@ class TestSimulateEmissions:
             simulate_emissions(p, 1e-3, seed=1, start_level=atom.S_MINUS)
 
 
+class TestDetectorChannel:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"efficiency": 1.5}, r"efficiency must lie in \[0, 1\], got 1.5"),
+        ({"efficiency": math.nan}, "efficiency must be finite"),
+        ({"efficiency": 0.5, "crosstalk": -0.1},
+         r"crosstalk must lie in \[0, 1\], got -0.1"),
+        ({"efficiency": 0.5, "dark_rate": -1.0},
+         r"dark_rate must lie in \[0, inf\], got -1.0"),
+        ({"efficiency": 0.5, "dark_rate": math.inf},
+         "dark_rate must be finite, got inf"),
+        ({"efficiency": 0.5, "accepted_pol": "sigma"},
+         "unknown polarization 'sigma'"),
+    ])
+    def test_invalid_settings_name_the_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DetectorChannel(**kwargs)
+
+    def test_range_edges_are_legal(self):
+        arm = DetectorChannel(1.0, "pi", crosstalk=1.0, dark_rate=0.0)
+        assert DetectorChannel(0.0, None, crosstalk=0.0).efficiency == 0.0
+        assert arm.crosstalk == 1.0
+
+
 class TestDetect:
     def test_lossless_split_conserves_events(self, weak_emissions):
         cfg = DetectionConfig(
