@@ -9,13 +9,13 @@ matching coincidence correlator and fitting layer.
 
 __version__ = "0.1.0"
 
-from .params import (ExperimentParams, PRESETS, TWO_PI, format_angle,
-                     get_preset, parse_angle)
+from .params import (ExperimentParams, NumericalError, PRESETS, TWO_PI,
+                     format_angle, get_preset, parse_angle)
 from .atom import (TRANSITIONS, Transition, build_hamiltonian,
                    build_liouvillian, liouvillian_coefficients,
                    polarization_components, transition_amplitudes,
                    zeeman_shifts)
-from .dynamics import Model, NumericalError
+from .dynamics import Model
 from .correlations import (CorrelationCurve, ErrorModel, SpectrumCurve,
                            default_grid, default_spectrum_grid, emission_rate,
                            excitation_spectrum, find_dips, g2_conditioned,
@@ -24,7 +24,7 @@ from .correlations import (CorrelationCurve, ErrorModel, SpectrumCurve,
                            raman_positions, read_table_csv,
                            short_time_exponent, write_table_csv)
 from .trajectory import (ClickStream, DetectionConfig, DetectorChannel,
-                         detect, ideal_pair_config, simulate_emissions)
+                         detect, simulate_emissions)
 from .streams import (StreamFormatError, load_stream, read_stream,
                       save_stream, write_stream)
 from .correlator import (CorrelatorConfig, Correlogram,
@@ -33,20 +33,19 @@ from .correlator import (CorrelatorConfig, Correlogram,
 from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
 
 __all__ = [
-    "ExperimentParams", "PRESETS", "TWO_PI", "format_angle", "get_preset",
-    "parse_angle",
+    "ExperimentParams", "NumericalError", "PRESETS", "TWO_PI",
+    "format_angle", "get_preset", "parse_angle",
     "TRANSITIONS", "Transition", "build_hamiltonian", "build_liouvillian",
     "liouvillian_coefficients", "polarization_components",
     "transition_amplitudes", "zeeman_shifts",
-    "Model", "NumericalError",
-    "CorrelationCurve", "ErrorModel", "SpectrumCurve",
+    "Model", "CorrelationCurve", "ErrorModel", "SpectrumCurve",
     "default_grid", "default_spectrum_grid", "emission_rate",
     "excitation_spectrum", "find_dips", "g2_conditioned", "g2_pair",
     "g2_total", "mean_photon_number", "pair_probability", "purity",
     "purity_curve", "raman_positions", "read_table_csv",
     "short_time_exponent", "write_table_csv",
     "ClickStream", "DetectionConfig", "DetectorChannel", "detect",
-    "ideal_pair_config", "simulate_emissions",
+    "simulate_emissions",
     "StreamFormatError", "load_stream", "read_stream", "save_stream",
     "write_stream",
     "CorrelatorConfig", "Correlogram", "conditioned_g2_estimate",

@@ -1,0 +1,70 @@
+"""The CSV layout shared by tables and click streams: '# key = value'
+meta lines, a csv header row, one record a line."""
+
+import csv
+import functools
+import re
+import warnings
+
+import numpy as np
+
+
+def write_csv(path, header: list[str], row: str, cells: np.ndarray,
+              meta: dict | None = None) -> None:
+    """Meta by key, the header, then the body as one `row` % call per
+    record of the 2-D `cells`: "%.10g" % v == f"{v:.10g}"."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for key in sorted(meta or {}):
+            fh.write(f"# {key} = {meta[key]}\n")
+        csv.writer(fh).writerow(header)
+        fh.write(row * len(cells) % tuple(np.ravel(cells).tolist()))
+
+
+def read_csv(path, dtype=None, converters=None):
+    """(meta, header, records): meta from the '#' lines before the
+    header, records by one np.loadtxt into `dtype`, by default a float
+    per header cell.  Blank lines and later '#' lines are skipped; a
+    rejected row is reported by its line number in the file."""
+    meta: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = filter(None, map(str.strip, fh))
+        for line in lines:
+            if not line.startswith("#"):
+                break
+            key, eq, val = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = val.strip()
+        else:
+            raise ValueError(f"{path}: no header row")
+        header = next(csv.reader([line]))
+        if dtype is None:
+            dtype = [(f"c{j}", "f8") for j in range(len(header))]
+        parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",",
+                                  quotechar='"', converters=converters,
+                                  ndmin=1)
+        with warnings.catch_warnings():   # no rows: empty, not a warning
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                records = parse(lines)
+            except ValueError as exc:
+                text = str(exc).split("; use `usecols`")[0]
+                bad = _first_bad_line(path, parse)
+                raise ValueError(re.sub(r"at row \d+", f"at line {bad}",
+                                        text)) from None
+    return meta, header, records
+
+
+def _first_bad_line(path, parse) -> int:
+    """File line number of the first body row that `parse` rejects; rows
+    fail on their own, so halving the body finds it in about one parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        body = [(n, s) for n, line in enumerate(fh, 1) if (s := line.strip())]
+    body = body[1 + next(i for i, (_, s) in enumerate(body) if s[0] != "#"):]
+    while len(body) > 1:
+        half = body[:len(body) // 2]
+        try:
+            parse([s for _, s in half])
+            body = body[len(half):]
+        except ValueError:
+            body = half
+    return body[0][0]

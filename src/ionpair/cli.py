@@ -27,20 +27,22 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import correlations as corr
-from .correlator import CorrelatorConfig, conditioned_g2_estimate, correlate
-from .dynamics import Model, NumericalError
-from .fitting import (_DECLARED, DataSet, FitResult, fit_g2_joint,
-                      fit_spectrum)
-from .params import PRESETS, TWO_PI, ExperimentParams, _to_mhz, get_preset
-from .streams import StreamFormatError, load_stream, save_stream
-from .trajectory import (DetectionConfig, DetectorChannel, detect,
-                         simulate_emissions)
+from . import atom, correlations as corr
+from .correlator import (CorrelatorConfig, conditioned_g2_estimate, correlate,
+                         correlate_brute_force)
+from .dynamics import Model
+from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
+from .params import (PRESETS, TWO_PI, ExperimentParams, NumericalError,
+                     _to_mhz, get_preset)
+from .streams import (StreamFormatError, load_stream, read_stream,
+                      save_stream, write_stream)
+from .trajectory import (ClickStream, DetectionConfig, DetectorChannel,
+                         detect, simulate_emissions)
 
 _TIME_UNITS = {"ps": 1e-12, "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -237,15 +239,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_correlate(args) -> int:
     config = CorrelatorConfig(bin_width_ps=args.bin, window_ps=args.window)
-    stream_a = load_stream(args.stream_a)
+    streams = [load_stream(p) for p in (args.stream_a, args.stream_b)
+               if p is not None]
     if args.wavelength:
-        stream_a = stream_a.select(wavelength=args.wavelength)
-    if args.stream_b is None:
-        stream_b = stream_a     # same object: self pairs get removed
-    else:
-        stream_b = load_stream(args.stream_b)
-        if args.wavelength:
-            stream_b = stream_b.select(wavelength=args.wavelength)
+        streams = [s.select(wavelength=args.wavelength) for s in streams]
+    # one object without stream_b: self pairs get removed
+    stream_a, stream_b = streams[0], streams[-1]
     with _sized(f"--window {args.window} ps at --bin {args.bin} ps needs a "
                 f"histogram of {config.n_bins} bins"):
         gram = conditioned_g2_estimate(stream_a, stream_b, config,
@@ -293,6 +292,8 @@ def _read_fit_table(path, kind, x_unit):
 
 
 # value and one-sigma text of a fitted parameter by its declared unit
+_FIT_UNIT = {f.name: f.metadata["unit"]
+             for c in (ExperimentParams, corr.ErrorModel) for f in fields(c)}
 _FIT_TEXT = {
     "mhz": (lambda v: f"2pi x {_to_mhz(v):.6g} MHz",
             lambda s: f"2pi x {_to_mhz(s):.3g} MHz"),
@@ -308,7 +309,7 @@ def _print_fit(res: FitResult) -> None:
           f"(reduced {res.reduced_chi2():.3f}), nfev = {res.nfev}")
     for name, value in res.params.items():
         sig = res.sigma.get(name) if res.sigma else None
-        text, sig_text = _FIT_TEXT[_DECLARED[name]["unit"]]
+        text, sig_text = _FIT_TEXT[_FIT_UNIT.get(name)]
         err = "" if sig is None else f" +- {sig_text(sig)}"
         print(f"  {name} = {text(value)}{err}")
 
@@ -351,10 +352,6 @@ def cmd_fit_g2(args) -> int:
 def _selftest_checks():
     import tempfile
 
-    from . import atom
-    from .correlator import correlate_brute_force
-    from .streams import read_stream, write_stream
-
     # every check of the weak preset reads this one model
     weak = Model(get_preset("weak"))
 
@@ -392,7 +389,6 @@ def _selftest_checks():
         assert abs(tau - 28.5e-9) < 3e-9, tau
 
     def correlator_matches_brute_force():
-        from .trajectory import ClickStream
         rng = np.random.default_rng(3)
         ts = np.cumsum(rng.integers(1, 2000, size=400))
         s = ClickStream(ts, np.zeros(400), np.zeros(400),
@@ -402,7 +398,6 @@ def _selftest_checks():
                               correlate_brute_force(s, None, cfg))
 
     def stream_round_trip():
-        from .trajectory import ClickStream
         rng = np.random.default_rng(4)
         ts = np.cumsum(rng.integers(1, 1000, size=100))
         s = ClickStream(ts, rng.integers(0, 3, 100), rng.integers(0, 2, 100),

@@ -17,19 +17,16 @@ spectrum that of one Model at an anchor repumper detuning.
 
 from __future__ import annotations
 
-import csv
-import functools
 import math
-import re
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import atom
+from ._csvcodec import read_csv, write_csv
 from .atom import P_MINUS, P_PLUS
-from .dynamics import Model, NumericalError
-from .params import ExperimentParams, _check_fields, _quantity
+from .dynamics import Model
+from .params import ExperimentParams, NumericalError, _check_fields, _quantity
 
 SIGMA_MINUS = "sigma-"
 SIGMA_PLUS = "sigma+"
@@ -213,10 +210,6 @@ def short_time_exponent(curve: CorrelationCurve,
     return float(slope)
 
 
-def short_time_grid(dt: float = 0.02e-9, t_max: float = 1.2e-9) -> np.ndarray:
-    return default_grid(t_max, dt)
-
-
 # -- pair purity --------------------------------------------------------
 
 def purity_curve(params: ExperimentParams | Model,
@@ -373,70 +366,7 @@ def find_dips(spectrum: SpectrumCurve, min_prominence: float = 0.1) -> np.ndarra
     return np.array(dips)
 
 
-# -- CSV serialization --------------------------------------------------
-# Tables and click streams share one layout, written and parsed only
-# here: '# key = value' meta lines, a csv header row, one record a line.
-
-def _write_csv(path, header: list[str], row: str, cells: np.ndarray,
-               meta: dict | None = None) -> None:
-    """Meta by key, the header, then the body as one `row` % call per
-    record of the 2-D `cells`: "%.10g" % v == f"{v:.10g}"."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key} = {meta[key]}\n")
-        csv.writer(fh).writerow(header)
-        fh.write(row * len(cells) % tuple(np.ravel(cells).tolist()))
-
-
-def _read_csv(path, dtype=None, converters=None):
-    """(meta, header, records): meta from the '#' lines before the
-    header, records by one np.loadtxt into `dtype`, by default a float
-    per header cell.  Blank lines and later '#' lines are skipped; a
-    rejected row is reported by its line number in the file."""
-    meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = filter(None, map(str.strip, fh))
-        for line in lines:
-            if not line.startswith("#"):
-                break
-            key, eq, val = line[1:].partition("=")
-            if eq:
-                meta[key.strip()] = val.strip()
-        else:
-            raise ValueError(f"{path}: no header row")
-        header = next(csv.reader([line]))
-        if dtype is None:
-            dtype = [(f"c{j}", "f8") for j in range(len(header))]
-        parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",",
-                                  quotechar='"', converters=converters,
-                                  ndmin=1)
-        with warnings.catch_warnings():   # no rows: empty, not a warning
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                records = parse(lines)
-            except ValueError as exc:
-                text = str(exc).split("; use `usecols`")[0]
-                bad = _first_bad_line(path, parse)
-                raise ValueError(re.sub(r"at row \d+", f"at line {bad}",
-                                        text)) from None
-    return meta, header, records
-
-
-def _first_bad_line(path, parse) -> int:
-    """File line number of the first body row that `parse` rejects; rows
-    fail on their own, so halving the body finds it in about one parse."""
-    with open(path, "r", encoding="utf-8") as fh:
-        body = [(n, s) for n, line in enumerate(fh, 1) if (s := line.strip())]
-    body = body[1 + next(i for i, (_, s) in enumerate(body) if s[0] != "#"):]
-    while len(body) > 1:
-        half = body[:len(body) // 2]
-        try:
-            parse([s for _, s in half])
-            body = body[len(half):]
-        except ValueError:
-            body = half
-    return body[0][0]
-
+# -- tables, in the _csvcodec layout ------------------------------------
 
 def write_table_csv(path, x: np.ndarray, columns: dict[str, np.ndarray],
                     x_label: str, meta: dict | None = None) -> None:
@@ -444,14 +374,14 @@ def write_table_csv(path, x: np.ndarray, columns: dict[str, np.ndarray],
     for label, col in columns.items():
         if len(col) != len(x):
             raise ValueError(f"column {label!r} length mismatch")
-    _write_csv(path, [x_label, *columns],
-               ",".join(["%.10g"] * (1 + len(columns))) + "\r\n",
-               np.column_stack([x, *columns.values()]), meta)
+    write_csv(path, [x_label, *columns],
+              ",".join(["%.10g"] * (1 + len(columns))) + "\r\n",
+              np.column_stack([x, *columns.values()]), meta)
 
 
 def read_table_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
     """Inverse of write_table_csv: (x, columns, meta)."""
-    meta, header, records = _read_csv(path)
+    meta, header, records = read_csv(path)
     if not len(records):
         raise ValueError(f"{path}: no tabular data found")
     columns = {name: records[f"c{j}"]

@@ -6,7 +6,7 @@ one real eigendecomposition, and serves every read-out of that set:
 populations, states and the exact cumulative integrals of the
 populations for any initial state, and the steady populations over a
 scan of the repumper detuning.  It is the only entry to the master
-equation.
+equation; it raises params.NumericalError, or its subclass below.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ import scipy.linalg
 
 from . import atom
 from .atom import N_LEVELS
+from .params import NumericalError
 
 # Relative residual allowed on ||L rho_ss|| and on trace conservation.
 RESIDUAL_TOL = 1e-10
 # Allowed trace error and non-Hermitian part of an initial state.
 STATE_TOL = 1e-9
-
-
-class NumericalError(RuntimeError):
-    """A linear-algebra step failed to meet its accuracy contract."""
 
 
 class DegenerateSteadyStateError(NumericalError):

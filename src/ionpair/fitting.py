@@ -23,8 +23,8 @@ import scipy.optimize
 
 from .correlations import (SIGMA_MINUS, SIGMA_PLUS, ErrorModel,
                            excitation_spectrum, g2_pair, g2_total)
-from .dynamics import Model, NumericalError
-from .params import TWO_PI, ExperimentParams
+from .dynamics import Model
+from .params import TWO_PI, ExperimentParams, NumericalError
 
 PHYSICS_PARAMS = ("omega_397", "omega_866", "delta_397", "delta_866",
                   "b_field", "alpha_397", "alpha_866")

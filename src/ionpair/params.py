@@ -24,6 +24,10 @@ GAMMA_SP_DEFAULT = TWO_PI * 20.7e6
 GAMMA_DP_DEFAULT = TWO_PI * 1.69e6
 
 
+class NumericalError(RuntimeError):
+    """A numerical step failed to meet its accuracy contract."""
+
+
 def parse_angle(text: str | float | int) -> float:
     """Parse an angle given as "<x>pi", "<x>deg" or "<x>rad" into radians.
 
@@ -110,7 +114,12 @@ def _check_fields(obj) -> None:
         if not math.isfinite(v):   # NaN passes every comparison
             raise ValueError(f"{f.name} must be finite, got {v}")
         if not lo <= v <= hi:
-            raise ValueError(f"{f.name} must lie in [{lo:g}, {hi:g}], got {v}")
+            raise ValueError(_out_of_range(f.name, (lo, hi), v))
+
+
+def _out_of_range(name: str, bounds, value) -> str:
+    lo, hi = (b if isinstance(b, str) else f"{b:g}" for b in bounds)
+    return f"{name} must lie in [{lo}, {hi}], got {value}"
 
 
 @dataclass(frozen=True)
@@ -178,10 +187,16 @@ class ExperimentParams:
         kwargs = {}
         for key, f in keys.items():
             if key in data:
+                _, encode, decode = _CODEC[f.metadata["unit"]]
                 try:
-                    kwargs[f.name] = _CODEC[f.metadata["unit"]][2](data[key])
+                    kwargs[f.name] = v = decode(data[key])
                 except ValueError as exc:
                     raise ValueError(f"{key}: {exc}") from None
+                lo, hi = f.metadata["range"]
+                if math.isfinite(v) and not lo <= v <= hi:
+                    raise ValueError(
+                        _out_of_range(key, map(encode, (lo, hi)), encode(v))
+                        + "; internally " + _out_of_range(f.name, (lo, hi), v))
         return cls(**kwargs)
 
     def save(self, path) -> None:

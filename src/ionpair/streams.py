@@ -10,9 +10,9 @@ IONCLK1 layout, little-endian throughout:
              (packed, 10 bytes per event)
 
 Polarization codes 0/1/2 = sigma-/pi/sigma+; wavelength 0/1 = 397/866 nm.
-The CSV mirror holds the same fields as text in the layout of the
-correlations tables: channel and duration_ps as '# key = value' lines
-before the header, then one row per event with the tags by name.
+The CSV mirror holds the same fields as text in the _csvcodec layout
+of the tables: channel and duration_ps as '# key = value' lines before
+the header, then one row per event with the tags by name.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from . import atom
-from .correlations import _read_csv, _write_csv
+from ._csvcodec import read_csv, write_csv
 from .trajectory import ClickStream
 
 MAGIC = b"IONCLK1"
@@ -83,14 +83,14 @@ def write_stream_csv(path, stream: ClickStream) -> None:
     cells = np.column_stack([stream.timestamps_ps.astype(object),
                              _POL_CELLS[stream.pol],
                              _WL_CELLS[stream.wavelength]])
-    _write_csv(path, _CSV_HEADER, "%d,%s,%s\r\n", cells,
-               {"channel": stream.channel,
-                "duration_ps": stream.duration_ps})
+    write_csv(path, _CSV_HEADER, "%d,%s,%s\r\n", cells,
+              {"channel": stream.channel,
+               "duration_ps": stream.duration_ps})
 
 
 def read_stream_csv(path) -> ClickStream:
     try:
-        meta, header, rows = _read_csv(path, _CSV_DTYPE, _CSV_TAGS)
+        meta, header, rows = read_csv(path, _CSV_DTYPE, _CSV_TAGS)
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected header {header}")
         last = int(rows["ts"][-1]) if len(rows) else 0

@@ -30,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import atom
-from .dynamics import NumericalError
-from .params import ExperimentParams, _check_fields, _quantity
+from .params import ExperimentParams, NumericalError, _check_fields, _quantity
 
 PS_PER_S = 1_000_000_000_000
 
@@ -410,13 +409,6 @@ class DetectionConfig:
             raise ValueError("channel efficiencies must sum to at most 1")
 
 
-def ideal_pair_config(efficiency: float = 0.5) -> DetectionConfig:
-    """Lossless-analyzer default: arm 1 takes sigma-, arm 2 sigma+."""
-    return DetectionConfig(
-        channel_1=DetectorChannel(efficiency, "sigma-"),
-        channel_2=DetectorChannel(efficiency, "sigma+"))
-
-
 def detect(emissions: ClickStream, config: DetectionConfig,
            seed: int) -> tuple[ClickStream, ClickStream]:
     """Split an emission stream over two detector arms.
@@ -451,12 +443,13 @@ def detect(emissions: ClickStream, config: DetectionConfig,
             keep = rng.random(pol.size) < pass_prob
             ts, pol, wav = ts[keep], pol[keep], wav[keep]
         if chan_cfg.dark_rate > 0.0:
-            n_dark = rng.poisson(chan_cfg.dark_rate * emissions.duration_s)
-            if ts.size + n_dark > emissions.duration_ps:
+            mean = chan_cfg.dark_rate * emissions.duration_s
+            if ts.size + mean > emissions.duration_ps:
                 raise ValueError(
-                    f"dark rate {chan_cfg.dark_rate:g}/s puts {n_dark} dark "
+                    f"dark rate {chan_cfg.dark_rate:g}/s puts {mean:g} dark "
                     f"counts into a {emissions.duration_ps} ps stream: more "
                     "clicks than picosecond timestamps")
+            n_dark = rng.poisson(mean)
             dark_ts = rng.integers(0, emissions.duration_ps, size=n_dark)
             dark_pol = np.full(n_dark, atom.POL_TAGS.get(
                 chan_cfg.accepted_pol, atom.POL_PI), dtype=np.uint8)

@@ -24,7 +24,6 @@ from ionpair.correlations import (
     purity_curve,
     raman_positions,
     short_time_exponent,
-    short_time_grid,
 )
 from ionpair.correlator import CorrelatorConfig, correlate, correlate_brute_force
 from ionpair.dynamics import Model
@@ -83,7 +82,7 @@ def test_criterion_02_strong_peak_and_monotone_rise():
 
 
 def test_criterion_03_short_time_exponents():
-    minus, plus = g2_pair(WEAK, "sigma-", short_time_grid())
+    minus, plus = g2_pair(WEAK, "sigma-", default_grid(1.2e-9, 0.02e-9))
     n_m = short_time_exponent(minus)
     n_p = short_time_exponent(plus)
     # The exact model gives n+ = 4.97: the sigma+ population needs two

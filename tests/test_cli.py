@@ -556,6 +556,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and field in err and str(path) in err
 
+    @pytest.mark.parametrize("key, value, file_units, internal", [
+        ("omega_397_mhz", -1,
+         "omega_397_mhz must lie in [0, inf], got -1.0",
+         "omega_397 must lie in [0, inf], got -6283185.307179586"),
+        ("b_field_gauss", -3.5,
+         "b_field_gauss must lie in [0, inf], got -3.5",
+         "b_field must lie in [0, inf], got -3.5"),
+        ("alpha_397", "1.5pi",
+         "alpha_397 must lie in [0.0pi, 1.0pi], got 1.5pi",
+         "alpha_397 must lie in [0, 3.14159], got 4.71238898038469"),
+    ], ids=["mhz", "gauss", "angle"])
+    def test_parameter_file_range_error_in_file_units(
+            self, capsys, tmp_path, key, value, file_units, internal):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**get_preset("weak").to_dict(),
+                                    key: value}))
+        code, out, err = run(capsys, "purity", "--params", str(path))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"{file_units}; internally {internal}" in err
+
     def test_malformed_csv_names_the_file_line(self, capsys, tmp_path):
         table = tmp_path / "scan.csv"
         table.write_text("# command = spectrum\ndelta_866_mhz,counts\n"
@@ -618,6 +638,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", "--duration", "10us",
                            "--detect", "0.5", flag, value, "-o", str(out))
         assert code == 1 and field in err
+        assert not list(tmp_path.iterdir())
+
+    def test_dark_rate_beyond_the_timestamps(self, capsys, tmp_path):
+        # the expected dark count is checked before numpy's Poisson draw,
+        # which rejects so large a mean with its own message
+        code, out, err = run(capsys, "simulate", "--duration", "10us",
+                             "--detect", "0.5", "--dark-rate", "1e300",
+                             "-o", str(tmp_path / "x.clk"))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: dark rate ")
+        assert "1e+300/s" in err and "picosecond timestamps" in err
         assert not list(tmp_path.iterdir())
 
     def test_bad_event_cap(self, capsys, tmp_path):

@@ -263,7 +263,7 @@ class TestConditionedG2:
 
 @pytest.fixture(scope="module")
 def short_pair():
-    return C.g2_pair(WEAK, "sigma-", C.short_time_grid())
+    return C.g2_pair(WEAK, "sigma-", C.default_grid(1.2e-9, 0.02e-9))
 
 
 class TestShortTimeExponents:
@@ -321,7 +321,7 @@ class TestPurity:
                 C.purity(model, t_window)
 
     def test_list_grids_give_array_delays(self):
-        grid = list(C.short_time_grid())
+        grid = list(C.default_grid(1.2e-9, 0.02e-9))
         minus, plus = C.g2_pair(WEAK, "sigma-", grid)
         total = C.g2_total(WEAK, grid)
         for curve in (minus, plus, total):

@@ -12,7 +12,7 @@ from ionpair.dynamics import Model, NumericalError
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 from ionpair import trajectory as T
 from ionpair.trajectory import (ClickStream, DetectionConfig, DetectorChannel,
-                                _bump, _JumpSampler, detect, ideal_pair_config,
+                                _bump, _JumpSampler, detect,
                                 simulate_emissions)
 
 WEAK = get_preset("weak")
@@ -514,7 +514,9 @@ class TestDetect:
         assert np.array_equal(merged, weak_emissions.timestamps_ps)
 
     def test_analyzer_passes_only_accepted_pol(self, weak_emissions):
-        d1, d2 = detect(weak_emissions, ideal_pair_config(0.5), seed=2)
+        cfg = DetectionConfig(DetectorChannel(0.5, "sigma-"),
+                              DetectorChannel(0.5, "sigma+"))
+        d1, d2 = detect(weak_emissions, cfg, seed=2)
         assert np.all(d1.pol == atom.POL_SIGMA_MINUS)
         assert np.all(d2.pol == atom.POL_SIGMA_PLUS)
         assert np.all(d1.wavelength == atom.WL_397)
@@ -568,7 +570,8 @@ class TestDetect:
             detect(em, cfg, seed=1)
 
     def test_deterministic_per_seed(self, weak_emissions):
-        cfg = ideal_pair_config(0.4)
+        cfg = DetectionConfig(DetectorChannel(0.4, "sigma-"),
+                              DetectorChannel(0.4, "sigma+"))
         a1, a2 = detect(weak_emissions, cfg, seed=9)
         b1, b2 = detect(weak_emissions, cfg, seed=9)
         assert np.array_equal(a1.timestamps_ps, b1.timestamps_ps)
