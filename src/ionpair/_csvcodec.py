@@ -20,11 +20,13 @@ def write_csv(path, header: list[str], row: str, cells: np.ndarray,
         fh.write(row * len(cells) % tuple(np.ravel(cells).tolist()))
 
 
-def read_csv(path, dtype=None, converters=None):
+def read_csv(path, dtype=None, convert=None):
     """(meta, header, records): meta from the '#' lines before the
     header, records by one np.loadtxt into `dtype`, by default a float
-    per header cell.  Blank lines and later '#' lines are skipped; a
-    rejected row is reported by its line number in the file."""
+    per header cell, then through `convert` if given.  Blank lines and
+    later '#' lines are skipped; a row that np.loadtxt or `convert`
+    rejects (with a ValueError saying "at row i") is reported by its
+    line number in the file."""
     meta: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, map(str.strip, fh))
@@ -39,9 +41,9 @@ def read_csv(path, dtype=None, converters=None):
         header = next(csv.reader([line]))
         if dtype is None:
             dtype = [(f"c{j}", "f8") for j in range(len(header))]
-        parse = functools.partial(np.loadtxt, dtype=dtype, delimiter=",",
-                                  quotechar='"', converters=converters,
-                                  ndmin=1)
+        load = functools.partial(np.loadtxt, dtype=dtype, delimiter=",",
+                                 quotechar='"', ndmin=1)
+        parse = load if convert is None else lambda rows: convert(load(rows))
         with warnings.catch_warnings():   # no rows: empty, not a warning
             warnings.simplefilter("ignore", UserWarning)
             try:

@@ -23,6 +23,7 @@ file, 3 numerical failure, 4 selftest failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -36,7 +37,6 @@ from . import atom, correlations as corr
 from .correlator import (CorrelatorConfig, conditioned_g2_estimate, correlate,
                          correlate_brute_force)
 from .dynamics import Model
-from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
 from .params import (PRESETS, TWO_PI, ExperimentParams, NumericalError,
                      _to_mhz, get_preset)
 from .streams import (StreamFormatError, load_stream, read_stream,
@@ -225,7 +225,11 @@ def cmd_simulate(args) -> int:
                                       crosstalk=args.crosstalk,
                                       dark_rate=args.dark_rate)
     config = DetectionConfig(channel_1=arm("sigma-"), channel_2=arm("sigma+"))
-    d1, d2 = detect(emissions, config, args.seed)
+    with _sized(f"--dark-rate {args.dark_rate:g}/s over "
+                f"{emissions.duration_s:g} s expects "
+                f"{args.dark_rate * emissions.duration_s:g} dark counts "
+                "per arm"):
+        d1, d2 = detect(emissions, config, args.seed)
     out = Path(args.output)
     for tag, stream in (("1", d1), ("2", d2)):
         path = out.with_name(f"{out.stem}-{tag}{out.suffix}")
@@ -274,6 +278,7 @@ def cmd_correlate(args) -> int:
 # -- fit -----------------------------------------------------------------
 
 def _read_fit_table(path, kind, x_unit):
+    from .fitting import DataSet
     try:
         x, columns, meta = corr.read_table_csv(path)
     except (OSError, ValueError) as exc:
@@ -303,7 +308,7 @@ _FIT_TEXT = {
 }
 
 
-def _print_fit(res: FitResult) -> None:
+def _print_fit(res) -> None:
     state = "converged" if res.converged else "did not converge"
     print(f"{state}: chi2 = {res.chi2:.2f} over {res.dof} dof "
           f"(reduced {res.reduced_chi2():.3f}), nfev = {res.nfev}")
@@ -314,7 +319,7 @@ def _print_fit(res: FitResult) -> None:
         print(f"  {name} = {text(value)}{err}")
 
 
-def _report_fit(res: FitResult, args) -> int:
+def _report_fit(res, args) -> int:
     _print_fit(res)
     if args.save_params:
         res.experiment.save(args.save_params)
@@ -323,6 +328,7 @@ def _report_fit(res: FitResult, args) -> int:
 
 
 def cmd_fit_spectrum(args) -> int:
+    from .fitting import fit_spectrum
     params = _load_params(args.params)
     data = _read_fit_table(args.data, "spectrum", TWO_PI * 1e6)
     res = fit_spectrum(data, params, free=args.free, scale=args.scale,
@@ -332,6 +338,7 @@ def cmd_fit_spectrum(args) -> int:
 
 
 def cmd_fit_g2(args) -> int:
+    from .fitting import fit_g2_joint
     params = _load_params(args.params)
     kinds = [k.strip() for k in args.kinds.split(",")]
     if len(kinds) != len(args.data):
@@ -448,7 +455,11 @@ def cmd_selftest(args) -> int:
 
 # -- parser --------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state in it, and
+    building it anew per main() call cost about 2 ms and left hundreds of
+    objects for the cyclic garbage collector."""
     parser = _Parser(prog="ionpair",
                      description="Polarization-correlated photon pairs "
                                  "from a single driven ion")

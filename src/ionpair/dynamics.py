@@ -6,15 +6,17 @@ one real eigendecomposition, and serves every read-out of that set:
 populations, states and the exact cumulative integrals of the
 populations for any initial state, and the steady populations over a
 scan of the repumper detuning.  It is the only entry to the master
-equation; it raises params.NumericalError, or its subclass below.
+equation; it raises params.NumericalError, or its subclass below.  It
+needs numpy only: the eigenvectors are inverted once per Model, and no
+scipy module is loaded.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import atom
 from .atom import N_LEVELS
@@ -94,8 +96,16 @@ class Model:
     (Moler & Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
     x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0, with c = 2 for a
     complex mode (its conjugate partner) and 1 for a real one, and
-    vec(rho(t)) = U x(t).  The integral from 0 to t takes expm1(lam t) /
-    lam (t if lam = 0) in place of exp(lam t).
+    vec(rho(t)) = U x(t).  The explicit inverse of the eigenvectors,
+    kept with the spectrum, gives any rho0's mode coefficients by one
+    product.  On a uniform grid t_k = k dt, exactly as default_grid
+    builds it, exp(lam t) comes from a two-level table: with B =
+    ceil(sqrt(n)), exp(lam (jB + i) dt) = exp(lam jB dt) exp(lam i dt),
+    two tables of about sqrt(n) rows and one product in place of n exps;
+    any other grid takes exp(lam t) point by point.  The integral from 0
+    to t takes expm1(lam t) / lam (t if lam = 0) in place of exp(lam t),
+    on every grid, because expm1 keeps a small |lam t| free of
+    cancellation.
     """
 
     def __init__(self, params):
@@ -130,8 +140,8 @@ class Model:
 
     @cached_property
     def _spectrum(self):
-        """(lam, vec, weight) of the kept half spectrum, the kept mask
-        and the LU factors of all eigenvectors, for any rho0."""
+        """(lam, vec, weight) of the kept half spectrum and the kept
+        rows of the inverse of all eigenvectors, for any rho0."""
         try:
             lam, vec = np.linalg.eig(self.real)
             real, upper = lam.imag == 0.0, lam.imag > 0.0
@@ -151,13 +161,13 @@ class Model:
             share = trace / trace[pin]
             share[pin] = 0.0
             vec -= np.outer(vec[:, pin], share)
-            lu = scipy.linalg.lu_factor(vec, check_finite=False)
+            keep = real | upper
+            inverse = np.linalg.inv(vec)[keep]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"eigendecomposition of the generator failed: {exc}")
-        keep = real | upper
         return (lam[keep], vec[:, keep], np.where(upper, 2.0, 1.0)[keep],
-                keep, lu)
+                inverse)
 
     def _modes(self, rho0):
         """(lam, vec, coef) with x(t) = Re(vec @ (exp(lam t) * coef)),
@@ -171,10 +181,8 @@ class Model:
         if skew > STATE_TOL:
             raise ValueError(
                 f"rho0 is not Hermitian (|rho0 - rho0^H| = {skew:.3e})")
-        lam, vec, weight, keep, lu = self._spectrum
-        y0 = scipy.linalg.lu_solve(lu, (_UH @ rho0.reshape(-1)).real,
-                                   check_finite=False)
-        return lam, vec, weight * y0[keep]
+        lam, vec, weight, inverse = self._spectrum
+        return lam, vec, weight * (inverse @ (_UH @ rho0.reshape(-1)).real)
 
     def _series(self, rho0, grid, rows: int,
                 cumulative: bool = False) -> np.ndarray:
@@ -189,6 +197,13 @@ class Model:
             f = np.expm1(np.outer(grid, lam)) / np.where(lam == 0.0, 1.0, lam)
             f[:, lam == 0.0] = grid[:, None]
             f_re, f_im = f.real, f.imag
+        elif grid.size > 1 and np.array_equal(
+                grid, np.arange(grid.size) * grid[1]):
+            # exp(lam (jB + i) dt) = exp(lam jB dt) exp(lam i dt)
+            block = math.isqrt(grid.size - 1) + 1
+            f = (np.exp(np.outer(grid[::block], lam))[:, None]
+                 * np.exp(np.outer(grid[:block], lam))).reshape(-1, lam.size)
+            f_re, f_im = f[:grid.size].real, f[:grid.size].imag
         else:
             # exp(lam t) in real arithmetic: cheaper than a complex exp
             decay = np.exp(np.outer(grid, lam.real))

@@ -30,9 +30,16 @@ _HEADER = struct.Struct("<7sIQQ")
 _EVENT_DTYPE = np.dtype([("ts", "<u8"), ("pol", "u1"), ("wl", "u1")])
 
 _CSV_HEADER = ["timestamp_ps", "pol", "wavelength"]
-_CSV_DTYPE = np.dtype([("ts", "i8"), ("pol", "u1"), ("wl", "u1")])
-_CSV_TAGS = {1: lambda cell: atom.POL_TAGS[cell.strip()],
-             2: lambda cell: atom.WL_TAGS[cell.strip()]}
+# the tags are read as padded byte strings; np.loadtxt cuts a longer cell
+# to the width silently, so a cell that fills it is never a tag
+_TAG_WIDTH = 16
+_CSV_DTYPE = np.dtype([("ts", "i8"), ("pol", f"S{_TAG_WIDTH}"),
+                       ("wl", f"S{_TAG_WIDTH}")])
+# field -> (file column, tag names in sorted order, their codes)
+_CSV_TAGS = {field: (column, np.array(sorted(tags), dtype="S"),
+                     np.array([tags[k] for k in sorted(tags)], dtype=np.uint8))
+             for field, column, tags in (("pol", 2, atom.POL_TAGS),
+                                         ("wl", 3, atom.WL_TAGS))}
 _POL_CELLS = np.array(list(atom.POL_NAMES.values()), dtype=object)
 _WL_CELLS = np.array(list(atom.WL_NAMES.values()), dtype=object)
 
@@ -88,12 +95,31 @@ def write_stream_csv(path, stream: ClickStream) -> None:
                "duration_ps": stream.duration_ps})
 
 
+def _tag_codes(rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The pol and wavelength cells of the parsed rows as uint8 codes, by
+    field; a cell that names no tag is a ValueError at its row."""
+    codes = {"ts": rows["ts"]}
+    for field, (column, names, values) in _CSV_TAGS.items():
+        cells = rows[field]
+        stripped = np.char.strip(cells)
+        at = np.searchsorted(names, stripped).clip(max=names.size - 1)
+        bad = (names[at] != stripped) | (np.char.str_len(cells)
+                                         >= _TAG_WIDTH)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"could not convert string {cells[i].decode('latin-1')!r} "
+                f"to uint8 at row {i + 1}, column {column}.")
+        codes[field] = values[at]
+    return codes
+
+
 def read_stream_csv(path) -> ClickStream:
     try:
-        meta, header, rows = read_csv(path, _CSV_DTYPE, _CSV_TAGS)
+        meta, header, rows = read_csv(path, _CSV_DTYPE, _tag_codes)
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected header {header}")
-        last = int(rows["ts"][-1]) if len(rows) else 0
+        last = int(rows["ts"][-1]) if rows["ts"].size else 0
         return ClickStream(rows["ts"], rows["pol"], rows["wl"],
                            int(meta.get("duration_ps", last + 1)),
                            int(meta.get("channel", 0)), {"path": str(path)})

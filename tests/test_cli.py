@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ionpair
-from ionpair import correlations as corr
+from ionpair import cli, correlations as corr, fitting
 from ionpair.cli import _print_fit, main, parse_freq, parse_time, parse_time_ps
 from ionpair.correlations import read_table_csv
 from ionpair.fitting import (AFFINE_PARAMS, ERROR_PARAMS, PHYSICS_PARAMS,
@@ -145,6 +145,60 @@ class TestG2Command:
             assert run(capsys, "g2", "--t-max", "100ns", "--dt", "2ns",
                        "-o", str(out))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserReuse:
+    """main builds one parser per process; no call leaves state in it."""
+
+    def test_one_parser_per_process(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        before = cli.build_parser.cache_info()
+        for _ in range(2):
+            assert run(capsys, "g2", "--t-max", "10ns", "--dt", "2ns")[0] == 0
+        after = cli.build_parser.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
+    def test_total_then_conditioned(self, capsys):
+        code, stdout, _ = run(capsys, "g2", "--total", "--t-max", "20ns",
+                              "--dt", "2ns")
+        assert code == 0 and stdout.startswith("total: peak g2")
+        code, stdout, _ = run(capsys, "g2", "--t-max", "20ns", "--dt", "2ns")
+        assert code == 0 and "total" not in stdout
+        assert [line.split(":")[0] for line in stdout.splitlines()] == [
+            "sigma-|sigma-", "sigma-|sigma+"]
+
+    @pytest.mark.parametrize("first, code", [
+        (["g2", "--first", "pi"], 1),
+        (["g2", "--t-max", "5"], 1),
+        (["--help"], 0),
+        (["g2", "--help"], 0),
+    ])
+    def test_valid_command_after_an_early_exit(self, capsys, first, code):
+        assert run(capsys, *first)[0] == code
+        code, stdout, err = run(capsys, "g2", "--t-max", "20ns",
+                                "--dt", "2ns")
+        assert code == 0 and err == "" and "sigma-|sigma+" in stdout
+
+    def test_fit_options_do_not_carry_over(self, capsys, tmp_path,
+                                           monkeypatch):
+        data = tmp_path / "g2.csv"
+        assert run(capsys, "g2", "--t-max", "40ns", "--dt", "2ns",
+                   "--second", "sigma-", "-o", str(data))[0] == 0
+        seen = []
+        real = fitting.fit_g2_joint
+
+        def recorded(datasets, params, **kwargs):
+            seen.append(kwargs["errors"])
+            return real(datasets, params, **kwargs)
+
+        # the command looks the fit up when it runs, so this is what it calls
+        monkeypatch.setattr(fitting, "fit_g2_joint", recorded)
+        fit = ["fit", "g2", str(data), "--kinds", "sigma-|sigma-",
+               "--free", "omega_397", "--restarts", "1", "--maxfev", "20"]
+        assert run(capsys, *fit, "--eps-init", "0.02")[0] == 0
+        assert run(capsys, *fit)[0] == 0
+        assert [e.eps_init for e in seen] == [0.02, 0.0]
+        assert seen[1] == corr.ErrorModel()
 
 
 class TestSpectrumCommand:
@@ -649,6 +703,21 @@ class TestExitCodes:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: dark rate ")
         assert "1e+300/s" in err and "picosecond timestamps" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_dark_counts_too_many_to_allocate(self, capsys, monkeypatch,
+                                              tmp_path):
+        # numpy's refusal inside detect, raised before any large request
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(cli, "detect", no_memory)
+        code, _, err = run(capsys, "simulate", "--duration", "100ms",
+                           "--detect", "0.5", "--dark-rate", "1e11",
+                           "-o", str(tmp_path / "x.clk"))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: --dark-rate")
+        assert "1e+10 dark counts" in err and "memory" in err
         assert not list(tmp_path.iterdir())
 
     def test_bad_event_cap(self, capsys, tmp_path):

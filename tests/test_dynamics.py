@@ -313,6 +313,78 @@ class TestRealBasis:
                 call()
 
 
+def _off_grid(grid, dt):
+    """The grid with 0.3 dt inserted after t = 0: no longer uniform, so
+    Model reads it point by point; row 1 is the inserted point."""
+    return np.insert(grid, 1, 0.3 * dt)
+
+
+def _assert_table_matches_direct(model, rho0, grid, dt, read="populations"):
+    """The two-level table of a uniform grid against the per-point exp
+    path at the same times, within 1e-13 of the largest entry."""
+    got = getattr(model, read)(rho0, grid)
+    want = np.delete(getattr(model, read)(rho0, _off_grid(grid, dt)), 1,
+                     axis=0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestUniformGrid:
+    """On a uniform grid Model.populations and states take exp(lam t) from
+    two small tables; any other grid takes it point by point."""
+
+    # the ranges of the sampler's renewal-identity test
+    @settings(max_examples=30, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9),
+           dt_ns=st.floats(0.05, 5.0),
+           n=st.integers(2, 2500),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_parameters(
+            self, log10_b, delta_397_mhz, delta_866_mhz, omega_397_mhz,
+            omega_866_mhz, alpha_397_pi, alpha_866_pi, dt_ns, n, seed):
+        params = get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi)
+        dt = dt_ns * 1e-9
+        grid = default_grid((n - 1) * dt, dt)
+        assert grid.size == n
+        _assert_table_matches_direct(Model(params), _random_state(seed),
+                                     grid, dt)
+
+    # B = ceil(sqrt(n)) = 45 at the default 2001 points
+    @pytest.mark.parametrize("n", [1, 2, 3, 45**2 - 1, 45**2, 45**2 + 1])
+    def test_edge_sizes(self, n, monkeypatch):
+        model, dt = Model(get_preset("weak")), 0.5e-9
+        cos, calls = np.cos, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cos(*args, **kwargs)
+
+        # only the per-point path takes a cos: here the off-grid read, or
+        # at n = 1 the one-point grid, as its off-grid pair is uniform
+        monkeypatch.setattr(np, "cos", counted)
+        _assert_table_matches_direct(model, _random_state(n),
+                                     np.arange(n) * dt, dt)
+        assert len(calls) == 1
+
+    def test_states(self):
+        model, dt = Model(get_preset("strong")), 0.5e-9
+        _assert_table_matches_direct(model, _random_state(7),
+                                     default_grid(1000e-9, dt), dt,
+                                     read="states")
+
+
 class TestSteadyState:
     def test_residual_and_trace(self):
         for name in ("weak", "strong", "spectrum"):

@@ -7,6 +7,8 @@ inside functions.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +36,7 @@ LAYERS = {
 CLICK_ROUTE = ("trajectory", "streams", "correlator")
 MASTER_EQUATION = {"dynamics", "correlations", "fitting"}
 # where scipy may be imported: a module, or module.function
-SCIPY_USERS = {"dynamics", "fitting", "correlations.find_dips"}
+SCIPY_USERS = {"fitting", "correlations.find_dips"}
 
 
 class Import(NamedTuple):
@@ -132,3 +134,30 @@ def test_external_imports_are_stdlib_numpy_or_scipy():
     for name in ("params", "_csvcodec"):
         assert {i.target for i in IMPORTS[name]} - set(
             sys.stdlib_module_names) <= {"numpy"}, name
+
+
+# Run in a fresh interpreter: the test process has scipy loaded already.
+LAZY_FITTING = """
+import sys
+scipy_loaded = lambda: sorted(m for m in sys.modules
+                              if m == "scipy" or m.startswith("scipy."))
+import ionpair.cli
+assert scipy_loaded() == [], scipy_loaded()
+import ionpair
+assert scipy_loaded() == [], scipy_loaded()
+for name in ("DataSet", "FitResult", "fit_g2_joint", "fit_spectrum"):
+    assert getattr(ionpair, name) is getattr(ionpair.fitting, name), name
+assert "scipy.optimize" in sys.modules
+from ionpair import *
+assert fit_g2_joint is ionpair.fitting.fit_g2_joint
+assert sorted(name for name in ionpair.__all__
+              if name not in globals()) == []
+"""
+
+
+def test_no_scipy_until_a_fitting_name_is_used():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_FITTING],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

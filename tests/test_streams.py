@@ -272,6 +272,16 @@ class TestCsvCodec:
             read_stream_csv(path)
         assert where in str(info.value) and "row" not in str(info.value)
 
+    def test_long_tag_cell_is_not_cut_to_a_tag(self, tmp_path):
+        # the tags are parsed at a fixed width; these cells start with a
+        # padded tag that fills it
+        path = tmp_path / "bad.csv"
+        for cells in ("      sigma-XYZW,397", "pi," + " " * 13 + "866 x"):
+            path.write_text(f"timestamp_ps,pol,wavelength\n10,pi,397\n"
+                            f"20,{cells}\n")
+            with pytest.raises(StreamFormatError, match="at line 3"):
+                read_stream_csv(path)
+
     @pytest.mark.parametrize("text", [
         "# channel = x\ntimestamp_ps,pol,wavelength\n10,pi,397\n",
         "# duration_ps = 1e3\ntimestamp_ps,pol,wavelength\n10,pi,397\n",
