@@ -4,9 +4,9 @@ The package models the eight levels of the S1/2, P1/2 and D3/2
 manifolds under two-laser drive, and follows the polarization-resolved
 397 nm fluorescence three ways: master-equation correlation functions,
 steady-state excitation spectra, and Monte Carlo click streams with a
-matching coincidence correlator and fitting layer.  Importing the
-package loads no scipy module; the fitting names, which need
-scipy.optimize, load on first use (PEP 562).
+matching coincidence correlator and fitting layer.  Every module
+imports eagerly and none imports scipy at module scope: only the
+fitting layer's optimizer calls import scipy.optimize, when they run.
 """
 
 __version__ = "0.1.0"
@@ -32,17 +32,7 @@ from .streams import (StreamFormatError, load_stream, read_stream,
 from .correlator import (CorrelatorConfig, Correlogram,
                          conditioned_g2_estimate, correlate,
                          correlate_brute_force)
-
-# the fitting layer loads scipy.optimize; its names load on first use
-_FITTING = ("DataSet", "FitResult", "fit_g2_joint", "fit_spectrum")
-
-
-def __getattr__(name):
-    if name in _FITTING:
-        from . import fitting
-        return getattr(fitting, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
 
 __all__ = [
     "ExperimentParams", "NumericalError", "PRESETS", "TWO_PI",

@@ -37,6 +37,7 @@ from . import atom, correlations as corr
 from .correlator import (CorrelatorConfig, conditioned_g2_estimate, correlate,
                          correlate_brute_force)
 from .dynamics import Model
+from .fitting import DataSet, fit_g2_joint, fit_spectrum
 from .params import (PRESETS, TWO_PI, ExperimentParams, NumericalError,
                      _to_mhz, get_preset)
 from .streams import (StreamFormatError, load_stream, read_stream,
@@ -212,6 +213,12 @@ def cmd_purity(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _load_params(args.params)
+    if args.detect is not None:   # checked before any sampling
+        arm = lambda pol: DetectorChannel(args.detect, pol,
+                                          crosstalk=args.crosstalk,
+                                          dark_rate=args.dark_rate)
+        config = DetectionConfig(channel_1=arm("sigma-"),
+                                 channel_2=arm("sigma+"))
     emissions = simulate_emissions(params, args.duration, args.seed,
                                    max_events=args.max_events)
     print(f"emitted {len(emissions)} photons in "
@@ -221,10 +228,6 @@ def cmd_simulate(args) -> int:
         save_stream(args.output, emissions)
         print(f"wrote {args.output}")
         return 0
-    arm = lambda pol: DetectorChannel(args.detect, pol,
-                                      crosstalk=args.crosstalk,
-                                      dark_rate=args.dark_rate)
-    config = DetectionConfig(channel_1=arm("sigma-"), channel_2=arm("sigma+"))
     with _sized(f"--dark-rate {args.dark_rate:g}/s over "
                 f"{emissions.duration_s:g} s expects "
                 f"{args.dark_rate * emissions.duration_s:g} dark counts "
@@ -270,6 +273,7 @@ def cmd_correlate(args) -> int:
                   "rate_b": f"{gram.rate_b:.10g}",
                   "overlap_s": f"{gram.overlap_s:.10g}",
                   "pol_a": args.pol_a or "any", "pol_b": args.pol_b or "any",
+                  "wavelength": args.wavelength or "any",
                   "flagged": gram.flagged})
         print(f"wrote {args.output}")
     return 0
@@ -278,7 +282,6 @@ def cmd_correlate(args) -> int:
 # -- fit -----------------------------------------------------------------
 
 def _read_fit_table(path, kind, x_unit):
-    from .fitting import DataSet
     try:
         x, columns, meta = corr.read_table_csv(path)
     except (OSError, ValueError) as exc:
@@ -328,7 +331,6 @@ def _report_fit(res, args) -> int:
 
 
 def cmd_fit_spectrum(args) -> int:
-    from .fitting import fit_spectrum
     params = _load_params(args.params)
     data = _read_fit_table(args.data, "spectrum", TWO_PI * 1e6)
     res = fit_spectrum(data, params, free=args.free, scale=args.scale,
@@ -338,7 +340,6 @@ def cmd_fit_spectrum(args) -> int:
 
 
 def cmd_fit_g2(args) -> int:
-    from .fitting import fit_g2_joint
     params = _load_params(args.params)
     kinds = [k.strip() for k in args.kinds.split(",")]
     if len(kinds) != len(args.data):

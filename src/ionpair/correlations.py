@@ -26,7 +26,8 @@ from . import atom
 from ._csvcodec import read_csv, write_csv
 from .atom import P_MINUS, P_PLUS
 from .dynamics import Model
-from .params import ExperimentParams, NumericalError, _check_fields, _quantity
+from .params import (ExperimentParams, NumericalError, _check_fields,
+                     _check_finite, _quantity)
 
 SIGMA_MINUS = "sigma-"
 SIGMA_PLUS = "sigma+"
@@ -300,8 +301,11 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     A point whose fluorescence is non-finite or below -1e-9 is flagged in
     `ok` and carries NaN; if the anchor solve or the eigendecomposition
     fails (no unique steady state, e.g. omega_866 = 0), every point is
-    flagged.  Failures never raise.
+    flagged.  Failures never raise; a non-finite `scale` or `background`
+    is a ValueError before any solve.
     """
+    _check_finite("scale", scale)
+    _check_finite("background", background)
     delta_grid = np.asarray(delta_grid, dtype=float)
     d0 = (params.delta_397 + np.ptp(atom.zeeman_shifts(params.b_field))
           + params.gamma_sp + params.gamma_dp)
@@ -342,14 +346,19 @@ def raman_positions(params: ExperimentParams) -> np.ndarray:
 def find_dips(spectrum: SpectrumCurve, min_prominence: float = 0.1) -> np.ndarray:
     """Detunings (rad/s) of the dark-resonance dips.
 
-    A dip counts when its prominence exceeds min_prominence of the full
-    curve swing.  Shallower ripples occur at two-photon conditions whose
-    S/D pair couples to both P sublevels at once; no trapped dark state
-    exists there and the fluorescence only partially drops.  Positions
-    are refined with a parabola through the minimum and its neighbours.
+    A local minimum is a run of equal values lower than both neighbouring
+    runs, taken at its middle index (rounded down) and never at an edge.
+    Its prominence is how far the curve must rise before it can reach a
+    lower point: walk out from the minimum on each side up to the nearest
+    lower sample (or the edge); the prominence is the lower of the two
+    highest values met, minus the minimum.  This is the prominence of
+    scipy.signal.find_peaks on the negated curve.  A dip counts when its
+    prominence is at least min_prominence of the full curve swing.
+    Shallower ripples occur at two-photon conditions whose S/D pair
+    couples to both P sublevels at once; no trapped dark state exists
+    there and the fluorescence only partially drops.  Positions are
+    refined with a parabola through the minimum and its neighbours.
     """
-    import scipy.signal
-
     v = spectrum.values
     x = spectrum.delta_866
     if np.any(~spectrum.ok):
@@ -357,9 +366,18 @@ def find_dips(spectrum: SpectrumCurve, min_prominence: float = 0.1) -> np.ndarra
     swing = v.max() - v.min()
     if swing <= 0.0:
         return np.array([])
-    idx, _ = scipy.signal.find_peaks(-v, prominence=min_prominence * swing)
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])   # runs
+    run = v[starts]
+    inner = np.flatnonzero((run[1:-1] < run[:-2]) & (run[1:-1] < run[2:])) + 1
     dips = []
-    for i in idx:
+    for i in (starts[inner] + starts[inner + 1] - 1) // 2:
+        lower = np.flatnonzero(v < v[i])
+        k = np.searchsorted(lower, i)
+        lo = lower[k - 1] + 1 if k else 0
+        hi = lower[k] if k < lower.size else v.size
+        if min(v[lo:i].max(), v[i + 1:hi].max()) - v[i] \
+                < min_prominence * swing:
+            continue
         denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
         offset = 0.5 * (v[i - 1] - v[i + 1]) / denom if denom > 0 else 0.0
         dips.append(x[i] + offset * (x[i + 1] - x[i]))

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.optimize
 
 from .correlations import (SIGMA_MINUS, SIGMA_PLUS, ErrorModel,
                            excitation_spectrum, g2_pair, g2_total)
 from .dynamics import Model
-from .params import TWO_PI, ExperimentParams, NumericalError
+from .params import TWO_PI, ExperimentParams, NumericalError, _check_finite
 
 PHYSICS_PARAMS = ("omega_397", "omega_866", "delta_397", "delta_866",
                   "b_field", "alpha_397", "alpha_866")
@@ -173,6 +172,8 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
     otherwise keeps the best start.  Returns its values, chi^2, success
     flag, message and the Jacobian d residual / d parameter.
     """
+    import scipy.optimize
+
     units = np.array([_UNIT[n] for n in names])
     lo, hi = np.array([_BOUNDS[n] for n in names]).T / units
 
@@ -226,6 +227,8 @@ def _solve_affine(y, w, s, a0, b0, fit_a, fit_b):
     the fixed ones held at a0, b0; a degenerate system falls back to
     the initial values.
     """
+    import scipy.optimize
+
     free = np.array([fit_a, fit_b])
     if not free.any():
         return a0, b0
@@ -251,15 +254,17 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
     "delta_866" acts as a calibration offset added to that axis.  When
     "scale" or "background" are free they are profiled out analytically,
     so the optimizer only searches the physics parameters.  `scale` and
-    `background` arguments are the fixed values when not free.  The
-    covariance takes the affine columns of J analytically and the
-    physics columns from one forward difference each.
+    `background` arguments are the fixed values when not free, and must
+    be finite in any case.  The covariance takes the affine columns of J
+    analytically and the physics columns from one forward difference each.
     """
     if _parse_kind(data.kind)[0] != "spectrum":
         raise ValueError(f"fit_spectrum needs a spectrum dataset, "
                          f"got kind {data.kind!r}")
     free = _check_free(free, PHYSICS_PARAMS + AFFINE_PARAMS)
     _check_budget(restarts, maxfev)
+    _check_finite("scale", scale)
+    _check_finite("background", background)
     phys = [n for n in free if n in PHYSICS_PARAMS]
     fit_scale = "scale" in free
     fit_bg = "background" in free

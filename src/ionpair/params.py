@@ -104,15 +104,19 @@ def _quantity(unit: str | None = None, lo: float = -math.inf,
                              **default)
 
 
+def _check_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):   # NaN passes every comparison
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _check_fields(obj) -> None:
     """Each _quantity field of `obj` must be finite and within its range."""
     for f in dataclasses.fields(obj):
         if "range" not in f.metadata:
             continue
-        v = getattr(obj, f.name)
+        v = _check_finite(f.name, getattr(obj, f.name))
         lo, hi = f.metadata["range"]
-        if not math.isfinite(v):   # NaN passes every comparison
-            raise ValueError(f"{f.name} must be finite, got {v}")
         if not lo <= v <= hi:
             raise ValueError(_out_of_range(f.name, (lo, hi), v))
 

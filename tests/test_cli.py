@@ -17,6 +17,7 @@ import ionpair
 from ionpair import cli, correlations as corr, fitting
 from ionpair.cli import _print_fit, main, parse_freq, parse_time, parse_time_ps
 from ionpair.correlations import read_table_csv
+from ionpair.correlator import CorrelatorConfig, correlate
 from ionpair.fitting import (AFFINE_PARAMS, ERROR_PARAMS, PHYSICS_PARAMS,
                              FitResult)
 from ionpair.params import TWO_PI, format_angle, get_preset, parse_angle
@@ -191,8 +192,7 @@ class TestParserReuse:
             seen.append(kwargs["errors"])
             return real(datasets, params, **kwargs)
 
-        # the command looks the fit up when it runs, so this is what it calls
-        monkeypatch.setattr(fitting, "fit_g2_joint", recorded)
+        monkeypatch.setattr(cli, "fit_g2_joint", recorded)
         fit = ["fit", "g2", str(data), "--kinds", "sigma-|sigma-",
                "--free", "omega_397", "--restarts", "1", "--maxfev", "20"]
         assert run(capsys, *fit, "--eps-init", "0.02")[0] == 0
@@ -310,6 +310,35 @@ class TestSimulateAndCorrelate:
                               "--bin", "10ns", "--window", "500ns")
         assert code == 0
         assert "pairs =" in stdout
+
+    def test_wavelength_selects_before_correlating(self, capsys, tmp_path):
+        # a raw stream keeps its 866 events, so both filters select some
+        out = tmp_path / "em.clk"
+        assert run(capsys, "simulate", "--duration", "2ms", "--seed", "4",
+                   "-o", str(out))[0] == 0
+        stream = load_stream(out)
+        config = CorrelatorConfig(bin_width_ps=10_000, window_ps=500_000)
+        totals = {}
+        for wavelength in ("397", "866"):
+            csv_out = tmp_path / f"c{wavelength}.csv"
+            code, stdout, _ = run(capsys, "correlate", str(out),
+                                  "--wavelength", wavelength,
+                                  "--bin", "10ns", "--window", "500ns",
+                                  "-o", str(csv_out))
+            assert code == 0
+            pairs = int(re.search(r"pairs = (\d+),", stdout).group(1))
+            want = correlate(stream.select(wavelength=wavelength),
+                             None, config).total_pairs
+            assert pairs == want > 0
+            assert read_table_csv(csv_out)[2]["wavelength"] == wavelength
+            totals[wavelength] = pairs
+        csv_out = tmp_path / "c.csv"
+        code, stdout, _ = run(capsys, "correlate", str(out), "--bin", "10ns",
+                              "--window", "500ns", "-o", str(csv_out))
+        assert code == 0
+        assert read_table_csv(csv_out)[2]["wavelength"] == "any"
+        assert int(re.search(r"pairs = (\d+),", stdout).group(1)) \
+            > max(totals.values())
 
     def test_header_records_overlap_and_polarizations(self, capsys,
                                                       tmp_path):
@@ -685,14 +714,51 @@ class TestExitCodes:
         ("--dark-rate", "inf", "dark_rate must be finite"),
         ("--crosstalk", "nan", "crosstalk must be finite"),
         ("--detect", "1.5", "efficiency must lie in [0, 1]"),
+        ("--detect", "nan", "efficiency must be finite"),
+        ("--crosstalk", "2", "crosstalk must lie in [0, 1]"),
     ])
     def test_bad_detector_setting_names_the_field(self, capsys, tmp_path,
                                                   flag, value, field):
+        # checked before the sampler runs, so nothing is emitted
         out = tmp_path / "x.clk"
-        code, _, err = run(capsys, "simulate", "--duration", "10us",
-                           "--detect", "0.5", flag, value, "-o", str(out))
+        code, stdout, err = run(capsys, "simulate", "--duration", "10us",
+                                "--detect", "0.5", flag, value,
+                                "-o", str(out))
         assert code == 1 and field in err
+        assert "emitted" not in stdout
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--scale", "nan"],
+        ["spectrum", "--background", "inf", "--dips"],
+        ["spectrum", "--scale", "inf", "--dips"],
+    ])
+    def test_non_finite_spectrum_scale_or_background(self, capsys, tmp_path,
+                                                     argv):
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(capsys, *argv, "--points", "21",
+                                "-o", str(out))
+        name = argv[1][2:]
+        assert code == 1
+        assert err == f"error: {name} must be finite, got {argv[2]}\n"
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("free, option, value", [
+        ("omega_866", "--scale", "nan"),
+        ("omega_866,scale", "--background", "nan"),
+        ("scale,background", "--scale", "inf"),
+    ])
+    def test_non_finite_fit_scale_or_background(self, capsys, tmp_path,
+                                                free, option, value):
+        spec, saved = tmp_path / "spec.csv", tmp_path / "fit.json"
+        run(capsys, "spectrum", "--params", "spectrum", "--points", "21",
+            "-o", str(spec))
+        code, stdout, err = run(capsys, "fit", "spectrum", str(spec),
+                                "--params", "spectrum", "--free", free,
+                                option, value, "--save-params", str(saved))
+        assert code == 1
+        assert err == f"error: {option[2:]} must be finite, got {value}\n"
+        assert stdout == "" and not saved.exists()
 
     def test_dark_rate_beyond_the_timestamps(self, capsys, tmp_path):
         # the expected dark count is checked before numpy's Poisson draw,

@@ -627,6 +627,92 @@ class TestSpectrum:
     def test_all_points_ok_on_default_grid(self, spectrum):
         assert spectrum.ok.all()
 
+    @pytest.mark.parametrize("name, value", [
+        ("scale", math.nan), ("scale", math.inf),
+        ("background", math.nan), ("background", -math.inf)])
+    def test_non_finite_scale_or_background_is_rejected_before_any_solve(
+            self, monkeypatch, name, value):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the model was solved")
+
+        monkeypatch.setattr(C, "Model", unreachable)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            C.excitation_spectrum(get_preset("spectrum"),
+                                  C.default_spectrum_grid(points=5),
+                                  **{name: value})
+
+    @pytest.mark.parametrize("params", [
+        get_preset("weak"), get_preset("spectrum"),
+        get_preset("spectrum").replace(omega_866=0.0)])
+    @pytest.mark.parametrize("scale, background", [
+        (1.0, 0.0), (2.5e6, 7.0), (0.0, -3.0), (-1e3, 1e-300)])
+    def test_ok_is_exactly_the_finite_values(self, params, scale, background):
+        curve = C.excitation_spectrum(params, C.default_spectrum_grid(
+            points=41), scale=scale, background=background)
+        np.testing.assert_array_equal(curve.ok, np.isfinite(curve.values))
+
+
+def _scipy_dips(spectrum, min_prominence):
+    """Oracle: find_dips as it read on scipy.signal.find_peaks."""
+    import scipy.signal
+
+    v, x = spectrum.values, spectrum.delta_866
+    swing = v.max() - v.min()
+    if swing <= 0.0:
+        return np.array([])
+    idx, _ = scipy.signal.find_peaks(-v, prominence=min_prominence * swing)
+    dips = []
+    for i in idx:
+        denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
+        offset = 0.5 * (v[i - 1] - v[i + 1]) / denom if denom > 0 else 0.0
+        dips.append(x[i] + offset * (x[i + 1] - x[i]))
+    return np.array(dips)
+
+
+def _curve(values):
+    v = np.asarray(values, dtype=float)
+    return C.SpectrumCurve(delta_866=0.5 * np.arange(v.size) - 3.0,
+                           values=v, ok=np.ones(v.size, dtype=bool))
+
+
+class TestFindDips:
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.one_of(
+        # few levels: plateaus, and equal values far apart
+        st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        st.lists(st.integers(-1, 1), min_size=1, max_size=80).map(np.cumsum),
+        st.lists(st.floats(-1.0, 1.0), min_size=1,
+                 max_size=300).map(np.cumsum)),
+        min_prominence=st.sampled_from([0.0, 0.05, 0.1, 0.3]))
+    def test_matches_scipy_find_peaks(self, values, min_prominence):
+        curve = _curve(values)
+        np.testing.assert_array_equal(
+            C.find_dips(curve, min_prominence),
+            _scipy_dips(curve, min_prominence))
+
+    def test_matches_scipy_on_the_presets(self):
+        for name in ("weak", "strong", "spectrum"):
+            curve = C.excitation_spectrum(get_preset(name),
+                                          C.default_spectrum_grid())
+            for min_prominence in (0.0, 0.05, 0.1, 0.3):
+                np.testing.assert_array_equal(
+                    C.find_dips(curve, min_prominence),
+                    _scipy_dips(curve, min_prominence))
+
+    def test_prominence_by_hand(self):
+        # minima at 1 (rises to 2 before the lower 0: prominence 1) and
+        # at 3 (rises to 3 on the left, 4 on the right: prominence 3);
+        # the swing is 4, so 0.3 keeps only the second
+        curve = _curve([3.0, 1.0, 2.0, 0.0, 4.0])
+        x = curve.delta_866
+        assert C.find_dips(curve, 0.25).size == 2
+        assert C.find_dips(curve, 0.3) == pytest.approx(
+            [x[3] + 0.5 * (2.0 - 4.0) / 6.0 * (x[4] - x[3])])
+
+    def test_plateau_counts_once_at_its_middle(self):
+        curve = _curve([2.0, 0.0, 0.0, 0.0, 0.0, 2.0])
+        assert list(C.find_dips(curve, 0.3)) == [curve.delta_866[2]]
+
 
 def _per_row_csv(path, x, columns, x_label, meta=None):
     """Oracle: the cell-by-cell csv.writer table that write_table_csv's

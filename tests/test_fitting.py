@@ -201,6 +201,24 @@ class TestFitSpectrum:
         with pytest.raises(ValueError):
             fit_spectrum(data, truth, free=("scale", "scale"))
 
+    @pytest.mark.parametrize("free, bad", [
+        (("omega_866",), {"scale": math.nan}),
+        (("omega_866",), {"background": math.inf}),
+        (("omega_866", "scale"), {"background": math.nan}),
+        (("scale", "background"), {"scale": -math.inf}),
+    ])
+    def test_non_finite_affine_value_is_rejected_before_any_solve(
+            self, spectrum_truth, monkeypatch, free, bad):
+        truth, data, _, _ = spectrum_truth
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the model was solved")
+
+        monkeypatch.setattr(fitting, "excitation_spectrum", unreachable)
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fit_spectrum(data, truth, free=free, **bad)
+
 
 @pytest.fixture(scope="module")
 def g2_truth():

@@ -35,8 +35,9 @@ LAYERS = {
 }
 CLICK_ROUTE = ("trajectory", "streams", "correlator")
 MASTER_EQUATION = {"dynamics", "correlations", "fitting"}
-# where scipy may be imported: a module, or module.function
-SCIPY_USERS = {"fitting", "correlations.find_dips"}
+# the only scopes that import scipy: functions, never a module, so no
+# import of the package loads scipy
+SCIPY_USERS = {"fitting._minimize", "fitting._solve_affine"}
 
 
 class Import(NamedTuple):
@@ -89,8 +90,8 @@ def test_every_module_has_a_layer():
 
 
 def test_reader_sees_function_level_imports():
-    assert Import("correlations.find_dips", "scipy", False, ()) \
-        in IMPORTS["correlations"]
+    assert Import("fitting._minimize", "scipy", False, ()) \
+        in IMPORTS["fitting"]
 
 
 @pytest.mark.parametrize(
@@ -122,7 +123,7 @@ def test_private_names_come_only_from_params():
 def test_scipy_only_where_declared():
     users = {i.scope for imports in IMPORTS.values() for i in imports
              if not i.internal and i.target == "scipy"}
-    assert users <= SCIPY_USERS, sorted(users - SCIPY_USERS)
+    assert users == SCIPY_USERS, sorted(users ^ SCIPY_USERS)
 
 
 def test_external_imports_are_stdlib_numpy_or_scipy():
@@ -137,7 +138,7 @@ def test_external_imports_are_stdlib_numpy_or_scipy():
 
 
 # Run in a fresh interpreter: the test process has scipy loaded already.
-LAZY_FITTING = """
+NO_SCIPY_UNTIL_A_FIT = """
 import sys
 scipy_loaded = lambda: sorted(m for m in sys.modules
                               if m == "scipy" or m.startswith("scipy."))
@@ -145,8 +146,18 @@ import ionpair.cli
 assert scipy_loaded() == [], scipy_loaded()
 import ionpair
 assert scipy_loaded() == [], scipy_loaded()
-for name in ("DataSet", "FitResult", "fit_g2_joint", "fit_spectrum"):
+names = ("DataSet", "FitResult", "fit_g2_joint", "fit_spectrum")
+assert set(names) <= set(dir(ionpair)), sorted(set(names) - set(dir(ionpair)))
+for name in names:
     assert getattr(ionpair, name) is getattr(ionpair.fitting, name), name
+assert scipy_loaded() == [], scipy_loaded()
+assert ionpair.cli.main(["spectrum", "--params", "spectrum", "--points",
+                         "101", "--dips"]) == 0
+assert scipy_loaded() == [], scipy_loaded()
+truth = ionpair.get_preset("weak")
+curve = ionpair.g2_total(truth, ionpair.default_grid(40e-9, 2e-9))
+ionpair.fit_g2_joint(ionpair.DataSet("total", curve.tau, curve.values),
+                     truth, free=("omega_397",), restarts=1, maxfev=3)
 assert "scipy.optimize" in sys.modules
 from ionpair import *
 assert fit_g2_joint is ionpair.fitting.fit_g2_joint
@@ -158,6 +169,6 @@ assert sorted(name for name in ionpair.__all__
 def test_no_scipy_until_a_fitting_name_is_used():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", LAZY_FITTING],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_UNTIL_A_FIT],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
