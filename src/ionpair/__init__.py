@@ -29,8 +29,7 @@ from .trajectory import (ClickStream, DetectionConfig, DetectorChannel,
                          detect, simulate_emissions)
 from .streams import (StreamFormatError, load_stream, read_stream,
                       save_stream, write_stream)
-from .correlator import (CorrelatorConfig, Correlogram,
-                         conditioned_g2_estimate, correlate,
+from .correlator import (CorrelatorConfig, Correlogram, correlate,
                          correlate_brute_force)
 from .fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
 
@@ -50,7 +49,6 @@ __all__ = [
     "simulate_emissions",
     "StreamFormatError", "load_stream", "read_stream", "save_stream",
     "write_stream",
-    "CorrelatorConfig", "Correlogram", "conditioned_g2_estimate",
-    "correlate", "correlate_brute_force",
+    "CorrelatorConfig", "Correlogram", "correlate", "correlate_brute_force",
     "DataSet", "FitResult", "fit_g2_joint", "fit_spectrum",
 ]

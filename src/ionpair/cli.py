@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atom, correlations as corr
-from .correlator import (CorrelatorConfig, conditioned_g2_estimate, correlate,
-                         correlate_brute_force)
+from .correlator import CorrelatorConfig, correlate, correlate_brute_force
 from .dynamics import Model
 from .fitting import DataSet, fit_g2_joint, fit_spectrum
 from .params import (PRESETS, TWO_PI, ExperimentParams, NumericalError,
@@ -64,8 +63,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # accept unit-suffixed negatives such as "--lo -10MHz" as values
-        self._negative_number_matcher = re.compile(r"^-\d+|^-\.\d|^-\d*\.\d")
+        # accept unit-suffixed negatives such as "--lo -10MHz" and the
+        # non-finite "-inf"/"-nan" as values, which the checks then judge
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
 
 def _finite(text: str, value: float) -> float:
@@ -250,12 +251,11 @@ def cmd_correlate(args) -> int:
                if p is not None]
     if args.wavelength:
         streams = [s.select(wavelength=args.wavelength) for s in streams]
-    # one object without stream_b: self pairs get removed
-    stream_a, stream_b = streams[0], streams[-1]
     with _sized(f"--window {args.window} ps at --bin {args.bin} ps needs a "
                 f"histogram of {config.n_bins} bins"):
-        gram = conditioned_g2_estimate(stream_a, stream_b, config,
-                                       pol_1=args.pol_a, pol_2=args.pol_b)
+        # without stream_b both sides are one object: no self pairs
+        gram = correlate(streams[0], streams[-1], config,
+                         pol_a=args.pol_a, pol_b=args.pol_b)
     if gram.flagged:
         print("warning: a stream is empty inside the overlap, "
               "values are unnormalized", file=sys.stderr)

@@ -11,7 +11,13 @@ arithmetic throughout.
 
 Normalization divides each bin by rate_a * rate_b * T * bin_width, the
 expectation for uncorrelated streams, turning the histogram into a g2
-estimate.  For autocorrelation the N zero-delay self-pairs are removed.
+estimate.
+
+Self pairs: when both sides come from one recording (b is None or a
+itself), no click pairs with itself, whatever the polarization
+filters; the clicks that pass both filters are taken out of the
+zero-delay bin and the pair total.  With two recordings every pair
+counts.
 """
 
 from __future__ import annotations
@@ -70,8 +76,14 @@ class Correlogram:
 
 
 def correlate(a: ClickStream, b: ClickStream | None = None,
-              config: CorrelatorConfig | None = None) -> Correlogram:
+              config: CorrelatorConfig | None = None,
+              pol_a: str | None = None,
+              pol_b: str | None = None) -> Correlogram:
     """Histogram of delays t_b - t_a; b = None autocorrelates a.
+
+    pol_a and pol_b keep only the clicks of that polarization on each
+    side (None keeps all), so positive delays put a pol_b click after a
+    pol_a click: the conditioned g2 that analyzers measure in hardware.
 
     Costs O((N_a + N_b) log N_b + pairs) work and O(N_a) scratch memory,
     in one pass per offset up to the longest slice of b in the window.
@@ -81,6 +93,10 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
     same = b is None or b is a
     if same:
         b = a
+    if pol_a:
+        a = a.select(pol=pol_a)
+    if pol_b:
+        b = b.select(pol=pol_b)
     ts_a = a.timestamps_ps
     ts_b = b.timestamps_ps
     window = config.window_ps
@@ -108,9 +124,10 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
         idx = idx[lo[idx] + j < hi[idx]]
 
     if same:
-        # remove the N zero-delay self pairs
-        counts[window // width] -= ts_a.size
-        total -= ts_a.size
+        # remove the zero-delay self pairs of the clicks on both sides
+        n_self = len(a.select(pol=pol_b)) if pol_b else len(a)
+        counts[window // width] -= n_self
+        total -= n_self
 
     flagged = rate_a <= 0.0 or rate_b <= 0.0
     if flagged:
@@ -148,23 +165,3 @@ def correlate_brute_force(a: ClickStream, b: ClickStream | None = None,
             tau = tau[tau != 0]
         np.add.at(counts, (tau + window) // width, 1)
     return counts
-
-
-def conditioned_g2_estimate(stream_1: ClickStream, stream_2: ClickStream,
-                            config: CorrelatorConfig | None = None,
-                            pol_1: str | None = None,
-                            pol_2: str | None = None) -> Correlogram:
-    """Cross-correlogram between two polarization-filtered streams.
-
-    Positive delays: a pol_2 photon at tau after a pol_1 photon.  With
-    pol filters applied on the raw streams this estimates the
-    conditioned g2 measured in hardware by analyzers.  Passing the same
-    stream twice with the same filter is treated as autocorrelation
-    (self-pairs removed).
-    """
-    s1 = stream_1.select(pol=pol_1) if pol_1 else stream_1
-    if stream_1 is stream_2 and pol_1 == pol_2:
-        s2 = None
-    else:
-        s2 = stream_2.select(pol=pol_2) if pol_2 else stream_2
-    return correlate(s1, s2, config)

@@ -196,21 +196,17 @@ class Model:
             # keeps a small |lam t| free of cancellation
             f = np.expm1(np.outer(grid, lam)) / np.where(lam == 0.0, 1.0, lam)
             f[:, lam == 0.0] = grid[:, None]
-            f_re, f_im = f.real, f.imag
         elif grid.size > 1 and np.array_equal(
                 grid, np.arange(grid.size) * grid[1]):
             # exp(lam (jB + i) dt) = exp(lam jB dt) exp(lam i dt)
             block = math.isqrt(grid.size - 1) + 1
             f = (np.exp(np.outer(grid[::block], lam))[:, None]
-                 * np.exp(np.outer(grid[:block], lam))).reshape(-1, lam.size)
-            f_re, f_im = f[:grid.size].real, f[:grid.size].imag
+                 * np.exp(np.outer(grid[:block], lam))).reshape(
+                     -1, lam.size)[:grid.size]
         else:
-            # exp(lam t) in real arithmetic: cheaper than a complex exp
-            decay = np.exp(np.outer(grid, lam.real))
-            phase = np.outer(grid, lam.imag)
-            f_re, f_im = decay * np.cos(phase), decay * np.sin(phase)
+            f = np.exp(np.outer(grid, lam))
         w = coef[:, None] * vec[:rows].T
-        x = f_re @ w.real - f_im @ w.imag
+        x = f.real @ w.real - f.imag @ w.imag
         if not cumulative:
             x[0] = (_UH[:rows] @ np.ravel(rho0)).real
         traces = x[:, :N_LEVELS].sum(axis=1)

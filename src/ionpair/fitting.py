@@ -167,10 +167,11 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
     seeded restarts (starts are clipped into the bounds).
 
     `residuals` maps a dict of parameter values to the residual vector;
-    a NumericalError counts as `size` residuals of _FAILED.  Stops early
-    once chi^2 <= dof + sqrt(2 dof) (a statistically perfect fit);
-    otherwise keeps the best start.  Returns its values, chi^2, success
-    flag, message and the Jacobian d residual / d parameter.
+    a NumericalError counts as `size` residuals of _FAILED, and is raised
+    again when the best start ends on such a point.  Stops early once
+    chi^2 <= dof + sqrt(2 dof) (a statistically perfect fit); otherwise
+    keeps the best start.  Returns its values, chi^2, success flag,
+    message and the Jacobian d residual / d parameter.
     """
     import scipy.optimize
 
@@ -180,10 +181,13 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
     def to_vals(t) -> dict:
         return {n: _clip(n, v) for n, v in zip(names, t * units)}
 
+    failed = {}   # error per point whose model could not be solved
+
     def fun(t):
         try:
             return residuals(to_vals(t))
-        except NumericalError:
+        except NumericalError as exc:
+            failed[t.tobytes()] = exc
             return np.full(size, _FAILED)
 
     target = dof + math.sqrt(2.0 * max(dof, 1))
@@ -202,6 +206,8 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
             best = res
         if 2.0 * best.cost <= target:
             break
+    if best.x.tobytes() in failed:
+        raise failed[best.x.tobytes()]
     return to_vals(best.x), 2.0 * best.cost, bool(best.success), \
         str(best.message), best.jac / units
 

@@ -17,7 +17,8 @@ import ionpair
 from ionpair import cli, correlations as corr, fitting
 from ionpair.cli import _print_fit, main, parse_freq, parse_time, parse_time_ps
 from ionpair.correlations import read_table_csv
-from ionpair.correlator import CorrelatorConfig, correlate
+from ionpair.correlator import (CorrelatorConfig, correlate,
+                                correlate_brute_force)
 from ionpair.fitting import (AFFINE_PARAMS, ERROR_PARAMS, PHYSICS_PARAMS,
                              FitResult)
 from ionpair.params import TWO_PI, format_angle, get_preset, parse_angle
@@ -311,6 +312,32 @@ class TestSimulateAndCorrelate:
         assert code == 0
         assert "pairs =" in stdout
 
+    @pytest.mark.parametrize("side", ["--pol-a", "--pol-b"])
+    def test_one_sided_filter_drops_self_pairs(self, capsys, tmp_path, side):
+        # one file: a sigma- click must not pair with itself even when
+        # only one side is filtered; the oracle is brute force on the two
+        # selections minus the clicks they share
+        out, csv_out = tmp_path / "em.bin", tmp_path / "c.csv"
+        assert run(capsys, "simulate", "--params", "weak", "--duration",
+                   "1ms", "--seed", "3", "-o", str(out))[0] == 0
+        code, stdout, _ = run(capsys, "correlate", str(out), "--bin", "1ns",
+                              "--window", "4ns", side, "sigma-",
+                              "-o", str(csv_out))
+        assert code == 0
+        stream = load_stream(out)
+        picked = stream.select(pol="sigma-")
+        sides = (stream, picked) if side == "--pol-b" else (picked, stream)
+        config = CorrelatorConfig(bin_width_ps=1000, window_ps=4000)
+        want = correlate_brute_force(*sides, config)
+        zero = config.window_ps // config.bin_width_ps
+        want[zero] -= len(picked)
+        x, cols, meta = read_table_csv(csv_out)
+        assert x[zero] == 0.5 and len(picked) > 100
+        assert cols["counts"][zero] == want[zero]
+        assert np.array_equal(cols["counts"], want)
+        assert int(meta["total_pairs"]) == want.sum()
+        assert f"pairs = {want.sum()}," in stdout
+
     def test_wavelength_selects_before_correlating(self, capsys, tmp_path):
         # a raw stream keeps its 866 events, so both filters select some
         out = tmp_path / "em.clk"
@@ -487,6 +514,23 @@ class TestFitCommand:
         assert "'total'" in err
         assert "sigma-|sigma-, sigma-|sigma+" in err
 
+    def test_g2_fit_without_a_covariance_prints_no_sigma(self, capsys,
+                                                         tmp_path):
+        # eps_plus acts on sigma+ second photons only: a lone
+        # sigma-|sigma- curve leaves its Jacobian column zero, so J^T J
+        # is singular and no parameter gets a +- uncertainty
+        data = tmp_path / "g.csv"
+        run(capsys, "g2", "--second", "sigma-", "--t-max", "200ns",
+            "--dt", "2ns", "-o", str(data))
+        fit = ["fit", "g2", str(data), "--kinds", "sigma-|sigma-",
+               "--restarts", "1"]
+        code, stdout, _ = run(capsys, *fit, "--free", "omega_397")
+        assert code == 0 and "omega_397 = " in stdout and "+-" in stdout
+        code, stdout, _ = run(capsys, *fit, "--free", "omega_397,eps_plus")
+        assert code == 0
+        assert "omega_397 = " in stdout and "eps_plus = " in stdout
+        assert "+-" not in stdout
+
     @pytest.mark.parametrize("extra", [
         ["--eps-init", "0.3"], ["--eps-minus", "0.1"], ["--eps-plus", "0.1"],
         ["--kinds", "sigma-|sigma-"], ["second.csv"]])
@@ -547,6 +591,61 @@ class TestExitCodes:
                            "--t-max", "100ns", "--dt", "1ns")
         assert code == 3
         assert "numerical" in err
+
+    def test_fit_that_never_solves_its_model(self, capsys, tmp_path):
+        # every model evaluation at B = 0 fails: no "converged" line and
+        # no saved parameters
+        data, p0, out = (tmp_path / n for n in ("g.csv", "b0.json",
+                                                "out.json"))
+        assert run(capsys, "g2", "--t-max", "400ns", "--dt", "2ns",
+                   "-o", str(data))[0] == 0
+        get_preset("weak").replace(b_field=0.0).save(p0)
+        code, stdout, err = run(capsys, "fit", "g2", str(data), "--params",
+                                str(p0), "--kinds", "sigma-|sigma-",
+                                "--free", "omega_397,b_field",
+                                "--restarts", "1", "--save-params", str(out))
+        assert code == 3
+        assert "numerical failure" in err
+        assert "converged" not in stdout
+        assert not out.exists()
+
+    def test_failed_selftest_check_exits_4(self, capsys, monkeypatch):
+        def wrong(a, b, config):
+            return np.zeros(config.n_bins, dtype=np.int64)
+
+        monkeypatch.setattr(cli, "correlate_brute_force", wrong)
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 4
+        assert "FAIL - fast correlator equals brute force" in stdout
+        assert "1 check(s) failed" in stdout
+        assert stdout.count("ok   - ") == len(cli._selftest_checks()) - 1
+
+    def test_correlate_of_an_empty_selection_warns(self, capsys, tmp_path):
+        # a detector arm keeps 397 nm light only
+        out = tmp_path / "run.bin"
+        assert run(capsys, "simulate", "--duration", "1ms", "--seed", "3",
+                   "--detect", "0.5", "-o", str(out))[0] == 0
+        code, stdout, err = run(capsys, "correlate",
+                                str(tmp_path / "run-1.bin"),
+                                "--wavelength", "866", "--bin", "10ns",
+                                "--window", "500ns")
+        assert code == 0
+        assert "warning: a stream is empty inside the overlap" in err
+        assert stdout.startswith("pairs = 0, rate_a = 0.0000e+00 /s")
+
+    def test_non_increasing_binary_stream_names_the_file(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "bad.bin"
+        events = np.zeros(3, dtype=[("ts", "<u8"), ("pol", "u1"),
+                                    ("wl", "u1")])
+        events["ts"] = [10, 30, 20]
+        path.write_bytes(b"IONCLK1" + np.array([0], "<u4").tobytes()
+                         + np.array([3, 100], "<u8").tobytes()
+                         + events.tobytes())
+        code, _, err = run(capsys, "correlate", str(path))
+        assert code == 2
+        assert err == f"error: {path}: timestamps must be strictly " \
+                      "increasing\n"
 
     def test_nan_parameter_file_is_malformed_input(self, capsys, tmp_path):
         # json reads a bare NaN; it must fail as a bad file, not as a
@@ -741,6 +840,22 @@ class TestExitCodes:
         name = argv[1][2:]
         assert code == 1
         assert err == f"error: {name} must be finite, got {argv[2]}\n"
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--scale", "-inf"], "scale must be finite, got -inf"),
+        (["spectrum", "--background", "-nan"],
+         "background must be finite, got nan"),
+        (["g2", "--eps-init", "-inf"], "eps_init must be finite, got -inf"),
+    ])
+    def test_negative_non_finite_value_reaches_the_check(self, capsys,
+                                                         tmp_path, argv,
+                                                         message):
+        # "-inf" is an option value, not an unknown option
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(capsys, *argv, "-o", str(out))
+        assert code == 1
+        assert err == f"error: {message}\n"
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("free, option, value", [

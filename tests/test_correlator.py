@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionpair.correlator import (CorrelatorConfig, conditioned_g2_estimate,
-                                correlate, correlate_brute_force)
+from ionpair.correlator import (CorrelatorConfig, correlate,
+                                correlate_brute_force)
 from ionpair.trajectory import ClickStream
 
 
@@ -107,15 +107,29 @@ def _stream(ts, pol):
                        np.zeros(n), duration_ps=int(ts[-1]) + 1 if n else 1)
 
 
+def _self_pair_oracle(a, b, cfg, pol_a, pol_b):
+    """Counts of one recording a (b None or a itself) or of two, by brute
+    force on the two selections; on one recording the clicks the two
+    selections share leave the zero-delay bin."""
+    sel_a = a.select(pol=pol_a)
+    sel_b = (a if b is None else b).select(pol=pol_b)
+    counts = correlate_brute_force(sel_a, sel_b, cfg)
+    if b is None or b is a:
+        shared = np.intersect1d(sel_a.timestamps_ps, sel_b.timestamps_ps)
+        counts[cfg.window_ps // cfg.bin_width_ps] -= shared.size
+    return counts
+
+
 class TestProperties:
-    @settings(max_examples=200, database=None)
+    @settings(max_examples=300, database=None)
     @given(data=st.data(), width=st.integers(1, 50),
            n_half=st.integers(1, 20),
            mode=st.sampled_from(["auto", "same object", "cross"]),
            pol=st.lists(st.integers(0, 2), min_size=1, max_size=7),
-           pol_filter=st.sampled_from([None, "sigma-", "pi", "sigma+"]))
+           pol_a=st.sampled_from([None, "sigma-", "pi", "sigma+"]),
+           pol_b=st.sampled_from([None, "sigma-", "pi", "sigma+"]))
     def test_matches_brute_force(self, data, width, n_half, mode, pol,
-                                 pol_filter):
+                                 pol_a, pol_b):
         cfg = CorrelatorConfig(bin_width_ps=width, window_ps=width * n_half)
         ts_a = data.draw(_timestamps(cfg.window_ps))
         a = _stream(ts_a, pol)
@@ -129,13 +143,13 @@ class TestProperties:
         assert got.total_pairs == int(want.sum())
         assert got.meta["auto"] is (mode != "cross")
 
-        # same stream, same filter: autocorrelation of the selection
-        got = conditioned_g2_estimate(a, a, cfg, pol_filter, pol_filter)
-        selected = a.select(pol=pol_filter) if pol_filter else a
-        want = correlate_brute_force(selected, None, cfg)
-        assert got.meta["auto"] is True
+        # any two filters: on one recording no click pairs with itself,
+        # on two (sharing some stamps) every pair counts
+        got = correlate(a, b, cfg, pol_a=pol_a, pol_b=pol_b)
+        want = _self_pair_oracle(a, b, cfg, pol_a, pol_b)
         assert np.array_equal(got.counts, want)
         assert got.total_pairs == int(want.sum())
+        assert got.meta["auto"] is (mode != "cross")
 
 
 class TestAnalyticCases:
@@ -234,8 +248,7 @@ class TestConditionedEstimate:
         s1 = stream_from_gaps(rng, 4000, 10_000, channel=1)
         s2 = stream_from_gaps(rng, 4000, 10_000, channel=2)
         cfg = CorrelatorConfig(bin_width_ps=500, window_ps=10_000)
-        got = conditioned_g2_estimate(s1, s2, cfg, pol_1="sigma-",
-                                      pol_2="sigma+")
+        got = correlate(s1, s2, cfg, pol_a="sigma-", pol_b="sigma+")
         want = correlate(s1.select(pol="sigma-"), s2.select(pol="sigma+"),
                          cfg)
         assert np.array_equal(got.counts, want.counts)
@@ -244,7 +257,7 @@ class TestConditionedEstimate:
         rng = np.random.default_rng(22)
         s = stream_from_gaps(rng, 4000, 10_000)
         cfg = CorrelatorConfig(bin_width_ps=500, window_ps=10_000)
-        got = conditioned_g2_estimate(s, s, cfg, pol_1="pi", pol_2="pi")
+        got = correlate(s, s, cfg, pol_a="pi", pol_b="pi")
         want = correlate(s.select(pol="pi"), None, cfg)
         assert got.meta["auto"] is True
         assert np.array_equal(got.counts, want.counts)

@@ -365,18 +365,22 @@ class TestUniformGrid:
     @pytest.mark.parametrize("n", [1, 2, 3, 45**2 - 1, 45**2, 45**2 + 1])
     def test_edge_sizes(self, n, monkeypatch):
         model, dt = Model(get_preset("weak")), 0.5e-9
-        cos, calls = np.cos, []
+        exp, rows = np.exp, []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cos(*args, **kwargs)
+        def counted(arg, *args, **kwargs):
+            rows.append(len(arg))
+            return exp(arg, *args, **kwargs)
 
-        # only the per-point path takes a cos: here the off-grid read, or
-        # at n = 1 the one-point grid, as its off-grid pair is uniform
-        monkeypatch.setattr(np, "cos", counted)
+        def tables(size):   # row counts of a uniform grid's two tables
+            block = math.isqrt(size - 1) + 1
+            return [-(-size // block), block]
+
+        # one per-point exp, over every point of the off-grid read, or at
+        # n = 1 over the one-point grid, as its off-grid pair is uniform
+        monkeypatch.setattr(np, "exp", counted)
         _assert_table_matches_direct(model, _random_state(n),
                                      np.arange(n) * dt, dt)
-        assert len(calls) == 1
+        assert rows == ([1] + tables(2) if n == 1 else tables(n) + [n + 1])
 
     def test_states(self):
         model, dt = Model(get_preset("strong")), 0.5e-9

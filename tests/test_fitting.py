@@ -8,7 +8,7 @@ import pytest
 from ionpair import fitting
 from ionpair.correlations import ErrorModel, excitation_spectrum, g2_pair
 from ionpair.fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
-from ionpair.params import TWO_PI, get_preset
+from ionpair.params import TWO_PI, NumericalError, get_preset
 
 
 class TestDataSet:
@@ -305,6 +305,15 @@ class TestFitG2Joint:
             restarts=1, maxfev=200, seed=1)
         assert res.params["omega_397"] == pytest.approx(truth.omega_397,
                                                         rel=0.02)
+
+    def test_fit_that_never_solves_its_model_raises(self, g2_truth):
+        # B = 0 is a dark-state trap: every evaluation fails, the penalty
+        # residuals have a zero Jacobian, and least_squares would call
+        # the start an optimum
+        truth, sets = g2_truth
+        with pytest.raises(NumericalError, match="stationary state"):
+            fit_g2_joint(sets[:1], truth.replace(b_field=0.0),
+                         free=("omega_397", "b_field"), restarts=1)
 
     def test_rejects_bad_input(self, g2_truth):
         truth, sets = g2_truth
