@@ -220,18 +220,24 @@ def purity_curve(params: ExperimentParams | Model,
     """Ratio of integrated sigma- to sigma+ correlations versus window
     length, p(T) = int_0^T g2(sigma-|sigma-) / int_0^T g2(sigma-|sigma+),
     exact at each T of the grid (default_grid() if None); `errors` as
-    in g2_pair.  Returns (grid[1:], p): the ratio is undefined at T = 0.
+    in g2_pair.  Returns (grid[1:], p): the ratio is undefined at T = 0,
+    and NaN where round-off leaves either integral non-positive (a few ps).
     """
     grid, _, im, ip = _feeding(_model(params), grid, SIGMA_MINUS, errors,
                                cumulative=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return grid[1:].copy(), im[1:] / ip[1:]
+        p = np.where((im > 0) & (ip > 0), im / ip, np.nan)
+    return grid[1:].copy(), p[1:]
 
 
 def purity(params: ExperimentParams | Model, t_window: float,
            errors: ErrorModel = ErrorModel()) -> float:
-    """p(T) of purity_curve for one coincidence window length T > 0."""
-    return float(purity_curve(params, _window(t_window), errors)[1][0])
+    """p(T) of purity_curve for one coincidence window length T > 0;
+    NumericalError where that is NaN."""
+    p = float(purity_curve(params, _window(t_window), errors)[1][0])
+    if math.isnan(p):
+        raise NumericalError(f"purity over {t_window} s is lost in round-off")
+    return p
 
 
 def pair_probability(p: float) -> float:

@@ -44,7 +44,7 @@ _UNIT = {n: TWO_PI * 1e6 if m["unit"] == "mhz" else 1.0
 # relative finite-difference step of the Jacobian in optimizer units
 _DIFF_STEP = 1e-7
 
-# residual of a point whose model could not be solved
+# every residual of an evaluation whose model could not be solved
 _FAILED = 1e3
 
 # additive spread used when drawing restart points
@@ -152,11 +152,6 @@ def _check_budget(restarts: int, maxfev: int) -> None:
                          f"{restarts} and {maxfev}")
 
 
-def _clip(name: str, value: float) -> float:
-    lo, hi = _BOUNDS[name]
-    return min(max(value, lo), hi)
-
-
 def _perturb(x0, names, rng):
     spread = np.array([_RESTART_SCALE[n] for n in names])
     return x0 + (0.25 * np.abs(x0) + spread) * rng.standard_normal(x0.size)
@@ -166,12 +161,13 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
     """Bounded trust-region least squares in scaled coordinates with
     seeded restarts (starts are clipped into the bounds).
 
-    `residuals` maps a dict of parameter values to the residual vector;
-    a NumericalError counts as `size` residuals of _FAILED, and is raised
-    again when the best start ends on such a point.  Stops early once
-    chi^2 <= dof + sqrt(2 dof) (a statistically perfect fit); otherwise
-    keeps the best start.  Returns its values, chi^2, success flag,
-    message and the Jacobian d residual / d parameter.
+    `residuals` maps a dict of parameter values to the residual vector.
+    Here alone an evaluation that raises NumericalError counts as `size`
+    residuals of _FAILED; the error is raised again when the best start
+    ends on one.  Stops early once chi^2 <= dof + sqrt(2 dof) (a
+    statistically perfect fit); otherwise keeps the best start.  Returns
+    its values, chi^2, success flag, message and the Jacobian d residual
+    / d parameter.
     """
     import scipy.optimize
 
@@ -179,7 +175,7 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
     lo, hi = np.array([_BOUNDS[n] for n in names]).T / units
 
     def to_vals(t) -> dict:
-        return {n: _clip(n, v) for n, v in zip(names, t * units)}
+        return dict(zip(names, t * units))
 
     failed = {}   # error per point whose model could not be solved
 
@@ -263,6 +259,9 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
     `background` arguments are the fixed values when not free, and must
     be finite in any case.  The covariance takes the affine columns of J
     analytically and the physics columns from one forward difference each.
+    An evaluation whose model flags any detuning raises NumericalError as
+    a whole, as a g2 evaluation does: a scan point that fails for every
+    parameter set fails the fit, on every path.
     """
     if _parse_kind(data.kind)[0] != "spectrum":
         raise ValueError(f"fit_spectrum needs a spectrum dataset, "
@@ -272,10 +271,7 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
     _check_finite("scale", scale)
     _check_finite("background", background)
     phys = [n for n in free if n in PHYSICS_PARAMS]
-    fit_scale = "scale" in free
-    fit_bg = "background" in free
     w = 1.0 / data.err ** 2
-    penalty = data.y + _FAILED * data.err   # stands in for failed points
     nfev = 0
 
     def shape_curve(vals: dict) -> np.ndarray:
@@ -283,20 +279,20 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
         nfev += 1
         p = _with_physics(params_init, vals)
         grid = data.x + vals.get("delta_866", 0.0)
-        return excitation_spectrum(p, grid).values
+        curve = excitation_spectrum(p, grid)
+        if not curve.ok.all():
+            raise NumericalError(
+                f"the spectrum model failed at {np.count_nonzero(~curve.ok)}"
+                f" of {curve.ok.size} detunings")
+        return curve.values
 
     def residuals(s: np.ndarray, a: float, b: float) -> np.ndarray:
-        return (data.y - np.where(np.isfinite(s), a * s + b, penalty)) \
-            / data.err
+        return (data.y - (a * s + b)) / data.err
 
     def profiled(vals: dict):
         s = shape_curve(vals)
-        good = np.isfinite(s)
-        if np.any(good):
-            a, b = _solve_affine(data.y[good], w[good], s[good],
-                                 scale, background, fit_scale, fit_bg)
-        else:
-            a, b = scale, background
+        a, b = _solve_affine(data.y, w, s, scale, background,
+                             "scale" in free, "background" in free)
         return residuals(s, a, b), a, b, s
 
     dof = len(data) - len(free)
@@ -309,9 +305,7 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
         vals, ok, message = {}, True, "profiled affine solve"
     r, a_fit, b_fit, s = profiled(vals)
 
-    good = np.isfinite(s)
-    columns = {"scale": np.where(good, -s, 0.0) / data.err,
-               "background": np.where(good, -1.0, 0.0) / data.err}
+    columns = {"scale": -s / data.err, "background": -1.0 / data.err}
     for n in phys:   # forward differences with the step of _minimize
         h = _DIFF_STEP * max(_UNIT[n], abs(vals[n]))
         h = -h if vals[n] + h > _BOUNDS[n][1] else h

@@ -245,6 +245,10 @@ class TestPurityCommand:
         code, _, err = run(capsys, "purity", "--t-window", "0ns")
         assert code == 1
         assert "window" in err
+        # at 1 fs round-off leaves an integral negative: no ratio
+        code, stdout, err = run(capsys, "purity", "--t-window", "1e-15s")
+        assert (code, stdout) == (3, "")
+        assert "lost in round-off" in err
 
     def test_builds_no_g2_curve(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -606,6 +610,24 @@ class TestExitCodes:
                                 "--restarts", "1", "--save-params", str(out))
         assert code == 3
         assert "numerical failure" in err
+        assert "converged" not in stdout
+        assert not out.exists()
+
+    @pytest.mark.parametrize("free", ["b_field,scale", "scale,background"])
+    def test_spectrum_fit_that_never_solves_its_model(self, capsys,
+                                                      tmp_path, free):
+        # without a repumper every detuning fails, on the optimizer path
+        # and on the affine-only solve alike
+        scan, dark, out = (tmp_path / n for n in ("scan.csv", "dark.json",
+                                                  "out.json"))
+        assert run(capsys, "spectrum", "--params", "spectrum",
+                   "-o", str(scan))[0] == 0
+        get_preset("spectrum").replace(omega_866=0.0).save(dark)
+        code, stdout, err = run(capsys, "fit", "spectrum", str(scan),
+                                "--params", str(dark), "--free", free,
+                                "--restarts", "1", "--save-params", str(out))
+        assert code == 3
+        assert "the spectrum model failed at 401 of 401 detunings" in err
         assert "converged" not in stdout
         assert not out.exists()
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import ionpair.correlations as C
 from ionpair import atom
 from ionpair.dynamics import Model
-from ionpair.params import ExperimentParams, TWO_PI, get_preset
+from ionpair.params import ExperimentParams, NumericalError, TWO_PI, get_preset
 
 WEAK = get_preset("weak")
 STRONG = get_preset("strong")
@@ -319,6 +319,17 @@ class TestPurity:
         for t_window in (0.0, -1e-9, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="window"):
                 C.purity(model, t_window)
+
+    def test_unresolved_window_is_a_numerical_error(self):
+        # both integrals are positive for T > 0; at 1 fs round-off leaves
+        # the sigma-|sigma+ one negative (-2.1e-31 on weak)
+        for params in (WEAK, STRONG):
+            model = Model(params)
+            tau, p = C.purity_curve(model, np.array([0.0, 1e-15, 24e-9]))
+            assert math.isnan(p[0]) and p[1] > 0
+            with pytest.raises(NumericalError, match="lost in round-off"):
+                C.purity(model, 1e-15)
+            assert not np.any(np.isnan(C.purity_curve(model)[1]))
 
     def test_list_grids_give_array_delays(self):
         grid = list(C.default_grid(1.2e-9, 0.02e-9))

@@ -189,6 +189,33 @@ class TestFitSpectrum:
         assert fits[0].chi2 == fits[1].chi2
         assert fits[0].nfev == fits[1].nfev > fits[2].nfev
 
+    @pytest.mark.parametrize("free", [("b_field", "scale"),
+                                      ("scale", "background")])
+    def test_fit_that_never_solves_its_model_raises(self, spectrum_truth,
+                                                     free):
+        # without a repumper every detuning fails; the fit must not
+        # report the penalty as an optimum, on the optimizer path or on
+        # the affine-only solve
+        truth, data, _, _ = spectrum_truth
+        with pytest.raises(NumericalError,
+                           match="failed at 161 of 161 detunings"):
+            fit_spectrum(data, truth.replace(omega_866=0.0), free=free,
+                         restarts=1)
+
+    def test_one_failed_detuning_fails_the_evaluation(self, spectrum_truth,
+                                                      monkeypatch):
+        def one_flagged(params, grid):
+            curve = excitation_spectrum(params, grid)
+            curve.ok[7], curve.values[7] = False, math.nan
+            return curve
+
+        monkeypatch.setattr(fitting, "excitation_spectrum", one_flagged)
+        truth, data, _, _ = spectrum_truth
+        for free in (("omega_866", "scale"), ("scale", "background")):
+            with pytest.raises(NumericalError,
+                               match="failed at 1 of 161 detunings"):
+                fit_spectrum(data, truth, free=free, restarts=1)
+
     def test_rejects_wrong_kind_and_names(self, spectrum_truth):
         truth, data, _, _ = spectrum_truth
         g2data = DataSet("sigma-|sigma+", [0.0, 1e-9], [1.0, 2.0])
@@ -404,3 +431,13 @@ class TestDeclaredBounds:
         assert {n: fitting._BOUNDS[n] for n in names} == bounds
         assert {n: fitting._UNIT[n] for n in units} == units
         assert fitting.ERROR_PARAMS == ("eps_init", "eps_minus", "eps_plus")
+
+    def test_finite_nonzero_bounds_are_in_native_units(self):
+        # _minimize evaluates t * unit for t inside bounds / unit; with a
+        # unit of 1.0, or a bound of 0 or inf, that product never leaves
+        # the declared range, so no value needs clipping
+        names = (fitting.PHYSICS_PARAMS + fitting.AFFINE_PARAMS
+                 + fitting.ERROR_PARAMS)
+        for name in names:
+            if any(0.0 < abs(b) < math.inf for b in fitting._BOUNDS[name]):
+                assert fitting._UNIT[name] == 1.0, name
