@@ -418,30 +418,31 @@ def detect(emissions: ClickStream, config: DetectionConfig,
     are merged in afterwards.  Deterministic per seed.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 9000)))
-    n = len(emissions)
     eta1 = config.channel_1.efficiency
-    eta2 = config.channel_2.efficiency
-    u = rng.random(n)
-    route = np.where(u < eta1, 1, np.where(u < eta1 + eta2, 2, 0))
+    u = rng.random(len(emissions))
+    # u < eta1 routes a photon to arm 1, eta1 <= u < eta1 + eta2 to arm 2
+    first = u < eta1
+    routed = u < eta1 + config.channel_2.efficiency
     if config.wavelength is not None:
-        route[emissions.wavelength != atom.WL_TAGS[config.wavelength]] = 0
+        routed &= emissions.wavelength == atom.WL_TAGS[config.wavelength]
 
     out = []
-    for idx, chan_cfg in ((1, config.channel_1), (2, config.channel_2)):
-        mask = route == idx
-        pol = emissions.pol[mask]
-        ts = emissions.timestamps_ps[mask]
-        wav = emissions.wavelength[mask]
+    for idx, chan_cfg, mask in ((1, config.channel_1, routed & first),
+                                (2, config.channel_2, routed & ~first)):
+        sel = np.flatnonzero(mask)
+        pol = emissions.pol.take(sel)
         if chan_cfg.accepted_pol is not None:
             acc = atom.POL_TAGS[chan_cfg.accepted_pol]
-            pass_prob = np.zeros(pol.size)
-            pass_prob[pol == acc] = 1.0 - chan_cfg.crosstalk
+            pass_prob = np.zeros(256)     # per uint8 polarization tag
+            pass_prob[acc] = 1.0 - chan_cfg.crosstalk
             if acc in (atom.POL_SIGMA_MINUS, atom.POL_SIGMA_PLUS):
                 other = (atom.POL_SIGMA_PLUS if acc == atom.POL_SIGMA_MINUS
                          else atom.POL_SIGMA_MINUS)
-                pass_prob[pol == other] = chan_cfg.crosstalk
-            keep = rng.random(pol.size) < pass_prob
-            ts, pol, wav = ts[keep], pol[keep], wav[keep]
+                pass_prob[other] = chan_cfg.crosstalk
+            keep = np.flatnonzero(rng.random(sel.size) < pass_prob[pol])
+            sel, pol = sel.take(keep), pol.take(keep)
+        ts = emissions.timestamps_ps.take(sel)
+        wav = emissions.wavelength.take(sel)
         if chan_cfg.dark_rate > 0.0:
             mean = chan_cfg.dark_rate * emissions.duration_s
             if ts.size + mean > emissions.duration_ps:

@@ -1,12 +1,17 @@
 """Histogram correlator against an O(N^2) oracle and analytic cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionpair.cli import main
 from ionpair.correlator import (CorrelatorConfig, correlate,
                                 correlate_brute_force)
-from ionpair.trajectory import ClickStream
+from ionpair.params import get_preset
+from ionpair.trajectory import (ClickStream, DetectionConfig, DetectorChannel,
+                                detect, simulate_emissions)
 
 
 def stream_from_gaps(rng, n, mean_gap_ps, channel=0, pol=None):
@@ -85,6 +90,85 @@ class TestAgainstBruteForce:
             want = correlate_brute_force(a, other, cfg)
             assert np.array_equal(got.counts, want)
             assert got.total_pairs == int(want.sum())
+
+
+class TestWork:
+    @pytest.mark.parametrize("mode", ["auto", "cross", "empty"])
+    def test_one_prefix_pass_per_offset(self, mode, monkeypatch):
+        # ~40 b-events per slice.  The binning calls are the bincounts
+        # with minlength n_bins; the one count of slice lengths has none.
+        rng = np.random.default_rng(31)
+        a = stream_from_gaps(rng, 1000, 1000)
+        b = stream_from_gaps(rng, 1000, 1000) if mode == "cross" else None
+        if mode == "empty":     # no a-clicks: no slice and no pass
+            a, b = ClickStream([], [], [], duration_ps=a.duration_ps), a
+        cfg = CorrelatorConfig(bin_width_ps=1000, window_ps=20_000)
+        ts_a = a.timestamps_ps
+        ts_b = ts_a if b is None else b.timestamps_ps
+        tau = ts_b[None, :] - ts_a[:, None]
+        slices = ((tau >= -cfg.window_ps) & (tau < cfg.window_ps)).sum(1)
+
+        bincount, passes = np.bincount, []
+
+        def counted(arg, *args, **kwargs):
+            if kwargs.get("minlength") == cfg.n_bins:
+                passes.append(arg)
+            return bincount(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        got = correlate(a, b, cfg)
+        monkeypatch.undo()
+        sizes = [p.size for p in passes]
+        # one pass per offset up to the longest slice, one binned delay
+        # per pair, self pairs included
+        assert len(sizes) == (slices.max() if slices.size else 0)
+        assert sum(sizes) == slices.sum()
+        assert got.total_pairs == slices.sum() - (len(a) if b is None else 0)
+        # every pass bins a shrinking prefix of one scratch of N_a delays:
+        # nothing is compressed or reallocated per pass
+        assert sizes == sorted(sizes, reverse=True)
+        assert all(p.base is passes[0].base for p in passes)
+        assert all(p.base.size == len(a) for p in passes)
+
+
+class TestLongSlices:
+    """A slice of 2**15 or more b-events takes the wide sort key."""
+
+    # a 40 000-click comb at 10 ps pitch, 100 clicks per 1 ns bin, and
+    # three a-clicks inside it: the middle one faces the whole comb in
+    # all 400 bins, the outer ones 30 000 comb clicks in 300 bins
+    COMB = 10 * np.arange(40_000, dtype=np.int64) + 5
+    A = np.array([100_000, 200_000, 300_000], dtype=np.int64)
+    CFG = CorrelatorConfig(bin_width_ps=1000, window_ps=200_000)
+    WANT = np.repeat([200, 300, 200], [100, 200, 100])
+
+    def test_cross(self):
+        mk = lambda ts: ClickStream(ts, np.zeros(ts.size), np.zeros(ts.size),
+                                    duration_ps=400_000)
+        a, b = mk(self.A), mk(self.COMB)
+        got = correlate(a, b, self.CFG)
+        assert np.array_equal(got.counts, self.WANT)
+        assert got.total_pairs == 100_000
+        assert np.array_equal(got.counts, correlate_brute_force(a, b, self.CFG))
+
+    def test_auto(self):
+        # one recording: three sigma- clicks among a sigma+ comb
+        ts = np.union1d(self.A, self.COMB)
+        s = ClickStream(ts, np.where(np.isin(ts, self.A), 0, 2),
+                        np.zeros(ts.size), duration_ps=400_000)
+        got = correlate(s, None, self.CFG, pol_a="sigma-", pol_b="sigma+")
+        assert np.array_equal(got.counts, self.WANT)
+        assert got.total_pairs == 100_000
+        assert got.meta["auto"] is True
+        # with no filter on b the three also pair with each other, at
+        # -200, -100 (twice) and +100 (twice) ns, but not with themselves
+        got = correlate(s, None, self.CFG, pol_a="sigma-")
+        want = self.WANT.copy()
+        want[[0, 100, 300]] += [1, 2, 2]
+        assert np.array_equal(got.counts, want)
+        assert got.total_pairs == 100_005
+        assert np.array_equal(
+            got.counts, _self_pair_oracle(s, None, self.CFG, "sigma-", None))
 
 
 @st.composite
@@ -261,3 +345,83 @@ class TestConditionedEstimate:
         want = correlate(s.select(pol="pi"), None, cfg)
         assert got.meta["auto"] is True
         assert np.array_equal(got.counts, want.counts)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# the benchmark's replay geometries: (cross, bin, window) in ps; auto_4ns
+# is also the geometry of its simulate-and-correlate loop
+REPLAY = {"auto_4ns": (False, 4000, 400_000),
+          "cross_1ns": (True, 1000, 2_000_000),
+          "auto_10ns": (False, 10_000, 50_000_000),
+          "cross_10ns": (True, 10_000, 50_000_000)}
+
+
+class TestFrozenClickRoute:
+    """simulate_emissions, detect, correlate and `ionpair correlate -o`,
+    byte for byte as frozen from the offset loop that compressed its
+    active set per pass and the detector that selected by boolean mask:
+    20 ms of the weak preset, seed 3, arms at efficiency 0.5, crosstalk
+    0.05 and 200 dark counts/s."""
+
+    ARGS = ["--params", "weak", "--duration", "20ms", "--seed", "3",
+            "--detect", "0.5", "--crosstalk", "0.05", "--dark-rate", "200"]
+    EMISSIONS = "8328fe340dc609d33d6feb2fe9bf13d69b0f9b22fd42f8218fe41de78751bbbb"
+    ARMS = ("0e8a1aa50980429af0b0c71ff0539879987b6920f1a1c63a64c1d9ab2d88d548",
+            "208bf0b9dde44d0af3de34a6da25d05b224c0e031685a1e7e3e0989dc6d7e582")
+    COUNTS = {
+        "auto_4ns": (10024, "3e6aa500a2d8cd0babe57c22e15ae6a0"
+                            "d987661cc1cd70ee56b942c87c6a3271"),
+        "cross_1ns": (17769, "37402634c0ee8891c05c662963c70100"
+                             "f5f144f2e356220b9fa8202c2a9f638b"),
+        "auto_10ns": (206806, "db1c0c951cc07885a19b82ba899046c0"
+                              "1824002e73762bb10ce746782c4e9491"),
+        "cross_10ns": (195354, "f0a93df62bfb3bc226db17bf092e5142"
+                               "96adc8b85e45344c1b1ccad428be2920"),
+    }
+    CROSS_10NS_CSV = ("77e74febf82413fc4297c8d582d5931e"
+                      "b263a1328cf90ec3213bc2e46f0e7eb5")
+
+    @pytest.fixture(scope="class")
+    def route(self):
+        em = simulate_emissions(get_preset("weak"), 20e-3, seed=3)
+        arm = lambda pol: DetectorChannel(0.5, pol, crosstalk=0.05,
+                                          dark_rate=200.0)
+        return em, detect(em, DetectionConfig(arm("sigma-"), arm("sigma+")),
+                          seed=3)
+
+    def test_emissions(self, route):
+        em, _ = route
+        assert len(em) == 38692
+        assert _digest(em.timestamps_ps, em.pol, em.wavelength) \
+            == self.EMISSIONS
+
+    def test_detector_arms(self, route):
+        _, arms = route
+        assert [len(arm) for arm in arms] == [6038, 5851]
+        assert tuple(_digest(arm.timestamps_ps, arm.pol, arm.wavelength)
+                     for arm in arms) == self.ARMS
+
+    @pytest.mark.parametrize("label", REPLAY)
+    def test_counts(self, route, label):
+        _, (d1, d2) = route
+        cross, width, window = REPLAY[label]
+        got = correlate(d1, d2 if cross else None,
+                        CorrelatorConfig(width, window))
+        assert (got.total_pairs, _digest(got.counts)) == self.COUNTS[label]
+
+    def test_cli_output_bytes(self, tmp_path, capsys):
+        run = tmp_path / "run.bin"
+        assert main(["simulate", *self.ARGS, "-o", str(run)]) == 0
+        out = tmp_path / "hist.csv"
+        assert main(["correlate", str(tmp_path / "run-1.bin"),
+                     str(tmp_path / "run-2.bin"), "--bin", "10ns",
+                     "--window", "50us", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() \
+            == self.CROSS_10NS_CSV
