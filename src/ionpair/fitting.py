@@ -5,12 +5,19 @@ residual evaluation re-solves the master equation.  Fits minimize the
 residual vector (y - model) / err by bounded trust-region least squares
 (scipy.optimize.least_squares, method "dogbox"; Voglis & Lagaris, 2004)
 over a few named free parameters, in rescaled coordinates so frequencies
-(1e8 rad/s) and angles (order 1) live on the same footing.  For spectra
-the affine nuisance pair (scale, background) is profiled out analytically
-at every step instead of being searched.
-Restarts from perturbed starting points guard against local minima;
-uncertainties come from cov = (J^T J)^-1, with J the Jacobian of the
-residuals over all free parameters at the optimum.
+(1e8 rad/s) and angles (order 1) live on the same footing.
+fit_spectrum and fit_g2_joint are front-ends of one core, _fit: one
+evaluation per point, one affine nuisance pair (scale, background) for
+every value, profiled out analytically where free (variable projection;
+Golub & Pereyra, Inverse Problems 19, R1, 2003), and one rule for the
+free names, read from the data.  Restarts from perturbed starting points
+guard against local minima; uncertainties come from cov = (J^T J)^-1,
+with J the Jacobian of the residuals over all free parameters at the
+optimum, the affine pair held at its fit.  With the pair held throughout
+that is the optimizer's own Jacobian; with it profiled the optimizer saw
+only (I - P) J, which lacks J along the affine columns, so J is taken
+again: those columns analytically, one forward difference per searched
+parameter.
 """
 
 from __future__ import annotations
@@ -136,20 +143,14 @@ def _check_free(free, allowed) -> tuple:
         raise ValueError("duplicate free parameter")
     bad = [n for n in free if n not in allowed]
     if bad:
-        raise ValueError(f"free parameter(s) {bad} not supported here; "
-                         f"allowed: {sorted(allowed)}")
+        raise ValueError(f"free parameter(s) {bad} not supported by these "
+                         f"datasets; allowed: {sorted(allowed)}")
     return free
 
 
 def _with_physics(params: ExperimentParams, vals: dict) -> ExperimentParams:
     upd = {k: v for k, v in vals.items() if k in PHYSICS_PARAMS}
     return params.replace(**upd) if upd else params
-
-
-def _check_budget(restarts: int, maxfev: int) -> None:
-    if restarts < 1 or maxfev < 1:
-        raise ValueError(f"restarts and maxfev must be >= 1, got "
-                         f"{restarts} and {maxfev}")
 
 
 def _perturb(x0, names, rng):
@@ -166,8 +167,8 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
     residuals of _FAILED; the error is raised again when the best start
     ends on one.  Stops early once chi^2 <= dof + sqrt(2 dof) (a
     statistically perfect fit); otherwise keeps the best start.  Returns
-    its values, chi^2, success flag, message and the Jacobian d residual
-    / d parameter.
+    its values, residual vector, success flag, message and the Jacobian
+    d residual / d parameter.
     """
     import scipy.optimize
 
@@ -204,7 +205,7 @@ def _minimize(residuals, x0, names, maxfev, restarts, seed, dof, size):
             break
     if best.x.tobytes() in failed:
         raise failed[best.x.tobytes()]
-    return to_vals(best.x), 2.0 * best.cost, bool(best.success), \
+    return to_vals(best.x), best.fun, bool(best.success), \
         str(best.message), best.jac / units
 
 
@@ -245,6 +246,122 @@ def _solve_affine(y, w, s, a0, b0, fit_a, fit_b):
     return float(ab[0]), float(ab[1])
 
 
+def _fit(datasets, params_init, free, errors, affine, restarts, seed,
+         maxfev) -> FitResult:
+    """The one fit behind fit_spectrum and fit_g2_joint.
+
+    A spectrum comes from excitation_spectrum, which fails as a whole on
+    any flagged detuning; curves come from one Model, built when a curve
+    first needs it, with one propagation per first photon and grid.  The
+    affine pair is held at `affine` where not free.  Scale and background
+    may be free with a spectrum, the detection errors (free, or nonzero
+    in `errors`) with a conditioned pair curve.
+    """
+    kinds = [_parse_kind(d.kind) for d in datasets]
+    modes = {mode for mode, _ in kinds}
+    free = _check_free(free, PHYSICS_PARAMS
+                       + (AFFINE_PARAMS if "spectrum" in modes else ())
+                       + (ERROR_PARAMS if "pair" in modes else ()))
+    if restarts < 1 or maxfev < 1:
+        raise ValueError(f"restarts and maxfev must be >= 1, got "
+                         f"{restarts} and {maxfev}")
+    base_err = errors if errors is not None else ErrorModel()
+    held_eps = [n for n in ERROR_PARAMS if getattr(base_err, n)]
+    if held_eps and "pair" not in modes:
+        raise ValueError(f"detection errors {held_eps} act on conditioned "
+                         f"pair curves only, and no dataset is one")
+    for name, value in zip(AFFINE_PARAMS, affine):
+        _check_finite(name, value)
+    use_err = errors is not None or any(n in ERROR_PARAMS for n in free)
+
+    def error_model(vals: dict) -> ErrorModel:
+        return ErrorModel(**{n: float(vals.get(n, getattr(base_err, n)))
+                             for n in ERROR_PARAMS})
+
+    # deduplicate model grids so curves sharing first photon and delays
+    # cost one propagation per evaluation
+    grids: dict[bytes, np.ndarray] = {}
+    layout = []   # per dataset: (mode, first, second, grid key, slice)
+    for d, (mode, pair) in zip(datasets, kinds):
+        grid = d.x if mode == "spectrum" or d.x[0] == 0.0 \
+            else np.concatenate([[0.0], d.x])
+        key = grid.tobytes()
+        grids.setdefault(key, grid)
+        layout.append((mode, *(pair or (None, None)), key,
+                       slice(grid.size - d.x.size, None)))
+    nfev = 0
+
+    def values(vals: dict) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
+        p = _with_physics(params_init, vals)
+        model, cache, out = None, {}, []
+        for mode, first, second, gk, sl in layout:
+            if mode == "spectrum":   # delta_866 offsets the detuning axis
+                curve = excitation_spectrum(
+                    p, grids[gk] + vals.get("delta_866", 0.0))
+                if not curve.ok.all():
+                    raise NumericalError(
+                        f"the spectrum model failed at "
+                        f"{np.count_nonzero(~curve.ok)} of {curve.ok.size}"
+                        f" detunings")
+                out.append(curve.values)
+                continue
+            if model is None:
+                model = Model(p)   # one generator and eig for every curve
+            if (first, gk) not in cache:
+                cache[first, gk] = (g2_total(model, grids[gk]),) \
+                    if first is None else g2_pair(model, first, grids[gk],
+                                                  error_model(vals))
+            out.append(cache[first, gk][1 if second == SIGMA_PLUS else 0]
+                       .values[sl])
+        return np.concatenate(out)
+
+    y = np.concatenate([d.y for d in datasets])
+    err = np.concatenate([d.err for d in datasets])
+    w = 1.0 / err ** 2
+    fit_a, fit_b = "scale" in free, "background" in free
+
+    def residuals(s: np.ndarray, a: float, b: float) -> np.ndarray:
+        return (y - (a * s + b)) / err
+
+    def profiled(vals: dict):
+        s = values(vals)
+        a, b = _solve_affine(y, w, s, *affine, fit_a, fit_b)
+        return residuals(s, a, b), a, b, s
+
+    searched = [n for n in free if n not in AFFINE_PARAMS]
+    dof = y.size - len(free)
+    if searched:
+        x0 = [getattr(params_init, n) if n in PHYSICS_PARAMS
+              else getattr(base_err, n) for n in searched]
+        vals, r, ok, message, jac = _minimize(
+            lambda v: profiled(v)[0], x0, searched, maxfev, restarts, seed,
+            dof, y.size)
+    else:
+        vals, ok, message = {}, True, "profiled affine solve"
+    a, b = affine   # held: the optimizer's Jacobian is J
+    if fit_a or fit_b:
+        # profiled: the optimizer's (I - P) J lacks J along the affine
+        # columns, so J is taken again at the optimum with (a, b) held
+        r, a, b, s = profiled(vals)
+        columns = {"scale": -s / err, "background": -1.0 / err}
+        for n in searched:   # the step of _minimize
+            h = _DIFF_STEP * max(_UNIT[n], abs(vals[n]))
+            h = -h if vals[n] + h > _BOUNDS[n][1] else h
+            s_h = values({**vals, n: vals[n] + h})
+            columns[n] = (residuals(s_h, a, b) - r) / h
+        jac = np.column_stack([columns[n] for n in free])
+    cov, sigma = _covariance(jac, free)
+    fitted = dict(vals, scale=a, background=b)
+    params = {n: float(fitted[n]) for n in free}
+    return FitResult(
+        params=params, experiment=_with_physics(params_init, params),
+        chi2=float(r @ r), dof=dof, cov=cov, sigma=sigma,
+        converged=ok, nfev=nfev, message=message,
+        errors=error_model(vals) if use_err else None)
+
+
 def fit_spectrum(data: DataSet, params_init: ExperimentParams,
                  free=("omega_866", "b_field", "scale", "background"),
                  scale: float = 1.0, background: float = 0.0,
@@ -257,68 +374,15 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
     "scale" or "background" are free they are profiled out analytically,
     so the optimizer only searches the physics parameters.  `scale` and
     `background` arguments are the fixed values when not free, and must
-    be finite in any case.  The covariance takes the affine columns of J
-    analytically and the physics columns from one forward difference each.
-    An evaluation whose model flags any detuning raises NumericalError as
-    a whole, as a g2 evaluation does: a scan point that fails for every
-    parameter set fails the fit, on every path.
+    be finite in any case.  An evaluation whose model flags any detuning
+    raises NumericalError as a whole, as a g2 evaluation does: a scan
+    point that fails for every parameter set fails the fit, on every path.
     """
-    if _parse_kind(data.kind)[0] != "spectrum":
+    if data.kind != "spectrum":
         raise ValueError(f"fit_spectrum needs a spectrum dataset, "
                          f"got kind {data.kind!r}")
-    free = _check_free(free, PHYSICS_PARAMS + AFFINE_PARAMS)
-    _check_budget(restarts, maxfev)
-    _check_finite("scale", scale)
-    _check_finite("background", background)
-    phys = [n for n in free if n in PHYSICS_PARAMS]
-    w = 1.0 / data.err ** 2
-    nfev = 0
-
-    def shape_curve(vals: dict) -> np.ndarray:
-        nonlocal nfev
-        nfev += 1
-        p = _with_physics(params_init, vals)
-        grid = data.x + vals.get("delta_866", 0.0)
-        curve = excitation_spectrum(p, grid)
-        if not curve.ok.all():
-            raise NumericalError(
-                f"the spectrum model failed at {np.count_nonzero(~curve.ok)}"
-                f" of {curve.ok.size} detunings")
-        return curve.values
-
-    def residuals(s: np.ndarray, a: float, b: float) -> np.ndarray:
-        return (data.y - (a * s + b)) / data.err
-
-    def profiled(vals: dict):
-        s = shape_curve(vals)
-        a, b = _solve_affine(data.y, w, s, scale, background,
-                             "scale" in free, "background" in free)
-        return residuals(s, a, b), a, b, s
-
-    dof = len(data) - len(free)
-    if phys:
-        x0 = [getattr(params_init, n) for n in phys]
-        vals, _, ok, message, _ = _minimize(
-            lambda v: profiled(v)[0], x0, phys, maxfev, restarts, seed,
-            dof, len(data))
-    else:
-        vals, ok, message = {}, True, "profiled affine solve"
-    r, a_fit, b_fit, s = profiled(vals)
-
-    columns = {"scale": -s / data.err, "background": -1.0 / data.err}
-    for n in phys:   # forward differences with the step of _minimize
-        h = _DIFF_STEP * max(_UNIT[n], abs(vals[n]))
-        h = -h if vals[n] + h > _BOUNDS[n][1] else h
-        s_h = shape_curve({**vals, n: vals[n] + h})
-        columns[n] = (residuals(s_h, a_fit, b_fit) - r) / h
-    cov, sigma = _covariance(np.column_stack([columns[n] for n in free]),
-                             free)
-    fitted = dict(vals, scale=a_fit, background=b_fit)
-    return FitResult(
-        params={n: float(fitted[n]) for n in free},
-        experiment=_with_physics(params_init, fitted),
-        chi2=float(r @ r), dof=dof, cov=cov, sigma=sigma,
-        converged=ok, nfev=nfev, message=message)
+    return _fit([data], params_init, free, None, (scale, background),
+                restarts, seed, maxfev)
 
 
 def fit_g2_joint(datasets, params_init: ExperimentParams,
@@ -330,70 +394,16 @@ def fit_g2_joint(datasets, params_init: ExperimentParams,
 
     All datasets are predicted from a single parameter set, so e.g. the
     two Rabi frequencies are shared between a sigma-|sigma- and a
-    sigma-|sigma+ curve fitted together.  Conditioned-pair datasets may
-    carry the three detection error parameters as free names; they apply
-    to pair curves only, never to a "total" dataset.  Delay grids are
-    used exactly as given (a tau = 0 point is prepended internally when
-    missing, the propagator needs it).  The covariance reuses the
-    optimizer's Jacobian at the optimum.
+    sigma-|sigma+ curve fitted together.  The three detection error
+    parameters, free or as nonzero fixed `errors`, apply to pair curves
+    only, never to a "total" dataset, and need one pair curve among the
+    datasets.  Delay grids are used exactly as given (a tau = 0 point is
+    prepended internally when missing, the propagator needs it).
     """
-    if isinstance(datasets, DataSet):
-        datasets = [datasets]
-    datasets = list(datasets)
+    datasets = [datasets] if isinstance(datasets, DataSet) else list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")
-    # deduplicate model grids so curves sharing first photon and delays
-    # cost one propagation per residual evaluation
-    grids: dict[bytes, np.ndarray] = {}
-    layout = []   # per dataset: (first, second, grid key, slice, data)
-    for d in datasets:
-        mode, pair = _parse_kind(d.kind)
-        if mode == "spectrum":
-            raise ValueError("spectrum data belongs in fit_spectrum")
-        grid = d.x if d.x[0] == 0.0 else np.concatenate([[0.0], d.x])
-        key = grid.tobytes()
-        grids.setdefault(key, grid)
-        first, second = pair if pair else (None, None)   # None: "total"
-        layout.append((first, second, key,
-                       slice(grid.size - d.x.size, None), d))
-    free = _check_free(free, PHYSICS_PARAMS + ERROR_PARAMS)
-    _check_budget(restarts, maxfev)
-    base_err = errors if errors is not None else ErrorModel()
-    use_err = errors is not None or any(n in ERROR_PARAMS for n in free)
-
-    def error_model(vals: dict) -> ErrorModel:
-        return ErrorModel(**{n: vals.get(n, getattr(base_err, n))
-                             for n in ERROR_PARAMS})
-
-    nfev = 0
-
-    def residuals(vals: dict) -> np.ndarray:
-        nonlocal nfev
-        nfev += 1
-        p = _with_physics(params_init, vals)
-        em = error_model(vals)
-        model = Model(p)   # one generator and eig for every curve
-        cache: dict = {}
-        out = []
-        for first, second, gk, sl, d in layout:
-            key = (first, gk)
-            if key not in cache:
-                cache[key] = (g2_total(model, grids[gk]),) if first is None \
-                    else g2_pair(model, first, grids[gk], em)
-            curve = cache[key][1 if second == SIGMA_PLUS else 0]
-            out.append((d.y - curve.values[sl]) / d.err)
-        return np.concatenate(out)
-
-    n_points = sum(len(d) for d in datasets)
-    dof = n_points - len(free)
-    x0 = [getattr(params_init, n) if n in PHYSICS_PARAMS
-          else getattr(base_err, n) for n in free]
-    vals, chi2, ok, message, jac = _minimize(
-        residuals, x0, free, maxfev, restarts, seed, dof, n_points)
-    cov, sigma = _covariance(jac, free)
-    return FitResult(
-        params={n: float(v) for n, v in vals.items()},
-        experiment=_with_physics(params_init, vals),
-        chi2=chi2, dof=dof, cov=cov, sigma=sigma,
-        converged=ok, nfev=nfev, message=message,
-        errors=error_model(vals) if use_err else None)
+    if any(d.kind == "spectrum" for d in datasets):
+        raise ValueError("spectrum data belongs in fit_spectrum")
+    return _fit(datasets, params_init, free, errors, (1.0, 0.0), restarts,
+                seed, maxfev)

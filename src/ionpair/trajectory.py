@@ -91,9 +91,10 @@ class ClickStream:
             if wavelength not in atom.WL_TAGS:
                 raise ValueError(f"unknown wavelength {wavelength!r}")
             mask &= self.wavelength == atom.WL_TAGS[wavelength]
+        keep = np.flatnonzero(mask)   # one index pass serves every array
         return ClickStream(
-            timestamps_ps=self.timestamps_ps[mask],
-            pol=self.pol[mask], wavelength=self.wavelength[mask],
+            timestamps_ps=self.timestamps_ps.take(keep),
+            pol=self.pol.take(keep), wavelength=self.wavelength.take(keep),
             duration_ps=self.duration_ps, channel=self.channel,
             meta=dict(self.meta, selection=f"pol={pol},wavelength={wavelength}"))
 

@@ -518,6 +518,22 @@ class TestFitCommand:
         assert "'total'" in err
         assert "sigma-|sigma-, sigma-|sigma+" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--free", "omega_397,eps_init"],
+        ["--free", "omega_397", "--eps-init", "0.3"]])
+    def test_total_fit_takes_no_detection_errors(self, capsys, tmp_path,
+                                                 extra):
+        # as `g2 --total` refuses --eps-*: the polarization-blind curve
+        # cannot see a detection error, free or held
+        data = tmp_path / "tot.csv"
+        run(capsys, "g2", "--total", "--t-max", "100ns", "--dt", "2ns",
+            "-o", str(data))
+        code, stdout, err = run(capsys, "fit", "g2", str(data),
+                                "--kinds", "total", "--restarts", "1",
+                                *extra)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and "'eps_init'" in err
+
     def test_g2_fit_without_a_covariance_prints_no_sigma(self, capsys,
                                                          tmp_path):
         # eps_plus acts on sigma+ second photons only: a lone

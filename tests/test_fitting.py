@@ -1,12 +1,15 @@
 """Fit round trips on synthetic data with known ground truth."""
 
 import math
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ionpair import fitting
-from ionpair.correlations import ErrorModel, excitation_spectrum, g2_pair
+from ionpair.correlations import (ErrorModel, default_grid,
+                                  excitation_spectrum, g2_pair)
 from ionpair.fitting import DataSet, FitResult, fit_g2_joint, fit_spectrum
 from ionpair.params import TWO_PI, NumericalError, get_preset
 
@@ -342,6 +345,40 @@ class TestFitG2Joint:
             fit_g2_joint(sets[:1], truth.replace(b_field=0.0),
                          free=("omega_397", "b_field"), restarts=1)
 
+    @pytest.mark.parametrize("name", fitting.ERROR_PARAMS)
+    def test_detection_errors_need_a_pair_curve(self, g2_truth, name,
+                                                models_built):
+        # a "total" curve is polarization-blind: an epsilon, free or held
+        # nonzero, would be a parameter the data cannot see
+        truth, (minus, _) = g2_truth
+        total = DataSet("total", minus.x, minus.y, err=minus.err)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"['{name}'] not supported")):
+            fit_g2_joint(total, truth, free=("omega_397", name))
+        with pytest.raises(ValueError, match=re.escape(
+                f"errors ['{name}'] act on conditioned pair curves only")):
+            fit_g2_joint([total, total], truth, free=("omega_397",),
+                         errors=ErrorModel(**{name: 0.1}))
+        assert models_built == []
+        # zero errors are no detection errors; beside a pair curve they act
+        held = fit_g2_joint(total, truth, free=("omega_397",),
+                            errors=ErrorModel(), restarts=1, maxfev=2)
+        assert held.errors == ErrorModel()
+        joint = fit_g2_joint([total, minus], truth, free=("omega_397",),
+                             errors=ErrorModel(**{name: 0.1}), restarts=1,
+                             maxfev=2)
+        assert getattr(joint.errors, name) == 0.1
+
+    def test_fitted_values_are_plain_floats(self, g2_truth):
+        truth, sets = g2_truth
+        res = fit_g2_joint(sets, truth, free=("omega_397", "eps_init"),
+                           errors=ErrorModel(eps_plus=0.05), restarts=1,
+                           maxfev=3)
+        assert [type(v) for v in asdict(res.errors).values()] == [float] * 3
+        assert res.errors.eps_init == res.params["eps_init"]
+        assert type(res.experiment.omega_397) is float
+        assert res.experiment.omega_397 == res.params["omega_397"]
+
     def test_rejects_bad_input(self, g2_truth):
         truth, sets = g2_truth
         sdata = DataSet("spectrum", [0.0, 1.0], [1.0, 2.0])
@@ -381,6 +418,19 @@ class TestBudget:
             omega_397=truth.omega_397 * 1.1), free=("omega_397",),
             restarts=1, maxfev=3)
         assert len(models_built) == res.nfev > 3
+
+    @pytest.mark.parametrize("free", [("omega_866",), ("omega_866", "scale"),
+                                      ("scale", "background")])
+    def test_one_model_per_spectrum_evaluation(self, spectrum_truth, free,
+                                               models_built):
+        # the spectrum's anchor solve is the only Model of an evaluation:
+        # a scan builds no Model for correlation curves
+        truth, data, _, _ = spectrum_truth
+        res = fit_spectrum(data, truth.replace(
+            omega_866=truth.omega_866 * 1.2), free=free, restarts=1,
+            maxfev=3)
+        assert len(models_built) == res.nfev
+        assert res.nfev > 3 or "omega_866" not in free
 
     def test_nfev_counts_every_model_solve(self, spectrum_truth, g2_truth,
                                            monkeypatch):
@@ -441,3 +491,191 @@ class TestDeclaredBounds:
         for name in names:
             if any(0.0 < abs(b) < math.inf for b in fitting._BOUNDS[name]):
                 assert fitting._UNIT[name] == 1.0, name
+
+
+# -- the fit layer, frozen ------------------------------------------------
+
+_MHZ = TWO_PI * 1e6
+_SCALE, _BACKGROUND = 1.6e6, 5000.0
+
+
+def _frozen_inputs():
+    """The benchmark's fit inputs: both weak conditioned curves with
+    noise 0.1 on a 2 ns grid to 400 ns, a 161-point Poisson scan of the
+    spectrum preset, and the displaced starts of acceptance criterion 10.
+    """
+    weak, spec = get_preset("weak"), get_preset("spectrum")
+    grid = default_grid(400e-9, 2e-9)
+
+    def curves(seed, errors=ErrorModel()):
+        rng = np.random.default_rng(seed)
+        return [DataSet(c.kind, grid,
+                        c.values + rng.normal(0.0, 0.1, grid.size),
+                        np.full(grid.size, 0.1))
+                for c in g2_pair(weak, "sigma-", grid, errors)]
+
+    axis = np.linspace(-30 * _MHZ, 30 * _MHZ, 161)
+    counts = np.random.default_rng(14).poisson(
+        excitation_spectrum(spec, axis, _SCALE, _BACKGROUND).values)
+    return {
+        "weak": weak, "spectrum": spec,
+        # a draw whose chi^2 stays above the stop target: every restart runs
+        "g2": curves(13),
+        "g2_errors": curves(15, ErrorModel(0.10, 0.05, 0.05)),
+        "scan": DataSet("spectrum", axis, counts.astype(float)),
+        "g2_start": weak.replace(omega_397=7.5 * _MHZ, omega_866=1.8 * _MHZ),
+        "spectrum_start": spec.replace(omega_866=2.1 * _MHZ, b_field=2.9),
+    }
+
+
+_FROZEN_CASES = {
+    "g2_restarts_1": lambda i: fit_g2_joint(i["g2"], i["g2_start"],
+                                            restarts=1),
+    "g2_restarts_3": lambda i: fit_g2_joint(i["g2"], i["g2_start"],
+                                            restarts=3),
+    "g2_errors": lambda i: fit_g2_joint(
+        i["g2_errors"], i["weak"], free=("eps_init", "eps_minus"),
+        errors=ErrorModel(eps_plus=0.05), restarts=1),
+    "spectrum": lambda i: fit_spectrum(i["scan"], i["spectrum_start"],
+                                       restarts=1),
+    "spectrum_affine": lambda i: fit_spectrum(
+        i["scan"], i["spectrum"], free=("scale", "background"), restarts=1),
+    "spectrum_held": lambda i: fit_spectrum(
+        i["scan"], i["spectrum_start"], free=("omega_866", "b_field"),
+        scale=_SCALE, background=_BACKGROUND, restarts=1),
+}
+
+
+def _record(res: FitResult) -> dict:
+    return {"params": res.params, "chi2": res.chi2, "sigma": res.sigma,
+            "nfev": res.nfev, "converged": res.converged,
+            "message": res.message,
+            "errors": None if res.errors is None else asdict(res.errors)}
+
+
+# every field of each fit as the two separate fit bodies returned it
+# before they shared one core
+_FROZEN_FITS = {
+    "g2_restarts_1": {
+        "params": {
+            "omega_397": 57779580.7228448,
+            "omega_866": 8161691.696663501,
+        },
+        "chi2": 444.83342517112675,
+        "sigma": {
+            "omega_397": 85104.7452381823,
+            "omega_866": 6365.99048386988,
+        },
+        "nfev": 19,
+        "converged": True,
+        "message": "`ftol` termination condition is satisfied.",
+        "errors": None,
+    },
+    "g2_restarts_3": {
+        "params": {
+            "omega_397": 57779580.74210114,
+            "omega_866": 8161691.697409546,
+        },
+        "chi2": 444.8334251710759,
+        "sigma": {
+            "omega_397": 85104.73994659512,
+            "omega_866": 6365.99150594583,
+        },
+        "nfev": 60,
+        "converged": True,
+        "message":
+            "Both `ftol` and `xtol` termination conditions are satisfied.",
+        "errors": None,
+    },
+    "g2_errors": {
+        "params": {
+            "eps_init": 0.10133203981051554,
+            "eps_minus": 0.04708960380796324,
+        },
+        "chi2": 398.8883464593926,
+        "sigma": {
+            "eps_init": 0.002917047553260935,
+            "eps_minus": 0.0034318042126046024,
+        },
+        "nfev": 12,
+        "converged": True,
+        "message": "`ftol` termination condition is satisfied.",
+        "errors": {
+            "eps_init": 0.10133203981051554,
+            "eps_minus": 0.04708960380796324,
+            "eps_plus": 0.05,
+        },
+    },
+    "spectrum": {
+        "params": {
+            "omega_866": 9480582.201990608,
+            "b_field": 3.4985935617649466,
+            "scale": 1585874.2837102748,
+            "background": 4982.983556561723,
+        },
+        "chi2": 147.18992039577043,
+        "sigma": {
+            "omega_866": 67672.18949052056,
+            "b_field": 0.000876281243940581,
+            "scale": 16142.239834249382,
+            "background": 30.812056794983825,
+        },
+        "nfev": 27,
+        "converged": True,
+        "message": "`ftol` termination condition is satisfied.",
+        "errors": None,
+    },
+    "spectrum_affine": {
+        "params": {
+            "scale": 1599382.1895286203,
+            "background": 4999.672258871815,
+        },
+        "chi2": 150.51131625531482,
+        "sigma": {
+            "scale": 2218.1709309306607,
+            "background": 21.736095754738376,
+        },
+        "nfev": 1,
+        "converged": True,
+        "message": "profiled affine solve",
+        "errors": None,
+    },
+    "spectrum_held": {
+        "params": {
+            "omega_866": 9422264.688374426,
+            "b_field": 3.4985770449327176,
+        },
+        "chi2": 147.9359652442371,
+        "sigma": {
+            "omega_866": 4067.6162415459767,
+            "b_field": 0.0008756296186959202,
+        },
+        "nfev": 27,
+        "converged": True,
+        "message":
+            "Both `ftol` and `xtol` termination conditions are satisfied.",
+        "errors": None,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def frozen_inputs():
+    return _frozen_inputs()
+
+
+class TestFrozenFits:
+    @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
+    def test_fields(self, frozen_inputs, name):
+        got, want = _record(_FROZEN_CASES[name](frozen_inputs)), \
+            dict(_FROZEN_FITS[name])
+        if name == "spectrum_held":
+            # with scale and background held, the covariance reads the
+            # optimizer's Jacobian at the optimum in place of solving the
+            # model again there: fewer solves, the same sigma to rounding
+            assert got.pop("nfev") <= want.pop("nfev")
+            sigma, frozen = got.pop("sigma"), want.pop("sigma")
+            assert sigma.keys() == frozen.keys()
+            for n, v in frozen.items():
+                assert sigma[n] == pytest.approx(v, rel=1e-6), n
+        assert got == want

@@ -94,6 +94,37 @@ class TestClickStream:
         with pytest.raises(ValueError):
             weak_emissions.select(pol="left")
 
+    def test_select_matches_a_mask(self):
+        # random streams, empty ones included, under every filter pair:
+        # the same arrays, dtypes, duration, channel and meta as
+        # compressing each array with the boolean mask
+        rng = np.random.default_rng(31)
+        filters = [(p, w) for p in (None, *atom.POL_TAGS)
+                   for w in (None, *atom.WL_TAGS)]
+        for k in range(40):
+            n = int(rng.integers(0, 3000)) if k else 0
+            ts = np.unique(rng.integers(0, 10**7, size=n))
+            stream = ClickStream(ts, rng.integers(0, 3, ts.size),
+                                 rng.integers(0, 2, ts.size), 10**7,
+                                 channel=int(rng.integers(0, 3)),
+                                 meta={"seed": k})
+            for pol, wavelength in filters:
+                got = stream.select(pol=pol, wavelength=wavelength)
+                mask = np.ones(len(stream), dtype=bool)
+                if pol is not None:
+                    mask &= stream.pol == atom.POL_TAGS[pol]
+                if wavelength is not None:
+                    mask &= stream.wavelength == atom.WL_TAGS[wavelength]
+                for name in ("timestamps_ps", "pol", "wavelength"):
+                    want = getattr(stream, name)[mask]
+                    assert getattr(got, name).dtype == want.dtype
+                    assert np.array_equal(getattr(got, name), want)
+                assert (got.duration_ps, got.channel) \
+                    == (stream.duration_ps, stream.channel)
+                assert got.meta == dict(
+                    stream.meta,
+                    selection=f"pol={pol},wavelength={wavelength}")
+
 
 class TestJumpSampler:
     def test_pure_decay_waiting_times_are_exponential(self):
