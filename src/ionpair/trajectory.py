@@ -12,8 +12,9 @@ the same grid (exact amplitudes where the grid cannot resolve q): given
 the emitting P sublevel, the channel law is fixed.  Jumps always land in
 one of the six lower levels, so waiting times and jump channels depend
 only on the current source level; they are drawn in per-level batches
-and consumed in order by a plain chain loop that records only times and
-channel ids.
+and consumed in order.  The walk over that chain runs in C and records
+only the channel of each jump; each level's waits are then gathered in
+draw order and one cumulative sum turns them into emission times.
 
 The detector model splits the emitted stream over two polarization-
 filtered channels with finite efficiency, polarizer crosstalk and dark
@@ -39,6 +40,10 @@ EMISSION_CHANNEL = 0
 DETECTOR_1 = 1
 DETECTOR_2 = 2
 
+# jump-walk steps per chunk of simulate_emissions: chunks double from 16
+# up to this size, so a short run walks few steps past its end
+_WALK_CHUNK = 1 << 16
+
 
 @dataclass
 class ClickStream:
@@ -60,7 +65,8 @@ class ClickStream:
             raise ValueError("timestamps, pol and wavelength must align")
         if n and self.timestamps_ps[0] < 0:
             raise ValueError("timestamps must be non-negative")
-        if n and np.any(np.diff(self.timestamps_ps) <= 0):
+        ts = self.timestamps_ps
+        if n and np.any(ts[1:] <= ts[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         self.duration_ps = int(self.duration_ps)
         if self.duration_ps <= 0:
@@ -113,7 +119,11 @@ def _bump(ts: np.ndarray, limit: int) -> np.ndarray:
         raise ValueError(f"{n} events do not fit into the {limit} distinct "
                          "picosecond timestamps of the stream")
     idx = np.arange(n, dtype=np.int64)
-    return np.minimum(np.maximum.accumulate(ts - idx), limit - n) + idx
+    out = ts - idx      # the one new array; each later step works in place
+    np.maximum.accumulate(out, out=out)
+    np.minimum(out, limit - n, out=out)
+    out += idx
+    return out
 
 
 class _Table(NamedTuple):
@@ -204,20 +214,28 @@ class _JumpSampler:
         self._law_cum = np.concatenate(cum)
         self._tables: dict[int, _Table] = {}
 
+    def _phases(self, source: int, times: np.ndarray) -> np.ndarray:
+        """Mode amplitudes exp(-i w t) V^-1 |source>, one row per time."""
+        return np.exp(-1j * np.outer(times, self.w)) * self.v_inv[:, source]
+
     def _amplitudes(self, source: int, times: np.ndarray,
                     levels=slice(None)) -> np.ndarray:
         """Wave function components (len(times), levels) from |source>."""
-        c = self.v_inv[:, source]
-        phases = np.exp(-1j * np.outer(times, self.w)) * c
-        return phases @ self.v[levels].T
+        return self._phases(source, times) @ self.v[levels].T
 
-    def _survival(self, source: int, times: np.ndarray) -> np.ndarray:
-        amps = self._amplitudes(source, times)
+    def _survival(self, source: int, times: np.ndarray,
+                  phases: np.ndarray | None = None) -> np.ndarray:
+        if phases is None:
+            phases = self._phases(source, times)
+        amps = phases @ self.v.T
         return np.einsum("ij,ij->i", amps, amps.conj()).real
 
-    def _share(self, source: int, times: np.ndarray) -> np.ndarray:
+    def _share(self, source: int, times: np.ndarray,
+               phases: np.ndarray | None = None) -> np.ndarray:
         """q = |psi_P-|^2 / (|psi_P-|^2 + |psi_P+|^2), 0 where both vanish."""
-        pop = np.abs(self._amplitudes(source, times, list(atom.P_LEVELS))) ** 2
+        if phases is None:
+            phases = self._phases(source, times)
+        pop = np.abs(phases @ self.v[list(atom.P_LEVELS)].T) ** 2
         tot = pop.sum(axis=1)
         return np.divide(pop[:, 0], tot, out=np.zeros_like(tot),
                          where=tot > 0)
@@ -247,10 +265,12 @@ class _JumpSampler:
             raise dark
         t_grid = np.concatenate(
             [[0.0], np.geomspace(self.T_MIN, t_max, self.TABLE_SIZE)])
-        surv = self._survival(source, t_grid)
+        # one exp(-i w t) on the grid serves both curves
+        phases = self._phases(source, t_grid)
+        surv = self._survival(source, t_grid, phases)
         # running min guards against last-digit wiggle in the flat head
         surv = np.minimum.accumulate(np.clip(surv, 1e-300, 1.0))
-        q = self._share(source, t_grid)
+        q = self._share(source, t_grid, phases)
         q[0] = q[1]     # no P population at t = 0 from a lower level
         # flag the intervals whose linear interpolation misses q; the last
         # one also serves waits extrapolated past t_max, so it must be flat
@@ -315,6 +335,19 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     seed always reproduces the same stream.  The atom starts in
     `start_level`; the early transient is a few microseconds and is
     negligible against any realistic duration.
+
+    Level s draws its (wait, channel) pairs in batches of BATCH from its
+    own SeedSequence((seed, s)) generator and hands them out in order,
+    so the stream is that of a sequential loop which adds one wait per
+    event and stops at the first time at or past `duration`, or after
+    `max_events` events.  The walk runs in chunks (16 steps, doubling to
+    _WALK_CHUNK) that record only channel ids; after each chunk the waits
+    are taken from each level's unused draws, a cumulative sum seeded
+    with the last time gives the same doubles as the sequential sum, and
+    a search finds the end.  Draws past the end are never used.  A dark
+    level raises NumericalError on its first draw, and that error
+    propagates only if the sequential loop would have drawn from the
+    level: the walk reached it before `duration` and below `max_events`.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(
@@ -324,44 +357,85 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     if max_events is not None and max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events}")
     sampler = _JumpSampler(params)
-    lower = sampler.ch_lower.tolist()
+    batch = _JumpSampler.BATCH
+    # per level: its drawn wait batches that the walk has not used up,
+    # and how many waits of the first one it has used
+    pending: list[list[np.ndarray]] = [[] for _ in range(atom.N_LEVELS)]
+    used = [0] * atom.N_LEVELS
 
-    def batches(source):
+    def channels(source):
         # a generator body runs on its first next(): a level's seed and
-        # table are made only when the walk first reaches it.  Chaining
-        # the batches' zips keeps each event's next() in C.
+        # table are made only when the walk first reaches it
         rng = np.random.default_rng(np.random.SeedSequence((seed, source)))
         while True:
-            waits, chans = sampler.sample(source, rng, _JumpSampler.BATCH)
-            yield zip(waits.tolist(), chans.tolist())
+            waits, chans = sampler.sample(source, rng, batch)
+            pending[source].append(waits)
+            yield chans.tolist()
 
-    draw = [itertools.chain.from_iterable(batches(level)).__next__
+    def take(source, n):
+        """The next n waits of level `source`, in draw order."""
+        drawn, first = pending[source], used[source]
+        buf = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+        stop = first + n
+        del drawn[:stop // batch]
+        used[source] = stop % batch
+        return buf[first:stop]
+
+    draw = [itertools.chain.from_iterable(channels(level))
             for level in range(atom.N_LEVELS)]
-    t = 0.0
-    state = start_level
-    ts_out: list[float] = []
-    ch_out: list[int] = []
+    # the level each channel lands in, plus a last entry for the start
+    lower = np.append(sampler.ch_lower, start_level).astype(np.uint8)
+    after = [draw[level] for level in lower.tolist()]
+    t, prev = 0.0, len(after) - 1
+    ts_parts, pol_parts, wl_parts = [], [], []
+    n_out, chunk = 0, 8
     while True:
-        wait, chan = draw[state]()
-        t += wait
-        if t >= duration:
+        chunk = min(2 * chunk, _WALK_CHUNK)
+        # step i draws the channel of event i from the level that event
+        # i - 1 landed in; list.extend appends each channel before it
+        # pulls the next, so the map over seq reads the chain as it grows
+        steps = chunk if max_events is None \
+            else min(chunk, max_events - n_out)
+        seq, dark = [prev], None
+        try:
+            seq.extend(itertools.islice(
+                map(next, map(after.__getitem__, seq)), steps))
+        except NumericalError as exc:   # a dark level's first draw
+            dark = exc
+        chans = np.array(seq, dtype=np.intp)
+        source = lower[chans[:-1]]
+        counts = np.bincount(source, minlength=atom.N_LEVELS)
+        waits = np.empty(source.size)
+        if waits.size:
+            waits[np.argsort(source, kind="stable")] = np.concatenate(
+                [take(level, n) for level, n in enumerate(counts.tolist())
+                 if n])
+            waits[0] += t
+        times = np.cumsum(waits)   # the doubles of a sequential t += wait
+        end = int(np.searchsorted(times, duration))
+        ts_parts.append(np.round(times[:end] * PS_PER_S).astype(np.int64))
+        pol_parts.append(sampler.ch_pol[chans[1:end + 1]])
+        wl_parts.append(sampler.ch_wl[chans[1:end + 1]])
+        n_out += end
+        if end < times.size:
             break
-        ts_out.append(t)
-        ch_out.append(chan)
-        state = lower[chan]
-        if max_events is not None and len(ts_out) >= max_events:
-            duration = t + 1e-12
+        # every event so far lies before the end, so a sequential walk
+        # would have drawn from the dark level too
+        if dark is not None:
+            raise dark
+        if n_out == max_events:
+            duration = times[-1] + 1e-12
             break
+        t, prev = times[-1], seq[-1]
 
     # an event within 0.5 ps of the end rounds onto duration_ps
     duration_ps = int(math.ceil(duration * PS_PER_S))
-    ts = _bump(np.round(np.array(ts_out) * PS_PER_S).astype(np.int64),
-               duration_ps)
-    chans = np.array(ch_out, dtype=np.intp)
+    ts = np.concatenate(ts_parts)
+    del ts_parts    # freed before _bump makes its two arrays
     return ClickStream(
-        timestamps_ps=ts,
-        pol=sampler.ch_pol[chans],
-        wavelength=sampler.ch_wl[chans],
+        timestamps_ps=_bump(ts, duration_ps),
+        pol=np.concatenate(pol_parts),
+        wavelength=np.concatenate(wl_parts),
         duration_ps=duration_ps,
         channel=EMISSION_CHANNEL,
         meta={"seed": seed, "params": params.fingerprint(),

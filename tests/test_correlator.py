@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionpair import atom
 from ionpair.cli import main
 from ionpair.correlator import (CorrelatorConfig, correlate,
                                 correlate_brute_force)
@@ -425,3 +426,42 @@ class TestFrozenClickRoute:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() \
             == self.CROSS_10NS_CSV
+
+
+class TestFrozenEmissions:
+    """simulate_emissions byte for byte as frozen from the walk that drew
+    one event per Python loop step, on the paths TestFrozenClickRoute does
+    not take: the spectrum preset (its levels flag 544-1241 table
+    intervals each, so draws take exact P amplitudes), a start in D-3/2,
+    a max_events cap, and 600 ms of the weak preset (1.18 M events, many
+    walk chunks).  Seed 3 throughout."""
+
+    # label -> ((preset, duration s, start level, max_events),
+    #           events, duration_ps, sha256 of timestamps, pol, wavelength)
+    CASES = {
+        "spectrum": (("spectrum", 20e-3, atom.S_MINUS, None),
+                     55646, 20_000_000_000,
+                     "95ce804e7578457802810a4edf7a7921"
+                     "b30372c97777894ead083949852d885f"),
+        "start_d_m32": (("weak", 20e-3, atom.D_M32, None),
+                        38694, 20_000_000_000,
+                        "a831d2e347932e479d4b8c81e1bae297"
+                        "3830a68b2a003355dd75d626354162bf"),
+        "max_events": (("weak", 1.0, atom.S_MINUS, 5000),
+                       5000, 2_720_170_660,
+                       "9f0beff4830858cafcf37e53d3145268"
+                       "ea2b1bf3a1130c51c0a8244af196627d"),
+        "weak_600ms": (("weak", 0.6, atom.S_MINUS, None),
+                       1_179_209, 600_000_000_000,
+                       "52518571228b99f54e6f861aefe96cd4"
+                       "56684866b92fb4153059682cd580209b"),
+    }
+
+    @pytest.mark.parametrize("label", CASES)
+    def test_stream(self, label):
+        (preset, duration, start, cap), n, duration_ps, digest = \
+            self.CASES[label]
+        em = simulate_emissions(get_preset(preset), duration, seed=3,
+                                start_level=start, max_events=cap)
+        assert (len(em), em.duration_ps) == (n, duration_ps)
+        assert _digest(em.timestamps_ps, em.pol, em.wavelength) == digest

@@ -1,6 +1,7 @@
 """Quantum-jump sampler statistics and the detector model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ class TestClickStream:
         with pytest.raises(ValueError):
             ClickStream(np.array([], dtype=np.int64), np.array([]),
                         np.array([]), duration_ps=0)
+
+    def test_decrease_across_the_int64_range_rejected(self):
+        # the difference -2**63 - 5 wraps to a positive int64, so a check
+        # on np.diff would pass this stream
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ClickStream(np.array([5, -2**63]), np.zeros(2), np.zeros(2),
+                        duration_ps=10)
 
     def test_select(self, weak_emissions):
         blue = weak_emissions.select(wavelength="397")
@@ -435,6 +443,76 @@ class TestSimulateEmissions:
         if max_events is None:
             # some level ran past its first batch
             assert max(batches.values()) >= 2
+
+    @pytest.mark.parametrize("max_events", [15, 16, 17, 48, 112, 113])
+    def test_cap_at_walk_chunk_edges(self, max_events):
+        # the walk's chunks double from 16 steps, so they end after 16, 48
+        # and 112 events
+        (ts, pol, wl, duration_ps), _ = _reference_walk(
+            WEAK, 1.0, 2, atom.S_MINUS, max_events)
+        em = simulate_emissions(WEAK, 1.0, seed=2, max_events=max_events)
+        assert len(em) == max_events
+        assert np.array_equal(em.timestamps_ps, ts)
+        assert np.array_equal(em.pol, pol)
+        assert np.array_equal(em.wavelength, wl)
+        assert em.duration_ps == duration_ps
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dark_level_raises_only_where_the_walk_reaches_it(self, seed):
+        # with a sigma-only repumper nothing couples D+3/2 (level 7), so
+        # the first draw from it raises; the walk runs past the end and
+        # may reach it there, which must not raise
+        params = WEAK.replace(alpha_866=0.0)
+
+        def reference(duration, cap):
+            try:
+                return _reference_walk(params, duration, seed, atom.S_MINUS,
+                                       cap)[0]
+            except NumericalError:
+                return None
+
+        # the events up to and including the trapping arrival
+        arrival = 1
+        while reference(1.0, arrival + 1) is not None:
+            arrival += 1
+        t_ps = int(reference(1.0, arrival)[0][-1])
+        cases = [((t_ps - 1) / T.PS_PER_S, None),
+                 ((t_ps + 1) / T.PS_PER_S, None),
+                 ((t_ps + 1) / T.PS_PER_S, arrival),
+                 (1.0, arrival), (1.0, arrival + 1)]
+        if arrival > 1:
+            cases.append((1.0, arrival - 1))
+        raised = []
+        for duration, cap in cases:
+            want = reference(duration, cap)
+            raised.append(want is None)
+            if want is None:
+                with pytest.raises(NumericalError,
+                                   match="level 7 .* dark state"):
+                    simulate_emissions(params, duration, seed=seed,
+                                       max_events=cap)
+                continue
+            em = simulate_emissions(params, duration, seed=seed,
+                                    max_events=cap)
+            ts, pol, wl, duration_ps = want
+            assert np.array_equal(em.timestamps_ps, ts)
+            assert np.array_equal(em.pol, pol)
+            assert np.array_equal(em.wavelength, wl)
+            assert em.duration_ps == duration_ps
+        assert raised[:5] == [False, True, False, False, True]
+
+    def test_walk_holds_no_python_object_per_event(self):
+        # tracemalloc peak per event of a 0.2 s weak run, seeds 1-3:
+        # 81.4-83.1 B for the loop that appended one Python float per
+        # event, 36.2-37.9 B for the chunked walk of channel ids
+        tracemalloc.start()
+        try:
+            em = simulate_emissions(WEAK, 0.2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(em) > 300_000
+        assert peak / len(em) < 60.0
 
     def test_strictly_increasing_and_within_duration(self, weak_emissions):
         ts = weak_emissions.timestamps_ps
