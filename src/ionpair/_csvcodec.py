@@ -26,7 +26,7 @@ def read_csv(path, dtype=None, convert=None):
     per header cell, then through `convert` if given.  Blank lines and
     later '#' lines are skipped; a row that np.loadtxt or `convert`
     rejects (with a ValueError saying "at row i") is reported by its
-    line number in the file."""
+    line number in the file; the caller names the file."""
     meta: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, map(str.strip, fh))
@@ -37,7 +37,7 @@ def read_csv(path, dtype=None, convert=None):
             if eq:
                 meta[key.strip()] = val.strip()
         else:
-            raise ValueError(f"{path}: no header row")
+            raise ValueError("no header row")
         header = next(csv.reader([line]))
         if dtype is None:
             dtype = [(f"c{j}", "f8") for j in range(len(header))]

@@ -48,10 +48,6 @@ _TIME_UNITS = {"ps": 1e-12, "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _InputError(Exception):
     pass
 
@@ -59,7 +55,7 @@ class _InputError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse would exit(2); the contract here is exit code 1 for usage
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -102,13 +98,12 @@ def parse_freq(text: str) -> float:
 def _load_params(spec: str) -> ExperimentParams:
     if spec in PRESETS:
         return get_preset(spec)
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise _InputError(
             f"{spec!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             f"nor an existing parameter file")
     try:
-        return ExperimentParams.load(path)
+        return ExperimentParams.load(spec)
     except (ValueError, OSError) as exc:
         raise _InputError(f"cannot read parameters from {spec}: {exc}")
 
@@ -119,7 +114,7 @@ def _sized(request: str):
     try:
         yield
     except MemoryError:
-        raise _UsageError(f"{request}, more than fits in memory") from None
+        raise ValueError(f"{request}, more than fits in memory") from None
 
 
 def _grid(args) -> np.ndarray:
@@ -129,15 +124,30 @@ def _grid(args) -> np.ndarray:
         return corr.default_grid(args.t_max, args.dt)
 
 
+def _errors(args) -> corr.ErrorModel:
+    """The --eps-* detection error model."""
+    return corr.ErrorModel(args.eps_init, args.eps_minus, args.eps_plus)
+
+
+def _save(args, x, columns, x_label, params=None, **meta) -> None:
+    """Write the -o table, if given, headed by command, params and meta."""
+    if args.output:
+        if params is not None:
+            meta["params"] = params.fingerprint()
+        corr.write_table_csv(args.output, x, columns, x_label,
+                             meta={"command": args.command, **meta})
+        print(f"wrote {args.output}")
+
+
 # -- g2 ------------------------------------------------------------------
 
 def cmd_g2(args) -> int:
-    errors = corr.ErrorModel(args.eps_init, args.eps_minus, args.eps_plus)
+    errors = _errors(args)
     # the column names do not carry the errors, the header does
     eps = {k: v for k, v in asdict(errors).items() if v}
     if args.total and eps:
-        raise _UsageError("--total is polarization-blind and takes no "
-                          "--eps-* detection errors")
+        raise ValueError("--total is polarization-blind and takes no "
+                         "--eps-* detection errors")
     params = _load_params(args.params)
     grid = _grid(args)
     if args.total:
@@ -149,13 +159,8 @@ def cmd_g2(args) -> int:
     for c in curves:
         tau, peak = c.peak()
         print(f"{c.kind}: peak g2 = {peak:.4f} at tau = {tau * 1e9:.2f} ns")
-    if args.output:
-        corr.write_table_csv(
-            args.output, grid * 1e9,
-            {c.kind: c.values for c in curves}, "tau_ns",
-            meta={"params": params.fingerprint(), "command": "g2",
-                  "first": "-" if args.total else args.first, **eps})
-        print(f"wrote {args.output}")
+    _save(args, grid * 1e9, {c.kind: c.values for c in curves}, "tau_ns",
+          params, first="-" if args.total else args.first, **eps)
     return 0
 
 
@@ -163,7 +168,7 @@ def cmd_g2(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.points < 1:
-        raise _UsageError(f"--points must be at least 1, got {args.points}")
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     params = _load_params(args.params)
     with _sized(f"--points asks for a spectrum of {args.points} points"):
         grid = np.linspace(args.lo, args.hi, args.points)
@@ -178,14 +183,9 @@ def cmd_spectrum(args) -> int:
         raman = corr.raman_positions(params)
         print("dips_mhz:", " ".join(f"{_to_mhz(d):.3f}" for d in dips))
         print("raman_mhz:", " ".join(f"{_to_mhz(r):.3f}" for r in raman))
-    if args.output:
-        corr.write_table_csv(
-            args.output, _to_mhz(grid),
-            {"rate": sc.values, "ok": sc.ok.astype(float)},
-            "delta_866_mhz",
-            meta={"params": params.fingerprint(), "command": "spectrum",
-                  "scale": args.scale, "background": args.background})
-        print(f"wrote {args.output}")
+    _save(args, _to_mhz(grid), {"rate": sc.values, "ok": sc.ok.astype(float)},
+          "delta_866_mhz", params, scale=args.scale,
+          background=args.background)
     return 0
 
 
@@ -203,10 +203,7 @@ def cmd_purity(args) -> int:
         print(f"mean {pol} photons in window = {n:.4f}")
     if args.output:
         tau, curve = corr.purity_curve(model, grid)
-        corr.write_table_csv(
-            args.output, tau * 1e9, {"purity": curve}, "tau_ns",
-            meta={"params": params.fingerprint(), "command": "purity"})
-        print(f"wrote {args.output}")
+        _save(args, tau * 1e9, {"purity": curve}, "tau_ns", params)
     return 0
 
 
@@ -261,21 +258,13 @@ def cmd_correlate(args) -> int:
               "values are unnormalized", file=sys.stderr)
     print(f"pairs = {gram.total_pairs}, rate_a = {gram.rate_a:.4e} /s, "
           f"rate_b = {gram.rate_b:.4e} /s, overlap = {gram.overlap_s:.4f} s")
-    if args.output:
-        corr.write_table_csv(
-            args.output, gram.config.bin_centers_ps() / 1000.0,
-            {"counts": gram.counts.astype(float), "g2": gram.values},
-            "tau_ns",
-            meta={"command": "correlate", "bin_ps": config.bin_width_ps,
-                  "window_ps": config.window_ps,
-                  "total_pairs": gram.total_pairs,
-                  "rate_a": f"{gram.rate_a:.10g}",
-                  "rate_b": f"{gram.rate_b:.10g}",
-                  "overlap_s": f"{gram.overlap_s:.10g}",
-                  "pol_a": args.pol_a or "any", "pol_b": args.pol_b or "any",
-                  "wavelength": args.wavelength or "any",
-                  "flagged": gram.flagged})
-        print(f"wrote {args.output}")
+    _save(args, gram.config.bin_centers_ps() / 1000.0,
+          {"counts": gram.counts.astype(float), "g2": gram.values}, "tau_ns",
+          bin_ps=config.bin_width_ps, window_ps=config.window_ps,
+          total_pairs=gram.total_pairs, rate_a=f"{gram.rate_a:.10g}",
+          rate_b=f"{gram.rate_b:.10g}", overlap_s=f"{gram.overlap_s:.10g}",
+          pol_a=args.pol_a or "any", pol_b=args.pol_b or "any",
+          wavelength=args.wavelength or "any", flagged=gram.flagged)
     return 0
 
 
@@ -322,37 +311,27 @@ def _print_fit(res) -> None:
         print(f"  {name} = {text(value)}{err}")
 
 
-def _report_fit(res, args) -> int:
+def cmd_fit(args) -> int:
+    params = _load_params(args.params)
+    budget = dict(free=args.free, restarts=args.restarts, seed=args.seed,
+                  maxfev=args.maxfev)
+    if args.mode == "spectrum":
+        data = _read_fit_table(args.data, "spectrum", TWO_PI * 1e6)
+        res = fit_spectrum(data, params, scale=args.scale,
+                           background=args.background, **budget)
+    else:
+        kinds = [k.strip() for k in args.kinds.split(",")]
+        if len(kinds) != len(args.data):
+            raise ValueError(f"--kinds lists {len(kinds)} entries for "
+                             f"{len(args.data)} data files")
+        datasets = [_read_fit_table(p, k, 1e-9)
+                    for p, k in zip(args.data, kinds)]
+        res = fit_g2_joint(datasets, params, errors=_errors(args), **budget)
     _print_fit(res)
     if args.save_params:
         res.experiment.save(args.save_params)
         print(f"wrote {args.save_params}")
     return 0
-
-
-def cmd_fit_spectrum(args) -> int:
-    params = _load_params(args.params)
-    data = _read_fit_table(args.data, "spectrum", TWO_PI * 1e6)
-    res = fit_spectrum(data, params, free=args.free, scale=args.scale,
-                       background=args.background, restarts=args.restarts,
-                       seed=args.seed, maxfev=args.maxfev)
-    return _report_fit(res, args)
-
-
-def cmd_fit_g2(args) -> int:
-    params = _load_params(args.params)
-    kinds = [k.strip() for k in args.kinds.split(",")]
-    if len(kinds) != len(args.data):
-        raise _UsageError(
-            f"--kinds lists {len(kinds)} entries for "
-            f"{len(args.data)} data files")
-    datasets = [_read_fit_table(p, k, 1e-9)
-                for p, k in zip(args.data, kinds)]
-    errors = corr.ErrorModel(args.eps_init, args.eps_minus, args.eps_plus)
-    res = fit_g2_joint(datasets, params, free=args.free, errors=errors,
-                       restarts=args.restarts, seed=args.seed,
-                       maxfev=args.maxfev)
-    return _report_fit(res, args)
 
 
 # -- selftest ------------------------------------------------------------
@@ -475,6 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-minus", type=float, default=0.0)
         p.add_argument("--eps-plus", type=float, default=0.0)
 
+    def add_grid(p):
+        p.add_argument("--t-max", type=parse_time, default=1000e-9)
+        p.add_argument("--dt", type=parse_time, default=0.5e-9)
+
+    def add_scaling(p):
+        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--background", type=float, default=0.0)
+
     p = sub.add_parser("g2", help="correlation curves")
     add_params(p)
     p.add_argument("--first", choices=("sigma-", "sigma+"), default="sigma-")
@@ -482,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--total", action="store_true",
                    help="polarization-blind g2 instead of conditioned")
-    p.add_argument("--t-max", type=parse_time, default=1000e-9)
-    p.add_argument("--dt", type=parse_time, default=0.5e-9)
+    add_grid(p)
     add_errors(p)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_g2)
@@ -493,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=parse_freq, default=-TWO_PI * 40e6)
     p.add_argument("--hi", type=parse_freq, default=TWO_PI * 40e6)
     p.add_argument("--points", type=int, default=401)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--background", type=float, default=0.0)
+    add_scaling(p)
     p.add_argument("--dips", action="store_true",
                    help="also report dark-resonance dip positions")
     p.add_argument("-o", "--output")
@@ -503,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("purity", help="pair purity metrics")
     add_params(p)
     p.add_argument("--t-window", type=parse_time, default=24e-9)
-    p.add_argument("--t-max", type=parse_time, default=1000e-9)
-    p.add_argument("--dt", type=parse_time, default=0.5e-9)
+    add_grid(p)
     p.add_argument("-o", "--output",
                    help="write the purity-versus-window curve")
     p.set_defaults(func=cmd_purity)
@@ -539,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("fit", help="parameter estimation")
+    p.set_defaults(func=cmd_fit)
     modes = p.add_subparsers(dest="mode", required=True)
 
     def add_fit_options(p):
@@ -561,9 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = modes.add_parser("spectrum", help="fit an excitation spectrum")
     p.add_argument("data", help="spectrum CSV data file")
     add_fit_options(p)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--background", type=float, default=0.0)
-    p.set_defaults(func=cmd_fit_spectrum)
+    add_scaling(p)
 
     p = modes.add_parser("g2", help="jointly fit correlation curves")
     p.add_argument("data", nargs="+", help="CSV data file(s)")
@@ -572,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-file dataset kinds, e.g. "
                         "'sigma-|sigma-,sigma-|sigma+'")
     add_errors(p)
-    p.set_defaults(func=cmd_fit_g2)
 
     p = sub.add_parser("selftest", help="internal consistency battery")
     p.set_defaults(func=cmd_selftest)
@@ -593,7 +575,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

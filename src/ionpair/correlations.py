@@ -407,7 +407,7 @@ def read_table_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
     """Inverse of write_table_csv: (x, columns, meta)."""
     meta, header, records = read_csv(path)
     if not len(records):
-        raise ValueError(f"{path}: no tabular data found")
+        raise ValueError("no tabular data found")
     columns = {name: records[f"c{j}"]
                for j, name in enumerate(header[1:], 1)}
     return records["c0"], columns, meta

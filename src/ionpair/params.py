@@ -214,9 +214,9 @@ class ExperimentParams:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON ({exc})") from None
+                raise ValueError(f"not valid JSON ({exc})") from None
         if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected a JSON object")
+            raise ValueError("expected a JSON object")
         return cls.from_dict(data)
 
     def fingerprint(self) -> str:

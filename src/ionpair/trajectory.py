@@ -223,18 +223,14 @@ class _JumpSampler:
         """Wave function components (len(times), levels) from |source>."""
         return self._phases(source, times) @ self.v[levels].T
 
-    def _survival(self, source: int, times: np.ndarray,
-                  phases: np.ndarray | None = None) -> np.ndarray:
-        if phases is None:
-            phases = self._phases(source, times)
+    def _survival(self, phases: np.ndarray) -> np.ndarray:
+        """S = ||psi||^2 at each row of `phases` (from _phases)."""
         amps = phases @ self.v.T
         return np.einsum("ij,ij->i", amps, amps.conj()).real
 
-    def _share(self, source: int, times: np.ndarray,
-               phases: np.ndarray | None = None) -> np.ndarray:
-        """q = |psi_P-|^2 / (|psi_P-|^2 + |psi_P+|^2), 0 where both vanish."""
-        if phases is None:
-            phases = self._phases(source, times)
+    def _share(self, phases: np.ndarray) -> np.ndarray:
+        """q = |psi_P-|^2 / (|psi_P-|^2 + |psi_P+|^2), 0 where both vanish,
+        at each row of `phases` (from _phases)."""
         pop = np.abs(phases @ self.v[list(atom.P_LEVELS)].T) ** 2
         tot = pop.sum(axis=1)
         return np.divide(pop[:, 0], tot, out=np.zeros_like(tot),
@@ -258,7 +254,8 @@ class _JumpSampler:
             raise dark
         t_max = 2.0 / self.gamma_tot
         for _ in range(self.MAX_DOUBLINGS):
-            if self._survival(source, np.array([t_max]))[0] < self.TABLE_FLOOR:
+            end = self._phases(source, np.array([t_max]))
+            if self._survival(end)[0] < self.TABLE_FLOOR:
                 break
             t_max *= 2.0
         else:
@@ -267,17 +264,17 @@ class _JumpSampler:
             [[0.0], np.geomspace(self.T_MIN, t_max, self.TABLE_SIZE)])
         # one exp(-i w t) on the grid serves both curves
         phases = self._phases(source, t_grid)
-        surv = self._survival(source, t_grid, phases)
+        surv = self._survival(phases)
         # running min guards against last-digit wiggle in the flat head
         surv = np.minimum.accumulate(np.clip(surv, 1e-300, 1.0))
-        q = self._share(source, t_grid, phases)
+        q = self._share(phases)
         q[0] = q[1]     # no P population at t = 0 from a lower level
         # flag the intervals whose linear interpolation misses q; the last
         # one also serves waits extrapolated past t_max, so it must be flat
         quarters = np.array([0.25, 0.5, 0.75])
         dt, dq = np.diff(t_grid), np.diff(q)
-        probe = self._share(
-            source, (t_grid[:-1, None] + quarters * dt[:, None]).ravel())
+        probe = self._share(self._phases(
+            source, (t_grid[:-1, None] + quarters * dt[:, None]).ravel()))
         miss = np.abs(probe.reshape(-1, 3)
                       - (q[:-1, None] + quarters * dq[:, None])).max(axis=1)
         exact = miss > self.Q_TOL
@@ -310,7 +307,7 @@ class _JumpSampler:
         q = tab.q[idx] + frac * (tab.q[idx + 1] - tab.q[idx])
         if tab.exact is not None:
             slow = tab.exact[idx]
-            q[slow] = self._share(source, waits[slow])
+            q[slow] = self._share(self._phases(source, waits[slow]))
         return waits, q
 
     def sample(self, source: int, rng: np.random.Generator, n: int):

@@ -584,6 +584,68 @@ class TestFitCommand:
         assert "kinds" in err
 
 
+# the '# key = value' lines and the column row of each command's -o
+# table, in file order
+_GRID = ("--t-max", "10ns", "--dt", "1ns")
+_WEAK = "# params = 575aea4f230a"
+_PAIRS = "tau_ns,sigma-|sigma-,sigma-|sigma+"
+_STREAM_A = ("# channel = 1\n# duration_ps = 200000\n"
+             "timestamp_ps,pol,wavelength\n" + "".join(
+                 f"{t},{('sigma-', 'sigma+')[i % 2]},397\n" for i, t in
+                 enumerate((1000, 5000, 12000, 30000, 45000, 61000, 90000,
+                            120000, 150000, 190000))))
+_STREAM_B = ("# channel = 2\n# duration_ps = 200000\n"
+             "timestamp_ps,pol,wavelength\n" + "".join(
+                 f"{t},sigma+,397\n" for t in (3000, 8000, 20000, 33000,
+                                               70000, 100000, 140000,
+                                               170000)))
+
+
+def _correlate_header(pol_a, rate_a, rate_b, pairs):
+    return ["# bin_ps = 2000", "# command = correlate", "# flagged = False",
+            "# overlap_s = 2e-07", f"# pol_a = {pol_a}", "# pol_b = any",
+            f"# rate_a = {rate_a}", f"# rate_b = {rate_b}",
+            f"# total_pairs = {pairs}", "# wavelength = any",
+            "# window_ps = 20000", "tau_ns,counts,g2"]
+
+
+class TestProvenanceHeader:
+    """Every -o table keeps its header: the command, its settings and the
+    parameter fingerprint, sorted by key, then the column row."""
+
+    @pytest.mark.parametrize("argv, header", [
+        (("g2", *_GRID), ["# command = g2", "# first = sigma-", _WEAK,
+                          _PAIRS]),
+        (("g2", "--total", *_GRID), ["# command = g2", "# first = -", _WEAK,
+                                     "tau_ns,total"]),
+        (("g2", "--eps-init", "0.02", *_GRID),
+         ["# command = g2", "# eps_init = 0.02", "# first = sigma-", _WEAK,
+          _PAIRS]),
+        (("spectrum", "--points", "5"),
+         ["# background = 0.0", "# command = spectrum", _WEAK,
+          "# scale = 1.0", "delta_866_mhz,rate,ok"]),
+        (("purity", *_GRID), ["# command = purity", _WEAK, "tau_ns,purity"]),
+        (("correlate", "a.csv"),
+         _correlate_header("any", 50000000, 50000000, 12)),
+        (("correlate", "a.csv", "b.csv", "--pol-a", "sigma-"),
+         _correlate_header("sigma-", 25000000, 40000000, 10)),
+    ], ids=["g2", "g2-total", "g2-eps", "spectrum", "purity", "correlate",
+            "correlate-pol"])
+    def test_header(self, capsys, tmp_path, argv, header):
+        (tmp_path / "a.csv").write_text(_STREAM_A)
+        (tmp_path / "b.csv").write_text(_STREAM_B)
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        if argv[0] == "correlate":
+            argv += ["--bin", "2ns", "--window", "20ns"]
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run(capsys, *argv, "-o", str(out))
+        assert code == 0
+        assert stdout.endswith(f"wrote {out}\n")
+        lines = out.read_text().splitlines()
+        assert lines[:len(header)] == header
+        assert not lines[len(header)].startswith("#")
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         assert run(capsys, "bogus")[0] == 1
@@ -822,6 +884,71 @@ class TestExitCodes:
             code, _, err = run(capsys, "correlate", str(path))
             assert code == 2, text
             assert err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("not json {\n", "not valid JSON"),
+        ("[1, 2, 3]\n", "expected a JSON object"),
+    ], ids=["not-json", "array"])
+    def test_parameter_file_not_a_json_object(self, capsys, tmp_path, text,
+                                              reason):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "g2", "--params", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read parameters from {path}: "
+                              f"{reason}")
+        assert err.count(str(path)) == 1
+
+    def test_table_errors_name_the_file_once(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# command = g2\ntau_ns,total\n")
+        code, _, err = run(capsys, "fit", "g2", str(empty),
+                           "--free", "omega_397")
+        assert code == 2
+        assert err == f"error: cannot read {empty}: no tabular data found\n"
+        headless = tmp_path / "headless.csv"
+        headless.write_text("# only = comments\n")
+        code, _, err = run(capsys, "fit", "spectrum", str(headless),
+                           "--free", "scale")
+        assert code == 2
+        assert err == f"error: cannot read {headless}: no header row\n"
+        code, _, err = run(capsys, "correlate", str(headless))
+        assert code == 2
+        assert err == f"error: {headless}: no header row\n"
+
+    def test_every_spectrum_point_failed(self, capsys, tmp_path):
+        # without a repumper no steady state is unique, so every point
+        # is flagged; only --dips turns that into a failure
+        path = tmp_path / "no866.json"
+        path.write_text(json.dumps({**get_preset("weak").to_dict(),
+                                    "omega_866_mhz": 0}))
+        code, out, err = run(capsys, "spectrum", "--params", str(path),
+                             "--points", "5")
+        assert code == 0 and out == ""
+        assert err == "warning: 5 of 5 points failed to solve\n"
+        code, out, err = run(capsys, "spectrum", "--params", str(path),
+                             "--points", "5", "--dips")
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1] == ("numerical failure: spectrum "
+                                        "contains failed points; cannot "
+                                        "locate dips")
+
+    def test_fit_g2_on_decreasing_delays_names_the_file(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "decr.csv"
+        path.write_text("tau_ns,total\n2,1.0\n1,0.5\n0,0.1\n")
+        code, _, err = run(capsys, "fit", "g2", str(path),
+                           "--free", "omega_397")
+        assert code == 2
+        assert err == (f"error: {path}: correlation delays must increase "
+                       "from tau >= 0\n")
+
+    def test_negative_stream_timestamp(self, capsys, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("timestamp_ps,pol,wavelength\n-5,pi,397\n10,pi,397\n")
+        code, _, err = run(capsys, "correlate", str(path))
+        assert code == 2
+        assert err == f"error: {path}: timestamps must be non-negative\n"
 
     def test_bad_fit_budget(self, capsys, tmp_path):
         spec = tmp_path / "spec.csv"

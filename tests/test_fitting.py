@@ -40,6 +40,12 @@ class TestDataSet:
         with pytest.raises(ValueError):
             DataSet("total", [1e-9, 1e-9], [1.0, 2.0])
 
+    def test_single_point_and_misaligned_err(self):
+        with pytest.raises(ValueError, match="at least two data points"):
+            DataSet("spectrum", [0.0], [1.0])
+        with pytest.raises(ValueError, match="err must align with y"):
+            DataSet("spectrum", [0.0, 1.0], [1.0, 2.0], err=[1.0])
+
 
 def _clamp_cascade(y, w, s, a0, b0, fit_a, fit_b):
     """Oracle: the closed-form weighted regression with negative results

@@ -102,6 +102,12 @@ class TestClickStream:
         with pytest.raises(ValueError):
             weak_emissions.select(pol="left")
 
+    def test_select_rejects_an_unknown_wavelength(self):
+        s = ClickStream(np.array([1, 2]), np.zeros(2), np.zeros(2),
+                        duration_ps=10)
+        with pytest.raises(ValueError, match="unknown wavelength '500'"):
+            s.select(wavelength="500")
+
     def test_select_matches_a_mask(self):
         # random streams, empty ones included, under every filter pair:
         # the same arrays, dtypes, duration, channel and meta as
@@ -169,7 +175,7 @@ class TestJumpSampler:
         log_s = -table.neg_log_s
         assert np.all(np.diff(log_s) <= 1e-15)
         mids = 0.5 * (table.t[1:-1] + table.t[2:])
-        exact = np.log(sampler._survival(atom.S_PLUS, mids))
+        exact = np.log(sampler._survival(sampler._phases(atom.S_PLUS, mids)))
         interp = np.interp(mids, table.t, log_s)
         assert np.max(np.abs(interp - exact)) < 5e-3
 
