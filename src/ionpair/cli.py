@@ -52,6 +52,11 @@ class _InputError(Exception):
     pass
 
 
+def _reason(exc: Exception) -> str:
+    """The text of `exc`, without the file name an OSError's text adds."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would exit(2); the contract here is exit code 1 for usage
     def error(self, message):
@@ -105,7 +110,8 @@ def _load_params(spec: str) -> ExperimentParams:
     try:
         return ExperimentParams.load(spec)
     except (ValueError, OSError) as exc:
-        raise _InputError(f"cannot read parameters from {spec}: {exc}")
+        raise _InputError(
+            f"cannot read parameters from {spec}: {_reason(exc)}")
 
 
 @contextmanager
@@ -274,7 +280,7 @@ def _read_fit_table(path, kind, x_unit):
     try:
         x, columns, meta = corr.read_table_csv(path)
     except (OSError, ValueError) as exc:
-        raise _InputError(f"cannot read {path}: {exc}")
+        raise _InputError(f"cannot read {path}: {_reason(exc)}")
     err = columns.pop("err", None)
     candidates = [k for k in columns if k != "ok"]
     if kind not in columns and len(candidates) != 1:

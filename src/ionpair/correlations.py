@@ -305,10 +305,13 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     the curve maximum for B >= 0.05 G and grows at smaller fields.
 
     A point whose fluorescence is non-finite or below -1e-9 is flagged in
-    `ok` and carries NaN; if the anchor solve or the eigendecomposition
-    fails (no unique steady state, e.g. omega_866 = 0), every point is
-    flagged.  Failures never raise; a non-finite `scale` or `background`
-    is a ValueError before any solve.
+    `ok` and carries NaN.  If the anchor solve or the eigendecomposition
+    fails, every point is flagged: the solve fails on an exactly singular
+    system (e.g. omega_866 = 0).  Uniqueness is not checked otherwise: a
+    steady state that is unique only to within round-off (gamma_dp = 0
+    near B = 0) solves, and its points can come back `ok`.  Failures
+    never raise; a non-finite `scale` or `background` is a ValueError
+    before any solve.
     """
     _check_finite("scale", scale)
     _check_finite("background", background)

@@ -214,24 +214,22 @@ class _JumpSampler:
         self._law_cum = np.concatenate(cum)
         self._tables: dict[int, _Table] = {}
 
-    def _phases(self, source: int, times: np.ndarray) -> np.ndarray:
-        """Mode amplitudes exp(-i w t) V^-1 |source>, one row per time."""
-        return np.exp(-1j * np.outer(times, self.w)) * self.v_inv[:, source]
-
     def _amplitudes(self, source: int, times: np.ndarray,
                     levels=slice(None)) -> np.ndarray:
-        """Wave function components (len(times), levels) from |source>."""
-        return self._phases(source, times) @ self.v[levels].T
+        """psi = V exp(-i w t) V^-1 |source>, shape (len(times), levels)."""
+        return (np.exp(-1j * np.outer(times, self.w))
+                * self.v_inv[:, source]) @ self.v[levels].T
 
-    def _survival(self, phases: np.ndarray) -> np.ndarray:
-        """S = ||psi||^2 at each row of `phases` (from _phases)."""
-        amps = phases @ self.v.T
+    @staticmethod
+    def _survival(amps: np.ndarray) -> np.ndarray:
+        """S = ||psi||^2 at each row of `amps` (all levels)."""
         return np.einsum("ij,ij->i", amps, amps.conj()).real
 
-    def _share(self, phases: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _share(amps: np.ndarray) -> np.ndarray:
         """q = |psi_P-|^2 / (|psi_P-|^2 + |psi_P+|^2), 0 where both vanish,
-        at each row of `phases` (from _phases)."""
-        pop = np.abs(phases @ self.v[list(atom.P_LEVELS)].T) ** 2
+        at each row of `amps` (the two P levels, P- first)."""
+        pop = np.abs(amps) ** 2
         tot = pop.sum(axis=1)
         return np.divide(pop[:, 0], tot, out=np.zeros_like(tot),
                          where=tot > 0)
@@ -254,7 +252,7 @@ class _JumpSampler:
             raise dark
         t_max = 2.0 / self.gamma_tot
         for _ in range(self.MAX_DOUBLINGS):
-            end = self._phases(source, np.array([t_max]))
+            end = self._amplitudes(source, np.array([t_max]))
             if self._survival(end)[0] < self.TABLE_FLOOR:
                 break
             t_max *= 2.0
@@ -262,19 +260,20 @@ class _JumpSampler:
             raise dark
         t_grid = np.concatenate(
             [[0.0], np.geomspace(self.T_MIN, t_max, self.TABLE_SIZE)])
-        # one exp(-i w t) on the grid serves both curves
-        phases = self._phases(source, t_grid)
-        surv = self._survival(phases)
+        # one amplitude matrix on the grid serves both curves
+        amps = self._amplitudes(source, t_grid)
+        surv = self._survival(amps)
         # running min guards against last-digit wiggle in the flat head
         surv = np.minimum.accumulate(np.clip(surv, 1e-300, 1.0))
-        q = self._share(phases)
+        q = self._share(amps[:, list(atom.P_LEVELS)])
         q[0] = q[1]     # no P population at t = 0 from a lower level
         # flag the intervals whose linear interpolation misses q; the last
         # one also serves waits extrapolated past t_max, so it must be flat
         quarters = np.array([0.25, 0.5, 0.75])
         dt, dq = np.diff(t_grid), np.diff(q)
-        probe = self._share(self._phases(
-            source, (t_grid[:-1, None] + quarters * dt[:, None]).ravel()))
+        probe = self._share(self._amplitudes(
+            source, (t_grid[:-1, None] + quarters * dt[:, None]).ravel(),
+            list(atom.P_LEVELS)))
         miss = np.abs(probe.reshape(-1, 3)
                       - (q[:-1, None] + quarters * dq[:, None])).max(axis=1)
         exact = miss > self.Q_TOL
@@ -307,7 +306,8 @@ class _JumpSampler:
         q = tab.q[idx] + frac * (tab.q[idx + 1] - tab.q[idx])
         if tab.exact is not None:
             slow = tab.exact[idx]
-            q[slow] = self._share(self._phases(source, waits[slow]))
+            q[slow] = self._share(
+                self._amplitudes(source, waits[slow], list(atom.P_LEVELS)))
         return waits, q
 
     def sample(self, source: int, rng: np.random.Generator, n: int):
@@ -338,13 +338,15 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     so the stream is that of a sequential loop which adds one wait per
     event and stops at the first time at or past `duration`, or after
     `max_events` events.  The walk runs in chunks (16 steps, doubling to
-    _WALK_CHUNK) that record only channel ids; after each chunk the waits
-    are taken from each level's unused draws, a cumulative sum seeded
-    with the last time gives the same doubles as the sequential sum, and
-    a search finds the end.  Draws past the end are never used.  A dark
-    level raises NumericalError on its first draw, and that error
-    propagates only if the sequential loop would have drawn from the
-    level: the walk reached it before `duration` and below `max_events`.
+    _WALK_CHUNK) that record only channel ids.  Each level keeps one
+    queue of drawn waits the walk has not used; after a chunk, each
+    level gives up the head of its queue, one wait per step the chunk
+    took from it.  A cumulative sum seeded with the last time gives the
+    same doubles as the sequential sum, and a search finds the end.
+    Draws past the end are never used.  A dark level raises
+    NumericalError on its first draw, and that error propagates only if
+    the sequential loop would have drawn from the level: the walk
+    reached it before `duration` and below `max_events`.
     """
     if not 0.0 < duration < math.inf:
         raise ValueError(
@@ -354,29 +356,23 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     if max_events is not None and max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events}")
     sampler = _JumpSampler(params)
-    batch = _JumpSampler.BATCH
-    # per level: its drawn wait batches that the walk has not used up,
-    # and how many waits of the first one it has used
+    # per level: the drawn waits that the walk has not used yet
     pending: list[list[np.ndarray]] = [[] for _ in range(atom.N_LEVELS)]
-    used = [0] * atom.N_LEVELS
 
     def channels(source):
         # a generator body runs on its first next(): a level's seed and
         # table are made only when the walk first reaches it
         rng = np.random.default_rng(np.random.SeedSequence((seed, source)))
         while True:
-            waits, chans = sampler.sample(source, rng, batch)
+            waits, chans = sampler.sample(source, rng, _JumpSampler.BATCH)
             pending[source].append(waits)
             yield chans.tolist()
 
     def take(source, n):
         """The next n waits of level `source`, in draw order."""
-        drawn, first = pending[source], used[source]
-        buf = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-        stop = first + n
-        del drawn[:stop // batch]
-        used[source] = stop % batch
-        return buf[first:stop]
+        drawn = np.concatenate(pending[source])
+        pending[source] = [drawn[n:]]
+        return drawn[:n]
 
     draw = [itertools.chain.from_iterable(channels(level))
             for level in range(atom.N_LEVELS)]
@@ -528,11 +524,11 @@ def detect(emissions: ClickStream, config: DetectionConfig,
                 chan_cfg.accepted_pol, atom.POL_PI), dtype=np.uint8)
             dark_wl = np.full(n_dark, atom.WL_TAGS.get(
                 config.wavelength, atom.WL_397), dtype=np.uint8)
-            order = np.argsort(np.concatenate([ts, dark_ts]), kind="stable")
-            ts = np.concatenate([ts, dark_ts])[order]
+            ts = np.concatenate([ts, dark_ts])
+            order = np.argsort(ts, kind="stable")
             pol = np.concatenate([pol, dark_pol])[order]
             wav = np.concatenate([wav, dark_wl])[order]
-            ts = _bump(ts.astype(np.int64), emissions.duration_ps)
+            ts = _bump(ts[order], emissions.duration_ps)
         out.append(ClickStream(
             timestamps_ps=ts, pol=pol, wavelength=wav,
             duration_ps=emissions.duration_ps,

@@ -916,6 +916,21 @@ class TestExitCodes:
         assert code == 2
         assert err == f"error: {headless}: no header row\n"
 
+    def test_missing_fit_table_names_the_file_once(self, capsys, tmp_path):
+        path = tmp_path / "missing.csv"
+        code, out, err = run(capsys, "fit", "g2", str(path),
+                             "--free", "omega_397")
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {path}: No such file or directory\n"
+        assert err.count(str(path)) == 1
+
+    def test_parameter_directory_names_it_once(self, capsys, tmp_path):
+        code, out, err = run(capsys, "g2", "--params", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot read parameters from {tmp_path}: "
+                       "Is a directory\n")
+        assert err.count(str(tmp_path)) == 1
+
     def test_every_spectrum_point_failed(self, capsys, tmp_path):
         # without a repumper no steady state is unique, so every point
         # is flagged; only --dips turns that into a failure

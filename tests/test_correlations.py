@@ -18,7 +18,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import ionpair.correlations as C
-from ionpair import atom
+from ionpair import atom, dynamics
 from ionpair.dynamics import Model
 from ionpair.params import ExperimentParams, NumericalError, TWO_PI, get_preset
 
@@ -208,6 +208,25 @@ class TestConditionedG2:
                            atol=1e-12)
         assert np.allclose(pops_m[:, atom.P_PLUS], pops_p[:, atom.P_MINUS],
                            atol=1e-12)
+
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_mirror_symmetry_at_nonzero_field(self, preset):
+        # m -> -m maps the field B to -B and swaps sigma- with sigma+:
+        # g2(s-|s-; B) = g2(s+|s+; -B) and g2(s-|s+; B) = g2(s+|s-; -B).
+        # ExperimentParams keeps B >= 0, so the mirrored Model negates the
+        # Zeeman weight (coefficient 2) of R before its first read-out.
+        p = get_preset(preset)
+        grid = C.default_grid(400e-9, 0.5e-9)
+        mirrored = Model(p)
+        coef = atom.liouvillian_coefficients(p)
+        coef[2] = -coef[2]
+        mirrored.real = (coef @ dynamics._REAL_TERMS).reshape(
+            mirrored.real.shape)
+        same, cross = C.g2_pair(p, "sigma-", grid)
+        cross_m, same_m = C.g2_pair(mirrored, "sigma+", grid)
+        for curve, mirror in ((same, same_m), (cross, cross_m)):
+            dev = np.abs(curve.values - mirror.values).max()
+            assert dev <= 1e-13 * curve.values.max(), curve.kind
 
     def test_zero_field_dark_trapping_guarded(self):
         from ionpair.dynamics import NumericalError

@@ -4,7 +4,9 @@ pyproject.toml turns every DeprecationWarning into an error.  On a
 failing property test hypothesis imports libcst to write its patch, and
 that import warns about mypy_extensions.TypedDict inside a pytest hook,
 where an error aborts the whole session.  The one ignore for that
-warning lets such a failure report like any other.
+warning lets such a failure report like any other.  conftest.py loads
+one hypothesis profile for the whole suite; its settings are pinned
+here.
 """
 
 import os
@@ -12,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +47,10 @@ def test_failing_property_test_reports_and_the_next_one_runs(tmp_path):
     assert proc.returncode == 1
     assert "1 failed, 1 passed" in proc.stdout
     assert sorted(p.name for p in ROOT.iterdir()) == before
+
+
+def test_hypothesis_profile_is_derandomized_without_deadline():
+    # the property tests' tolerances hold on these fixed draws; a random
+    # seed would test other examples on every run
+    assert settings.default.derandomize is True
+    assert settings.default.deadline is None

@@ -175,9 +175,30 @@ class TestJumpSampler:
         log_s = -table.neg_log_s
         assert np.all(np.diff(log_s) <= 1e-15)
         mids = 0.5 * (table.t[1:-1] + table.t[2:])
-        exact = np.log(sampler._survival(sampler._phases(atom.S_PLUS, mids)))
+        exact = np.log(sampler._survival(
+            sampler._amplitudes(atom.S_PLUS, mids)))
         interp = np.interp(mids, table.t, log_s)
         assert np.max(np.abs(interp - exact)) < 5e-3
+
+    @pytest.mark.parametrize("preset", ["weak", "spectrum"])
+    def test_mirror_symmetry_at_nonzero_field(self, preset, monkeypatch):
+        # m -> -m maps the field B to -B and P-1/2 to P+1/2: the table of
+        # level s at B is that of its mirror level at -B, with q -> 1 - q.
+        # ExperimentParams keeps B >= 0, so -B negates the Zeeman shifts.
+        mirror = {atom.S_MINUS: atom.S_PLUS, atom.S_PLUS: atom.S_MINUS,
+                  atom.D_M32: atom.D_P32, atom.D_P32: atom.D_M32,
+                  atom.D_M12: atom.D_P12, atom.D_P12: atom.D_M12}
+        params = get_preset(preset)
+        sampler = _JumpSampler(params)
+        shifts = atom.zeeman_shifts
+        monkeypatch.setattr(atom, "zeeman_shifts", lambda b: -shifts(b))
+        flipped = _JumpSampler(params)
+        for level, image in mirror.items():
+            table, mirrored = sampler._table(level), flipped._table(image)
+            assert np.array_equal(table.t, mirrored.t), level
+            assert np.abs(table.neg_log_s - mirrored.neg_log_s).max() \
+                <= 1e-10, level
+            assert np.abs(table.q - (1.0 - mirrored.q)).max() <= 1e-10, level
 
     def test_dark_level_raises(self):
         p = ExperimentParams(omega_397=TWO_PI * 5e6, omega_866=0.0,
@@ -237,27 +258,38 @@ class TestSamplerMatchesMasterEquation:
 _LOWER = atom.S_LEVELS + atom.D_LEVELS
 
 
-def _renewal(s):
-    """(rate, chain) from a _JumpSampler's arrays in closed form.
+def _jump_law(s, source):
+    """(mean waiting time, probability of each channel) from level
+    `source` of a _JumpSampler, in closed form.
 
-    From level s, psi(t) = V exp(-i w t) V^-1 |s>, so the mean waiting
-    time int S dt and each channel's probability rate_c int |psi_up|^2 dt
-    are quadratic forms in the kernel K_ij = int_0^inf
-    exp(i(conj(w_i) - w_j) t) dt = 1 / (i (w_j - conj(w_i))).  `chain`
-    is the embedded jump chain over the six lower levels; `rate` is
-    1 / sum_s pi_s E[tau_s] under its stationary law pi.
+    psi(t) = V exp(-i w t) V^-1 |source>, so the mean waiting time
+    int S dt and each channel's probability rate_c int |psi_up|^2 dt are
+    quadratic forms in the kernel K_ij = int_0^inf
+    exp(i(conj(w_i) - w_j) t) dt = 1 / (i (w_j - conj(w_i))).
     """
     kern = 1.0 / (1j * (s.w[None, :] - s.w.conj()[:, None]))
     gram = s.v.conj().T @ s.v
+    c = s.v_inv[:, source]
+    mean_wait = np.real(c.conj() @ (gram * kern) @ c)
+    probs = np.array([rate * np.real((s.v[up] * c).conj() @ kern
+                                     @ (s.v[up] * c))
+                      for rate, up in zip(s.ch_rate, s.ch_upper)])
+    return mean_wait, probs
+
+
+def _renewal(s):
+    """(rate, chain) from a _JumpSampler's arrays in closed form.
+
+    `chain` is the embedded jump chain over the six lower levels, from
+    _jump_law; `rate` is 1 / sum_s pi_s E[tau_s] under its stationary
+    law pi.
+    """
     mean_wait = np.empty(len(_LOWER))
     chain = np.zeros((len(_LOWER), len(_LOWER)))
     for row, source in enumerate(_LOWER):
-        c = s.v_inv[:, source]
-        mean_wait[row] = np.real(c.conj() @ (gram * kern) @ c)
-        for rate, upper, lower in zip(s.ch_rate, s.ch_upper, s.ch_lower):
-            a = s.v[upper] * c
-            chain[row, _LOWER.index(lower)] += \
-                rate * np.real(a.conj() @ kern @ a)
+        mean_wait[row], probs = _jump_law(s, source)
+        for prob, lower in zip(probs, s.ch_lower):
+            chain[row, _LOWER.index(lower)] += prob
     vals, vecs = np.linalg.eig(chain.T)
     pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
     pi /= pi.sum()
@@ -372,14 +404,9 @@ class TestChannelLaw:
 
     @pytest.mark.parametrize("source", [atom.S_MINUS, atom.D_M12])
     def test_sampled_channels_match_closed_form(self, source):
-        # channel c has probability rate_c int |psi_upper(t)|^2 dt, a
-        # quadratic form in the kernel of _renewal
+        # channel c has probability rate_c int |psi_upper(t)|^2 dt
         s = _JumpSampler(get_preset("spectrum"))
-        kern = 1.0 / (1j * (s.w[None, :] - s.w.conj()[:, None]))
-        c = s.v_inv[:, source]
-        probs = np.array([rate * np.real((s.v[up] * c).conj() @ kern
-                                         @ (s.v[up] * c))
-                          for rate, up in zip(s.ch_rate, s.ch_upper)])
+        probs = _jump_law(s, source)[1]
         n = 80000
         _, chans = s.sample(source, np.random.default_rng(21), n)
         counts = np.bincount(chans, minlength=probs.size)
