@@ -52,6 +52,25 @@ N_LEVELS = 8
 M_J = np.array([-0.5, 0.5, -0.5, 0.5, -1.5, -0.5, 0.5, 1.5])
 G_J = np.array([2.0, 2.0, 2.0 / 3.0, 2.0 / 3.0, 0.8, 0.8, 0.8, 0.8])
 
+# Drive parity c(i) = (m_i + 1/2 + [i in P]) mod 2: 0 for S-1/2, P+1/2,
+# D-1/2, D+3/2 and 1 for the others.  A sigma coupling joins two levels
+# of one class, and decays, Zeeman and detuning terms and dephasing keep
+# c(i) xor c(j) of every rho_ij; only a pi coupling joins the classes.
+_PARITY = ((M_J + 0.5 + np.isin(np.arange(N_LEVELS), P_LEVELS)) % 2
+           ).astype(int)
+# the cross-class part of a sigma-only drive is the cos(pi/2) residue of
+# its angles, 1.6e-17 of the largest entry on the weak preset
+_PARITY_TOL = 1e-14
+
+
+def _pi_free(matrix: np.ndarray, between: np.ndarray) -> bool:
+    """True if every entry of `matrix` where `between` (its entries
+    between the two parity classes) is set is at most _PARITY_TOL of its
+    largest entry; a NaN anywhere makes it False."""
+    return bool(np.abs(matrix[between]).max()
+                <= _PARITY_TOL * np.abs(matrix).max())
+
+
 # Photon tags used by the trajectory sampler and the binary stream format.
 POL_SIGMA_MINUS, POL_PI, POL_SIGMA_PLUS = 0, 1, 2   # tag == q + 1
 WL_397, WL_866 = 0, 1

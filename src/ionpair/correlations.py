@@ -146,8 +146,13 @@ def _feeding(model: Model, grid: np.ndarray | None, first: str | None = None,
     grid = default_grid() if grid is None else grid
     read = model.cumulative if cumulative else model.populations
     pops = read(_heralded(weight), grid)    # validates the grid
+    grid = np.asarray(grid, dtype=float)
+    if cumulative:
+        # the eigenbasis sums terms of size up to t into a population's
+        # integral over [0, t]; one within eps t of zero is round-off
+        pops[np.abs(pops) <= np.finfo(float).eps * grid[:, None]] = 0.0
     gm, gp = pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
-    return (np.asarray(grid, dtype=float), weight,
+    return (grid, weight,
             (1.0 - errors.eps_minus) * gm + errors.eps_minus * gp,
             (1.0 - errors.eps_plus) * gp + errors.eps_plus * gm)
 
@@ -221,7 +226,9 @@ def purity_curve(params: ExperimentParams | Model,
     length, p(T) = int_0^T g2(sigma-|sigma-) / int_0^T g2(sigma-|sigma+),
     exact at each T of the grid (default_grid() if None); `errors` as
     in g2_pair.  Returns (grid[1:], p): the ratio is undefined at T = 0,
-    and NaN where round-off leaves either integral non-positive (a few ps).
+    and NaN where either integral is non-positive, as it is wherever a
+    population's integral is within its round-off eps T of zero (a few
+    tens of ps and below).
     """
     grid, _, im, ip = _feeding(_model(params), grid, SIGMA_MINUS, errors,
                                cumulative=True)

@@ -2,13 +2,23 @@
 
 A Model holds one parameter set's Liouvillian as a real 64x64 matrix R
 in the Hermitian operator basis of _real_basis(), its steady state and
-one real eigendecomposition, and serves every read-out of that set:
-populations, states and the exact cumulative integrals of the
-populations for any initial state, and the steady populations over a
-scan of the repumper detuning.  It is the only entry to the master
+one real eigendecomposition per block of R, and serves every read-out
+of that set: populations, states and the exact cumulative integrals of
+the populations for any initial state, and the steady populations over
+a scan of the repumper detuning.  It is the only entry to the master
 equation; it raises params.NumericalError, or its subclass below.  It
-needs numpy only: the eigenvectors are inverted once per Model, and no
+needs numpy only: the eigenvectors are inverted once per block, and no
 scipy module is loaded.
+
+The coordinate of rho_ij has the parity c(i) xor c(j) of atom._PARITY.
+Without a pi drive R keeps that parity, R = R_even + R_odd: the even
+block holds the 8 populations and the 24 same-class coherence
+coordinates, the odd block the 32 cross-class ones.  A Model whose R has
+no entry between them above atom._PARITY_TOL max|R| works on the two
+32x32 blocks; the steady state and every population read-out of a
+diagonal rho0 live in the even block, and the odd block is decomposed
+only for a rho0 with cross-class coherences.  Any other R is one block
+of all 64 coordinates.
 """
 
 from __future__ import annotations
@@ -72,6 +82,12 @@ _UH = _U.conj().T
 # atom.LIOUVILLIAN_TERMS in the real basis, one flattened row per term
 _REAL_TERMS = np.array([(_UH @ term @ _U).real.ravel()
                         for term in atom.LIOUVILLIAN_TERMS])
+# The coordinates of each parity, even (populations first), then odd,
+# and the entries of R between the two
+_CROSS = (atom._PARITY[:, None] != atom._PARITY).ravel() @ np.abs(_U) > 0
+_PARITY_BLOCKS = (np.flatnonzero(~_CROSS), np.flatnonzero(_CROSS))
+_BETWEEN = _CROSS[:, None] != _CROSS
+_ALL = np.arange(_U.shape[1])
 # The delta_866 term is a 32x32 block (entries +-1) on the Re and Im
 # coordinates of the 16 coherences between D and the S and P levels.
 _D866 = _REAL_TERMS[atom.DELTA_866_TERM].reshape(_U.shape)
@@ -90,14 +106,21 @@ class Model:
     """The real generator R of one parameter set and its read-outs.
 
     Model(params) assembles R = sum_k c_k (U^H B_k U) from
-    atom.liouvillian_coefficients(params) and the fixed real terms.  The
-    steady state and one eigendecomposition are computed on first use
-    and shared by every read-out.  One real eig of R serves a whole grid
-    (Moler & Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
+    atom.liouvillian_coefficients(params) and the fixed real terms.  On
+    the first read-out R is split into its parity blocks: the even and
+    the odd coordinates if the entries between them are at most
+    atom._PARITY_TOL max|R| (a pi-free drive; NaN never is), else one
+    block of all 64.  The steady state solves the block that holds the
+    populations, and its residual is checked on the whole R.  Each
+    block's eigendecomposition is computed once, when a read-out first
+    needs it: the populations' block always, any other block only for a
+    rho0 with a part in it.  One real eig serves a whole grid (Moler &
+    Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
     x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0, with c = 2 for a
     complex mode (its conjugate partner) and 1 for a real one, and
-    vec(rho(t)) = U x(t).  The explicit inverse of the eigenvectors,
-    kept with the spectrum, gives any rho0's mode coefficients by one
+    vec(rho(t)) = U x(t); the modes of the blocks a rho0 needs are
+    concatenated.  The explicit inverse of each block's eigenvectors,
+    kept with its spectrum, gives any rho0's mode coefficients by one
     product.  On a uniform grid t_k = k dt, exactly as default_grid
     builds it, exp(lam t) comes from a two-level table: with B =
     ceil(sqrt(n)), exp(lam (jB + i) dt) = exp(lam jB dt) exp(lam i dt),
@@ -105,18 +128,27 @@ class Model:
     any other grid takes exp(lam t) point by point.  The integral from 0
     to t takes expm1(lam t) / lam (t if lam = 0) in place of exp(lam t),
     on every grid, because expm1 keeps a small |lam t| free of
-    cancellation.
+    cancellation; on a uniform grid expm1(a + b) = expm1(a) expm1(b) +
+    expm1(a) + expm1(b) takes it from the same two tables.
     """
 
     def __init__(self, params):
         self.params = params
         self.real = (atom.liouvillian_coefficients(params)
                      @ _REAL_TERMS).reshape(_U.shape)
+        self._spectra: dict[int, tuple] = {}
 
-    def _steady_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs, with A = R and population 0's row replaced by
-        the unit-trace row; A x = e_0 is the steady state."""
-        a = self.real.copy()
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        """Coordinates of each block of R, populations first in block 0."""
+        return _PARITY_BLOCKS if atom._pi_free(self.real, _BETWEEN) \
+            else (_ALL,)
+
+    def _steady_solve(self, rhs: np.ndarray, coords=_ALL) -> np.ndarray:
+        """Solve A x = rhs on the coordinates `coords`, populations
+        first, with A = R there and population 0's row replaced by the
+        unit-trace row; A x = e_0 is the steady state."""
+        a = self.real[np.ix_(coords, coords)]
         a[0] = 0.0
         a[0, :N_LEVELS] = 1.0
         try:
@@ -129,7 +161,9 @@ class Model:
     @cached_property
     def steady(self) -> np.ndarray:
         """Stationary rho: R x = 0 at unit trace."""
-        x = self._steady_solve(np.eye(len(self.real))[0])
+        coords = self._blocks[0]
+        x = np.zeros(len(self.real))
+        x[coords] = self._steady_solve(np.eye(coords.size)[0], coords)
         resid = (np.linalg.norm(self.real @ x)
                  / max(np.linalg.norm(self.real, ord=np.inf), 1.0))
         if not resid <= RESIDUAL_TOL:
@@ -138,36 +172,49 @@ class Model:
         _check_drift(x[:N_LEVELS].sum())
         return (_U @ x).reshape(N_LEVELS, N_LEVELS)
 
-    @cached_property
-    def _spectrum(self):
-        """(lam, vec, weight) of the kept half spectrum and the kept
-        rows of the inverse of all eigenvectors, for any rho0."""
+    def _spectrum(self, k: int):
+        """(lam, vec, weight) of block k's kept half spectrum, one row of
+        vec per mode on all coordinates, and the kept rows of the inverse
+        of all the block's eigenvectors; computed once per block."""
+        if k in self._spectra:
+            return self._spectra[k]
+        coords = self._blocks[k]
         try:
-            lam, vec = np.linalg.eig(self.real)
+            lam, vec = np.linalg.eig(self.real[np.ix_(coords, coords)])
             real, upper = lam.imag == 0.0, lam.imag > 0.0
-            # dgeev returns complex eigenvalues as exact conjugate pairs
-            if 2 * upper.sum() + real.sum() != lam.size or not real.any():
+            # dgeev returns complex eigenvalues as exact conjugate pairs;
+            # the block of the populations holds the stationary mode
+            if 2 * upper.sum() + real.sum() != lam.size \
+                    or (k == 0 and not real.any()):
                 raise NumericalError(
                     "generator eigenvalues are not conjugate pairs around a "
                     "real stationary mode")
-            # L preserves the trace, so its stationary eigenvalue is 0 and
-            # every other mode is traceless; eig's round-off (the traces by
-            # eps ||R|| / gap) would become trace drift at long delays.  Pin
-            # the real mode that carries the trace, so no conjugate pair is
-            # broken, and project it out of the other modes' traces.
-            trace = vec[:N_LEVELS].sum(axis=0)
-            pin = np.flatnonzero(real)[np.argmax(np.abs(trace[real]))]
-            lam[pin] = 0.0
-            share = trace / trace[pin]
-            share[pin] = 0.0
-            vec -= np.outer(vec[:, pin], share)
+            if k == 0:
+                # L preserves the trace, so its stationary eigenvalue is 0
+                # and every other mode is traceless; eig's round-off (the
+                # traces by eps ||R|| / gap) would become trace drift at
+                # long delays.  Pin the real mode that carries the trace,
+                # so no conjugate pair is broken, and project it out of
+                # the other modes' traces.
+                trace = vec[:N_LEVELS].sum(axis=0)
+                pin = np.flatnonzero(real)[np.argmax(np.abs(trace[real]))]
+                lam[pin] = 0.0
+                share = trace / trace[pin]
+                share[pin] = 0.0
+                vec -= np.outer(vec[:, pin], share)
             keep = real | upper
             inverse = np.linalg.inv(vec)[keep]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"eigendecomposition of the generator failed: {exc}")
-        return (lam[keep], vec[:, keep], np.where(upper, 2.0, 1.0)[keep],
-                inverse)
+        # one row per kept mode: the transposed concatenation in _modes
+        # then has the column-major layout of eig's output, so the one
+        # block of a pi drive gives the same products, to the last bit
+        rows = np.zeros((keep.sum(), len(self.real)), dtype=complex)
+        rows[:, coords] = vec[:, keep].T
+        self._spectra[k] = (lam[keep], rows, np.where(upper, 2.0, 1.0)[keep],
+                            inverse)
+        return self._spectra[k]
 
     def _modes(self, rho0):
         """(lam, vec, coef) with x(t) = Re(vec @ (exp(lam t) * coef)),
@@ -181,8 +228,16 @@ class Model:
         if skew > STATE_TOL:
             raise ValueError(
                 f"rho0 is not Hermitian (|rho0 - rho0^H| = {skew:.3e})")
-        lam, vec, weight, inverse = self._spectrum
-        return lam, vec, weight * (inverse @ (_UH @ rho0.reshape(-1)).real)
+        y0 = (_UH @ rho0.reshape(-1)).real
+        modes = []
+        for k, coords in enumerate(self._blocks):
+            # a block that rho0 has no part in stays empty
+            if k == 0 or y0[coords].any():
+                lam, vec, weight, inverse = self._spectrum(k)
+                modes.append((lam, vec, weight * (inverse @ y0[coords])))
+        lam, vec, coef = zip(*modes)
+        return (np.concatenate(lam), np.concatenate(vec).T,
+                np.concatenate(coef))
 
     def _series(self, rho0, grid, rows: int,
                 cumulative: bool = False) -> np.ndarray:
@@ -191,20 +246,23 @@ class Model:
         checked: against 1, or against t for the integral."""
         grid = _check_grid(grid)
         lam, vec, coef = self._modes(rho0)
+        fn = np.expm1 if cumulative else np.exp
+        if grid.size > 1 and np.array_equal(
+                grid, np.arange(grid.size) * grid[1]):
+            # with a = fn(lam jB dt) and b = fn(lam i dt),
+            # exp(lam (jB + i) dt) = a b and expm1(...) = a b + a + b
+            block = math.isqrt(grid.size - 1) + 1
+            a = fn(np.outer(grid[::block], lam))[:, None]
+            b = fn(np.outer(grid[:block], lam))
+            f = (a * b + a + b if cumulative else a * b).reshape(
+                -1, lam.size)[:grid.size]
+        else:
+            f = fn(np.outer(grid, lam))
         if cumulative:
             # expm1(lam t) / lam, t at lam = 0; numpy's complex expm1
             # keeps a small |lam t| free of cancellation
-            f = np.expm1(np.outer(grid, lam)) / np.where(lam == 0.0, 1.0, lam)
+            f /= np.where(lam == 0.0, 1.0, lam)
             f[:, lam == 0.0] = grid[:, None]
-        elif grid.size > 1 and np.array_equal(
-                grid, np.arange(grid.size) * grid[1]):
-            # exp(lam (jB + i) dt) = exp(lam jB dt) exp(lam i dt)
-            block = math.isqrt(grid.size - 1) + 1
-            f = (np.exp(np.outer(grid[::block], lam))[:, None]
-                 * np.exp(np.outer(grid[:block], lam))).reshape(
-                     -1, lam.size)[:grid.size]
-        else:
-            f = np.exp(np.outer(grid, lam))
         w = coef[:, None] * vec[:rows].T
         x = f.real @ w.real - f.imag @ w.imag
         if not cumulative:

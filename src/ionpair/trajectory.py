@@ -156,8 +156,11 @@ class _JumpSampler:
     with pi drive components, the table build flags the interval: its
     linear interpolation misses q by more than Q_TOL at a quarter point.
     Draws landing in a flagged interval get the exact q from the two P
-    amplitudes.  With a sigma-only drive q is 0 or 1 and nothing is
-    flagged.
+    amplitudes.  A drive whose H_eff has no entry between the parity
+    classes of atom._PARITY above atom._PARITY_TOL of its largest entry
+    is pi-free: from a source of class c only the P sublevel of class c
+    is reachable, so q is 0 or 1, and its tables skip the probe and
+    flag nothing.
     """
 
     BATCH = 8192
@@ -192,6 +195,8 @@ class _JumpSampler:
         self.params = params
         self.gamma_tot = gamma_tot
         self.dark_modes = -2.0 * w.imag <= self.DARK_RATE * scale
+        self.pi_free = atom._pi_free(h_eff,
+                                     atom._PARITY[:, None] != atom._PARITY)
         # decay channels as flat arrays
         tr = atom.TRANSITIONS
         self.ch_upper = np.array([t.upper for t in tr])
@@ -267,8 +272,15 @@ class _JumpSampler:
         surv = np.minimum.accumulate(np.clip(surv, 1e-300, 1.0))
         q = self._share(amps[:, list(atom.P_LEVELS)])
         q[0] = q[1]     # no P population at t = 0 from a lower level
-        # flag the intervals whose linear interpolation misses q; the last
-        # one also serves waits extrapolated past t_max, so it must be flat
+        table = _Table(t_grid, -np.log(surv), q, None if self.pi_free
+                       else self._flagged(source, t_grid, q))
+        self._tables[source] = table
+        return table
+
+    def _flagged(self, source: int, t_grid: np.ndarray, q: np.ndarray):
+        """The intervals whose linear interpolation misses q at a quarter
+        point, or None; the last one also serves waits extrapolated past
+        t_max, so it must be flat."""
         quarters = np.array([0.25, 0.5, 0.75])
         dt, dq = np.diff(t_grid), np.diff(q)
         probe = self._share(self._amplitudes(
@@ -278,10 +290,7 @@ class _JumpSampler:
                       - (q[:-1, None] + quarters * dq[:, None])).max(axis=1)
         exact = miss > self.Q_TOL
         exact[-1] |= abs(dq[-1]) > self.Q_TOL
-        table = _Table(t_grid, -np.log(surv), q,
-                       exact if exact.any() else None)
-        self._tables[source] = table
-        return table
+        return exact if exact.any() else None
 
     def _invert(self, source: int, u: np.ndarray):
         """Waits at survival probabilities u, and the P-1/2 share q there.

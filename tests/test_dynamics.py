@@ -382,6 +382,25 @@ class TestUniformGrid:
                                      np.arange(n) * dt, dt)
         assert rows == ([1] + tables(2) if n == 1 else tables(n) + [n + 1])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 45**2 - 1, 45**2, 45**2 + 1])
+    def test_edge_sizes_cumulative(self, n, monkeypatch):
+        # expm1(lam (jB + i) dt) from the same two tables as exp
+        model, dt = Model(get_preset("weak")), 0.5e-9
+        expm1, rows = np.expm1, []
+
+        def counted(arg, *args, **kwargs):
+            rows.append(len(arg))
+            return expm1(arg, *args, **kwargs)
+
+        def tables(size):
+            block = math.isqrt(size - 1) + 1
+            return [-(-size // block), block]
+
+        monkeypatch.setattr(np, "expm1", counted)
+        _assert_table_matches_direct(model, _random_state(n),
+                                     np.arange(n) * dt, dt, read="cumulative")
+        assert rows == ([1] + tables(2) if n == 1 else tables(n) + [n + 1])
+
     def test_states(self):
         model, dt = Model(get_preset("strong")), 0.5e-9
         _assert_table_matches_direct(model, _random_state(7),
@@ -535,7 +554,9 @@ class TestModel:
             rho0 = np.diag([1.0 - w, w, 0, 0, 0, 0, 0, 0]).astype(complex)
             model.populations(rho0, _ORACLE_GRID)
             model.cumulative(rho0, _ORACLE_GRID)
-        assert calls == [(64, 64)]
+        # a sigma-only drive: one eig of the even block serves every
+        # diagonal rho0
+        assert calls == [(32, 32)]
 
     def test_trace_holds_at_long_delay_near_a_slow_mode(self):
         # at 1.3 mG the slowest decay rate is 8.3 /s against ||R|| ~ 1e8 /s;
@@ -570,3 +591,93 @@ class TestModel:
             b_field=0.0, delta_397=0.0))
         with pytest.raises(NumericalError):
             model.steady
+
+
+# -- parity blocks of pi-free drives ------------------------------------
+
+def _counted_eig(monkeypatch):
+    """Shapes of every np.linalg.eig call from here on."""
+    calls, eig = [], np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return calls
+
+
+def _heralded_ground(w):
+    return np.diag([1.0 - w, w, 0, 0, 0, 0, 0, 0]).astype(complex)
+
+
+class TestParityBlocks:
+    """A pi-free drive splits R into its even and odd 32x32 blocks; any
+    other R is one block of all 64 coordinates."""
+
+    def test_pi_drive_takes_one_full_block(self, monkeypatch):
+        model = Model(get_preset("spectrum"))
+        calls = _counted_eig(monkeypatch)
+        model.populations(_heralded_ground(1.0), _ORACLE_GRID)
+        model.populations(_random_state(4), _ORACLE_GRID)
+        assert len(model._blocks) == 1 and calls == [(64, 64)]
+
+    def test_coherent_rho0_takes_both_blocks(self, monkeypatch):
+        model = Model(get_preset("weak"))
+        calls = _counted_eig(monkeypatch)
+        model.populations(_heralded_ground(0.5), _ORACLE_GRID)
+        assert calls == [(32, 32)]
+        rho0 = _random_state(5)
+        half = model._modes(rho0)[0]
+        assert calls == [(32, 32), (32, 32)]
+        assert 2 * np.sum(half.imag > 0) + np.sum(half.imag == 0) == 64
+        model.states(rho0, _ORACLE_GRID)
+        assert calls == [(32, 32), (32, 32)]
+
+    def test_nan_between_blocks_is_numerical_error(self):
+        # NaN fails the block test, so R is one block and eig rejects it
+        even, odd = dynamics._PARITY_BLOCKS
+        broken = Model(get_preset("weak"))
+        broken.real[even[3], odd[5]] = np.nan
+        grid = np.array([0.0, 1e-9])
+        for call in (lambda: broken.steady,
+                     lambda: broken.states(_random_state(6), grid),
+                     lambda: broken.populations(_heralded_ground(1.0), grid),
+                     lambda: broken.cumulative(_heralded_ground(1.0), grid)):
+            with pytest.raises(NumericalError):
+                call()
+        assert len(broken._blocks) == 1
+
+    # the ranges of the sampler's renewal-identity test, sigma-only drive
+    @settings(max_examples=20, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sigma_drives_match_matrix_path(
+            self, log10_b, delta_397_mhz, delta_866_mhz, omega_397_mhz,
+            omega_866_mhz, seed):
+        params = get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=0.5 * math.pi, alpha_866=0.5 * math.pi)
+        # round-off grows with the delay on either path: over 80 random
+        # sets to 20 us, g2 missed expm by up to 7.3e-13 of its maximum
+        # on the blocks and 1.2e-12 on the full 64x64 R
+        mat, model = atom.build_liouvillian(params), Model(params)
+        steady = np.diag(_direct_steady_state(mat)).real
+        for first, w in (("sigma-", 1.0), ("sigma+", 0.0)):
+            ref = _expm_populations(mat, _heralded_ground(w), _ORACLE_GRID)
+            for curve, level in zip(g2_pair(model, first, _ORACLE_GRID),
+                                    atom.P_LEVELS):
+                want = ref[:, level] / steady[level]
+                assert np.abs(curve.values - want).max() \
+                    <= 1e-11 * want.max(), curve.kind
+        grid = np.array([0.0, 0.5e-9, 4e-9, 24e-9, 400e-9, 5e-6])
+        _assert_cumulative_matches_van_loan(model, mat, _random_state(seed),
+                                            grid)
+        assert len(model._blocks) == 2

@@ -670,11 +670,46 @@ def frozen_inputs():
     return _frozen_inputs()
 
 
+# The g2 fits were frozen on the 64x64 eig of the weak preset.  Its
+# sigma-only drive now takes the 32x32 even block, whose eig rounds
+# differently, so the last digits of each g2 fit move: by at most 1.9e-7
+# of sigma in the parameters, 5.6e-14 relative in chi2 and 5.1e-7
+# relative in sigma.  The bounds below hold those moves with margin;
+# nfev, converged and the held error values stay exact.
+_MOVED_MESSAGES = {
+    "g2_restarts_3": "`ftol` termination condition is satisfied.",
+}
+
+
+def _pop_g2_digits(got: dict, want: dict, name: str) -> None:
+    """Check and remove the fields of a g2 fit whose last digits follow
+    the eig: parameters within 1e-6 of their sigma (held ones exact),
+    chi2 within 1e-12 and sigma within 1e-6 relative, and the message,
+    frozen unless it is one of _MOVED_MESSAGES."""
+    sigma = want["sigma"]
+    for field in ("params", "errors"):
+        values, frozen = got.pop(field), want.pop(field)
+        assert (values is None) == (frozen is None), field
+        if frozen is not None:
+            assert values.keys() == frozen.keys(), field
+            for n, v in frozen.items():
+                assert abs(values[n] - v) <= 1e-6 * sigma.get(n, 0.0), n
+    assert got.pop("chi2") == pytest.approx(want.pop("chi2"), rel=1e-12)
+    values, frozen = got.pop("sigma"), want.pop("sigma")
+    assert values.keys() == frozen.keys()
+    for n, v in frozen.items():
+        assert values[n] == pytest.approx(v, rel=1e-6), n
+    frozen = want.pop("message")
+    assert got.pop("message") == _MOVED_MESSAGES.get(name, frozen)
+
+
 class TestFrozenFits:
     @pytest.mark.parametrize("name", sorted(_FROZEN_CASES))
     def test_fields(self, frozen_inputs, name):
         got, want = _record(_FROZEN_CASES[name](frozen_inputs)), \
             dict(_FROZEN_FITS[name])
+        if name.startswith("g2_"):
+            _pop_g2_digits(got, want, name)
         if name == "spectrum_held":
             # with scale and background held, the covariance reads the
             # optimizer's Jacobian at the optimum in place of solving the

@@ -376,6 +376,23 @@ class TestChannelLaw:
             assert table.exact is None, level
             assert np.all((table.q < 1e-20) | (table.q > 1.0 - 1e-15)), level
 
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_quarter_point_probe_runs_only_with_pi_drive(self, preset,
+                                                         monkeypatch):
+        # the probe is one amplitude read at 3 points per interval
+        s, sizes = _JumpSampler(get_preset(preset)), []
+        amplitudes = s._amplitudes
+
+        def counted(source, times, *args):
+            sizes.append(len(times))
+            return amplitudes(source, times, *args)
+
+        monkeypatch.setattr(s, "_amplitudes", counted)
+        s._table(atom.S_MINUS)
+        pi_free = preset != "spectrum"
+        assert s.pi_free == pi_free
+        assert (3 * _JumpSampler.TABLE_SIZE in sizes) != pi_free
+
     def test_spectrum_preset_within_tolerance(self):
         s = _JumpSampler(get_preset("spectrum"))
         for level in _reachable(s):
