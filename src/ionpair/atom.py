@@ -58,16 +58,17 @@ G_J = np.array([2.0, 2.0, 2.0 / 3.0, 2.0 / 3.0, 0.8, 0.8, 0.8, 0.8])
 # c(i) xor c(j) of every rho_ij; only a pi coupling joins the classes.
 _PARITY = ((M_J + 0.5 + np.isin(np.arange(N_LEVELS), P_LEVELS)) % 2
            ).astype(int)
+_CROSS_CLASS = np.flatnonzero(_PARITY[:, None] != _PARITY)
 # the cross-class part of a sigma-only drive is the cos(pi/2) residue of
 # its angles, 1.6e-17 of the largest entry on the weak preset
 _PARITY_TOL = 1e-14
 
 
-def _pi_free(matrix: np.ndarray, between: np.ndarray) -> bool:
-    """True if every entry of `matrix` where `between` (its entries
-    between the two parity classes) is set is at most _PARITY_TOL of its
-    largest entry; a NaN anywhere makes it False."""
-    return bool(np.abs(matrix[between]).max()
+def _pi_free(matrix: np.ndarray, between: np.ndarray = _CROSS_CLASS) -> bool:
+    """True if every entry of `matrix` at the flat indices `between` (by
+    default an 8x8 level matrix's entries between the parity classes) is
+    at most _PARITY_TOL of its largest entry; NaN anywhere makes it False."""
+    return bool(np.abs(matrix.take(between)).max()
                 <= _PARITY_TOL * np.abs(matrix).max())
 
 

@@ -45,7 +45,7 @@ from .trajectory import (ClickStream, DetectionConfig, DetectorChannel,
                          detect, simulate_emissions)
 
 _TIME_UNITS = {"ps": 1e-12, "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+_FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 
 
 class _InputError(Exception):
@@ -70,7 +70,15 @@ class _Parser(argparse.ArgumentParser):
                                                    re.IGNORECASE)
 
 
-def _finite(text: str, value: float) -> float:
+def _with_unit(text, what, units, factor=1.0, flags=0) -> float:
+    """factor times the number in `text` times its required unit."""
+    m = re.fullmatch(r"\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)\s*(%s)\s*"
+                     % "|".join(units), str(text), flags)
+    if not m:
+        raise ValueError(
+            f"{what} {text!r} needs a unit suffix ({'/'.join(units)})")
+    value = factor * float(m.group(1)) * next(
+        v for k, v in units.items() if k.lower() == m.group(2).lower())
     if not math.isfinite(value):
         raise ValueError(f"{text!r} overflows to {value}")
     return value
@@ -78,11 +86,7 @@ def _finite(text: str, value: float) -> float:
 
 def parse_time(text: str) -> float:
     """'24ns' -> 2.4e-8; the unit suffix is required."""
-    m = re.fullmatch(r"\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)\s*(ps|ns|us|ms|s)\s*",
-                     str(text))
-    if not m:
-        raise ValueError(f"time {text!r} needs a unit suffix (ps/ns/us/ms/s)")
-    return _finite(text, float(m.group(1)) * _TIME_UNITS[m.group(2)])
+    return _with_unit(text, "time", _TIME_UNITS)
 
 
 def parse_time_ps(text: str) -> int:
@@ -91,13 +95,7 @@ def parse_time_ps(text: str) -> int:
 
 def parse_freq(text: str) -> float:
     """'-15MHz' -> -2 pi 15e6 rad/s; the unit suffix is required."""
-    m = re.fullmatch(r"\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)\s*([kMG]?Hz)\s*",
-                     str(text), flags=re.IGNORECASE)
-    if not m:
-        raise ValueError(
-            f"frequency {text!r} needs a unit suffix (Hz/kHz/MHz/GHz)")
-    return _finite(
-        text, TWO_PI * float(m.group(1)) * _FREQ_UNITS[m.group(2).lower()])
+    return _with_unit(text, "frequency", _FREQ_UNITS, TWO_PI, re.IGNORECASE)
 
 
 def _load_params(spec: str) -> ExperimentParams:
@@ -177,7 +175,7 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     params = _load_params(args.params)
     with _sized(f"--points asks for a spectrum of {args.points} points"):
-        grid = np.linspace(args.lo, args.hi, args.points)
+        grid = corr.default_spectrum_grid(args.lo, args.hi, args.points)
         sc = corr.excitation_spectrum(params, grid, scale=args.scale,
                                       background=args.background)
     bad = int(np.sum(~sc.ok))

@@ -250,7 +250,7 @@ def purity(params: ExperimentParams | Model, t_window: float,
 def pair_probability(p: float) -> float:
     """Probability that the partner photon carries the opposite
     polarization, p/(1+p)."""
-    if p < 0:
+    if not p >= 0:      # also rejects NaN
         raise ValueError("purity ratio must be non-negative")
     if math.isinf(p):
         return 1.0
@@ -317,12 +317,16 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
     system (e.g. omega_866 = 0).  Uniqueness is not checked otherwise: a
     steady state that is unique only to within round-off (gamma_dp = 0
     near B = 0) solves, and its points can come back `ok`.  Failures
-    never raise; a non-finite `scale` or `background` is a ValueError
-    before any solve.
+    never raise; a non-finite `scale` or `background`, or a delta_grid
+    of more than one dimension, is a ValueError before any solve.  A
+    scalar delta_grid is a one-point scan.
     """
     _check_finite("scale", scale)
     _check_finite("background", background)
-    delta_grid = np.asarray(delta_grid, dtype=float)
+    delta_grid = np.array(delta_grid, dtype=float, ndmin=1)
+    if delta_grid.ndim != 1:
+        raise ValueError(f"delta_grid must be 1-D, got shape "
+                         f"{delta_grid.shape}")
     d0 = (params.delta_397 + np.ptp(atom.zeeman_shifts(params.b_field))
           + params.gamma_sp + params.gamma_dp)
     try:
@@ -334,7 +338,7 @@ def excitation_spectrum(params: ExperimentParams, delta_grid: np.ndarray,
         fluor = pops[:, P_MINUS] + pops[:, P_PLUS]
     ok = np.isfinite(fluor) & (fluor >= -1e-9)
     values = np.where(ok, background + scale * fluor, np.nan)
-    return SpectrumCurve(delta_866=delta_grid.copy(), values=values, ok=ok,
+    return SpectrumCurve(delta_866=delta_grid, values=values, ok=ok,
                          meta={"params": params.fingerprint(),
                                "scale": scale, "background": background})
 
@@ -373,13 +377,14 @@ def find_dips(spectrum: SpectrumCurve, min_prominence: float = 0.1) -> np.ndarra
     Shallower ripples occur at two-photon conditions whose S/D pair
     couples to both P sublevels at once; no trapped dark state exists
     there and the fluorescence only partially drops.  Positions are
-    refined with a parabola through the minimum and its neighbours.
+    refined with a parabola through the minimum and its neighbours.  An
+    empty or flat spectrum has no dips.
     """
     v = spectrum.values
     x = spectrum.delta_866
     if np.any(~spectrum.ok):
         raise NumericalError("spectrum contains failed points; cannot locate dips")
-    swing = v.max() - v.min()
+    swing = v.max() - v.min() if v.size else 0.0
     if swing <= 0.0:
         return np.array([])
     starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])   # runs

@@ -15,10 +15,10 @@ Without a pi drive R keeps that parity, R = R_even + R_odd: the even
 block holds the 8 populations and the 24 same-class coherence
 coordinates, the odd block the 32 cross-class ones.  A Model whose R has
 no entry between them above atom._PARITY_TOL max|R| works on the two
-32x32 blocks; the steady state and every population read-out of a
-diagonal rho0 live in the even block, and the odd block is decomposed
-only for a rho0 with cross-class coherences.  Any other R is one block
-of all 64 coordinates.
+32x32 blocks; the steady state, the repumper scan and every population
+read-out of a diagonal rho0 live in the even block, and the odd block
+is decomposed only for a rho0 with cross-class coherences.  Any other
+R is one block of all 64 coordinates.
 """
 
 from __future__ import annotations
@@ -86,13 +86,15 @@ _REAL_TERMS = np.array([(_UH @ term @ _U).real.ravel()
 # and the entries of R between the two
 _CROSS = (atom._PARITY[:, None] != atom._PARITY).ravel() @ np.abs(_U) > 0
 _PARITY_BLOCKS = (np.flatnonzero(~_CROSS), np.flatnonzero(_CROSS))
-_BETWEEN = _CROSS[:, None] != _CROSS
+_BETWEEN = np.flatnonzero(_CROSS[:, None] != _CROSS)
 _ALL = np.arange(_U.shape[1])
-# The delta_866 term is a 32x32 block (entries +-1) on the Re and Im
-# coordinates of the 16 coherences between D and the S and P levels.
+# The delta_866 term, entries +-1 on the Re and Im coordinates of the 16
+# coherences between D and the S and P levels, 16 in each parity block.
 _D866 = _REAL_TERMS[atom.DELTA_866_TERM].reshape(_U.shape)
-_D866_COORDS = np.flatnonzero(np.abs(_D866).max(axis=0) > 0.5)
-_D866_BLOCK = _D866[np.ix_(_D866_COORDS, _D866_COORDS)]
+_D866_MASK = np.abs(_D866).max(axis=0) > 0.5
+# steady_populations' K has eigenvalues within 1.1e-8 max|theta| of 0
+# and none other below 0.036 max|theta| (400 random pi-free sets)
+_ZERO_POLE = 1e-6
 
 
 def _check_drift(traces: np.ndarray) -> None:
@@ -110,12 +112,12 @@ class Model:
     the first read-out R is split into its parity blocks: the even and
     the odd coordinates if the entries between them are at most
     atom._PARITY_TOL max|R| (a pi-free drive; NaN never is), else one
-    block of all 64.  The steady state solves the block that holds the
-    populations, and its residual is checked on the whole R.  Each
-    block's eigendecomposition is computed once, when a read-out first
-    needs it: the populations' block always, any other block only for a
-    rho0 with a part in it.  One real eig serves a whole grid (Moler &
-    Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
+    block of all 64.  Every steady-state read-out solves the block that
+    holds the populations; the steady state's residual is checked on the
+    whole R.  Each block's eigendecomposition is computed once, when a
+    read-out first needs it: the populations' block always, any other
+    block only for a rho0 with a part in it.  One real eig serves a whole
+    grid (Moler & Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
     x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0, with c = 2 for a
     complex mode (its conjugate partner) and 1 for a real one, and
     vec(rho(t)) = U x(t); the modes of the blocks a rho0 needs are
@@ -144,11 +146,12 @@ class Model:
         return _PARITY_BLOCKS if atom._pi_free(self.real, _BETWEEN) \
             else (_ALL,)
 
-    def _steady_solve(self, rhs: np.ndarray, coords=_ALL) -> np.ndarray:
-        """Solve A x = rhs on the coordinates `coords`, populations
-        first, with A = R there and population 0's row replaced by the
-        unit-trace row; A x = e_0 is the steady state."""
-        a = self.real[np.ix_(coords, coords)]
+    def _steady_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs on the populations' block, with A = R there
+        and population 0's row replaced by the unit-trace row; A x = e_0
+        is the steady state."""
+        coords = self._blocks[0]
+        a = self.real.take(coords, 0).take(coords, 1)
         a[0] = 0.0
         a[0, :N_LEVELS] = 1.0
         try:
@@ -163,7 +166,7 @@ class Model:
         """Stationary rho: R x = 0 at unit trace."""
         coords = self._blocks[0]
         x = np.zeros(len(self.real))
-        x[coords] = self._steady_solve(np.eye(coords.size)[0], coords)
+        x[coords] = self._steady_solve(np.eye(coords.size)[0])
         resid = (np.linalg.norm(self.real @ x)
                  / max(np.linalg.norm(self.real, ord=np.inf), 1.0))
         if not resid <= RESIDUAL_TOL:
@@ -290,30 +293,44 @@ class Model:
     def steady_populations(self, delta_866) -> np.ndarray:
         """Steady populations at each repumper detuning, shape (n, 8).
 
-        At detuning d the steady system is A + u P B P^T: A is this
-        Model's trace-row system, u = d - params.delta_866, B the 32x32
-        delta_866 block and P its coordinates.  The Woodbury identity
+        At detuning d the steady system is A + u P B P^T on the
+        populations' block: A is this Model's trace-row system, u = d -
+        params.delta_866, B the delta_866 term on the block's coordinates
+        P (16 of the 32 on a pi-free drive).  The Woodbury identity
         (Hager, SIAM Rev. 31, 221, 1989) with K = B P^T A^-1 P =
         W diag(theta) W^-1 makes the populations rational in u,
 
             x(d) = x0 - u Z W diag(1 / (1 + u theta)) W^-1 B P^T x0,
 
-        with x0 = A^-1 e_0 and Z = A^-1 P: one solve, one 32x32 eig and
-        one vectorized evaluation serve the whole scan.  W grows
-        ill-conditioned where poles merge (Zeeman pairs as B -> 0).  A
-        point where A(d) is singular comes back non-finite; a singular A
+        with x0 = A^-1 e_0 and Z = A^-1 P: one solve, one 16x16 (pi-free)
+        or 32x32 eig and one vectorized evaluation serve the whole scan.
+        W grows ill-conditioned where poles merge (Zeeman pairs as B -> 0).
+        K itself is defective: without the P-D coherences the D populations
+        are absorbing, so K has 2x2 Jordan blocks at theta = 0, whose modes
+        add nothing to the bounded populations.  eig splits them by
+        round-off on the 64-coordinate block (no failure over 20,000
+        random pi drives) but can return them unsplit, W singular, on the
+        parity block (3 of 30,000 random weak-preset scans, OpenBLAS
+        0.3.31); there a basis of null(K^2) replaces their eigenvectors.
+        A point where A(d) is singular comes back non-finite; a singular A
         raises DegenerateSteadyStateError, a failed eig NumericalError.
         """
         u = np.ravel(delta_866) - self.params.delta_866
-        rhs = np.eye(len(self.real))[:, np.r_[0, _D866_COORDS]]  # e_0, P
-        x = self._steady_solve(rhs)
-        x0, z = x[:, 0], x[:, 1:]
+        coords = self._blocks[0]
+        p = np.flatnonzero(_D866_MASK[coords])
+        cols = np.concatenate(([0], p))     # e_0, then P
+        x = self._steady_solve(np.eye(coords.size)[:, cols])
+        bx = _D866.take(coords[p], 0).take(coords[p], 1) @ x[p]
+        k = bx[:, 1:]
         try:
-            theta, w = np.linalg.eig(_D866_BLOCK @ z[_D866_COORDS])
-            r = np.linalg.solve(w, _D866_BLOCK @ x0[_D866_COORDS])
+            theta, w = np.linalg.eig(k)
+            if len(self._blocks) > 1:     # the Jordan blocks at 0
+                zero = np.abs(theta) <= _ZERO_POLE * np.abs(theta).max()
+                w[:, zero] = np.linalg.svd(k @ k)[2][(~zero).sum():].T
+            r = np.linalg.solve(w, bx[:, 0])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"detuning scan factorization failed: {exc}")
         with np.errstate(all="ignore"):
             resolvent = u[:, None] / (1.0 + np.outer(u, theta))
-            shift = (resolvent * r) @ (z[:N_LEVELS] @ w).T
-        return x0[:N_LEVELS] - shift.real
+            shift = (resolvent * r) @ (x[:N_LEVELS, 1:] @ w).T
+        return x[:N_LEVELS, 0] - shift.real

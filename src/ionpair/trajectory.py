@@ -57,21 +57,29 @@ class ClickStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.timestamps_ps = np.asarray(self.timestamps_ps, dtype=np.int64)
+        ts = self.timestamps_ps = np.asarray(self.timestamps_ps,
+                                             dtype=np.int64)
         self.pol = np.asarray(self.pol, dtype=np.uint8)
         self.wavelength = np.asarray(self.wavelength, dtype=np.uint8)
-        n = self.timestamps_ps.size
+        if any(a.ndim != 1 for a in (ts, self.pol, self.wavelength)):
+            raise ValueError("timestamps, pol and wavelength must be 1-D")
+        n = ts.size
         if self.pol.size != n or self.wavelength.size != n:
             raise ValueError("timestamps, pol and wavelength must align")
-        if n and self.timestamps_ps[0] < 0:
+        if n and self.pol.max() > atom.POL_SIGMA_PLUS:
+            raise ValueError(f"polarization tag {self.pol.max()} is not "
+                             "0, 1 or 2")
+        if n and self.wavelength.max() > atom.WL_866:
+            raise ValueError(f"wavelength tag {self.wavelength.max()} is "
+                             "not 0 or 1")
+        if n and ts[0] < 0:
             raise ValueError("timestamps must be non-negative")
-        ts = self.timestamps_ps
         if n and np.any(ts[1:] <= ts[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         self.duration_ps = int(self.duration_ps)
         if self.duration_ps <= 0:
             raise ValueError("duration must be positive")
-        if n and self.timestamps_ps[-1] >= self.duration_ps:
+        if n and ts[-1] >= self.duration_ps:
             raise ValueError("events beyond the stream duration")
 
     def __len__(self) -> int:
@@ -192,11 +200,9 @@ class _JumpSampler:
         self.w = w
         self.v = v
         self.v_inv = v_inv
-        self.params = params
         self.gamma_tot = gamma_tot
         self.dark_modes = -2.0 * w.imag <= self.DARK_RATE * scale
-        self.pi_free = atom._pi_free(h_eff,
-                                     atom._PARITY[:, None] != atom._PARITY)
+        self.pi_free = atom._pi_free(h_eff)
         # decay channels as flat arrays
         tr = atom.TRANSITIONS
         self.ch_upper = np.array([t.upper for t in tr])

@@ -747,6 +747,25 @@ class TestExitCodes:
         assert err == f"error: {path}: timestamps must be strictly " \
                       "increasing\n"
 
+    @pytest.mark.parametrize("pol, wl, message", [
+        ([7, 0], [0, 5], "polarization tag 7 is not 0, 1 or 2"),
+        ([1, 2], [0, 5], "wavelength tag 5 is not 0 or 1")])
+    def test_out_of_range_tag_names_the_file(self, capsys, tmp_path, pol,
+                                             wl, message):
+        path = tmp_path / "bad.clk"
+        events = np.zeros(2, dtype=[("ts", "<u8"), ("pol", "u1"),
+                                    ("wl", "u1")])
+        events["ts"], events["pol"], events["wl"] = [1, 3], pol, wl
+        path.write_bytes(b"IONCLK1" + np.array([0], "<u4").tobytes()
+                         + np.array([2, 10], "<u8").tobytes()
+                         + events.tobytes())
+        code, stdout, err = run(capsys, "correlate", str(path), "--bin",
+                                "1ps", "--window", "4ps", "--pol-a",
+                                "sigma-")
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {path}: {message}\n"
+
     def test_nan_parameter_file_is_malformed_input(self, capsys, tmp_path):
         # json reads a bare NaN; it must fail as a bad file, not as a
         # numerical failure deep in the steady-state solve

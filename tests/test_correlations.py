@@ -366,6 +366,10 @@ class TestPurity:
         with pytest.raises(ValueError):
             C.pair_probability(-0.1)
 
+    def test_nan_purity_ratio_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            C.pair_probability(math.nan)
+
 
 class TestErrorModel:
     def test_zero_errors_reproduce_ideal(self):
@@ -654,6 +658,14 @@ class TestSpectrum:
         assert scalar.ok.shape == (1,) and scalar.ok[0]
         assert scalar.values[0] == array.values[0]
 
+    def test_grid_of_more_than_one_dimension_rejected(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the model was solved")
+
+        monkeypatch.setattr(C, "Model", unreachable)
+        with pytest.raises(ValueError, match=r"1-D, got shape \(2, 2\)"):
+            C.excitation_spectrum(get_preset("spectrum"), np.zeros((2, 2)))
+
     def test_all_points_ok_on_default_grid(self, spectrum):
         assert spectrum.ok.all()
 
@@ -738,6 +750,9 @@ class TestFindDips:
         assert C.find_dips(curve, 0.25).size == 2
         assert C.find_dips(curve, 0.3) == pytest.approx(
             [x[3] + 0.5 * (2.0 - 4.0) / 6.0 * (x[4] - x[3])])
+
+    def test_empty_spectrum_has_no_dips(self):
+        assert C.find_dips(_curve([])).size == 0
 
     def test_plateau_counts_once_at_its_middle(self):
         curve = _curve([2.0, 0.0, 0.0, 0.0, 0.0, 2.0])

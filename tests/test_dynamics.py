@@ -13,6 +13,7 @@ from ionpair.correlations import default_grid, g2_pair
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 from ionpair.dynamics import (DegenerateSteadyStateError, Model,
                               NumericalError)
+from test_correlations import _FAR, _assert_matches_oracle
 
 
 def _decay_only(gamma_sp=TWO_PI * 20.7e6, gamma_dp=TWO_PI * 1.69e6):
@@ -462,7 +463,7 @@ class TestModel:
         assert dynamics._REAL_TERMS.shape == (17, 64 * 64)
         # the detuning scan assumes the delta_866 term is one 32x32 block
         outside = dynamics._D866.copy()
-        coords = dynamics._D866_COORDS
+        coords = np.flatnonzero(dynamics._D866_MASK)
         outside[np.ix_(coords, coords)] = 0.0
         assert coords.size == 32 and np.abs(outside).max() <= 1e-15
 
@@ -595,15 +596,17 @@ class TestModel:
 
 # -- parity blocks of pi-free drives ------------------------------------
 
-def _counted_eig(monkeypatch):
-    """Shapes of every np.linalg.eig call from here on."""
-    calls, eig = [], np.linalg.eig
+def _counted_linalg(monkeypatch, name="eig"):
+    """Shapes of the arguments of every np.linalg.`name` call from here
+    on: one shape per eig call, a tuple of shapes per solve call."""
+    calls, fn = [], getattr(np.linalg, name)
 
-    def counted(a):
-        calls.append(a.shape)
-        return eig(a)
+    def counted(*args):
+        shapes = tuple(np.shape(a) for a in args)
+        calls.append(shapes if len(shapes) > 1 else shapes[0])
+        return fn(*args)
 
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -617,14 +620,14 @@ class TestParityBlocks:
 
     def test_pi_drive_takes_one_full_block(self, monkeypatch):
         model = Model(get_preset("spectrum"))
-        calls = _counted_eig(monkeypatch)
+        calls = _counted_linalg(monkeypatch)
         model.populations(_heralded_ground(1.0), _ORACLE_GRID)
         model.populations(_random_state(4), _ORACLE_GRID)
         assert len(model._blocks) == 1 and calls == [(64, 64)]
 
     def test_coherent_rho0_takes_both_blocks(self, monkeypatch):
         model = Model(get_preset("weak"))
-        calls = _counted_eig(monkeypatch)
+        calls = _counted_linalg(monkeypatch)
         model.populations(_heralded_ground(0.5), _ORACLE_GRID)
         assert calls == [(32, 32)]
         rho0 = _random_state(5)
@@ -633,6 +636,38 @@ class TestParityBlocks:
         assert 2 * np.sum(half.imag > 0) + np.sum(half.imag == 0) == 64
         model.states(rho0, _ORACLE_GRID)
         assert calls == [(32, 32), (32, 32)]
+
+    @pytest.mark.parametrize("preset, solves, eigs", [
+        ("weak", [((32, 32), (32, 17)), ((16, 16), (16,))], [(16, 16)]),
+        ("spectrum", [((64, 64), (64, 33)), ((32, 32), (32,))],
+         [(32, 32)])])
+    def test_repumper_scan_solves_the_populations_block(
+            self, monkeypatch, preset, solves, eigs):
+        # the scan's delta_866 coordinates are those of block 0: 16 of a
+        # pi-free drive's even block, or all 32 of the one full block
+        model = Model(get_preset(preset))
+        solve_calls = _counted_linalg(monkeypatch, "solve")
+        eig_calls = _counted_linalg(monkeypatch)
+        model.steady_populations(np.linspace(-1e8, 1e8, 5))
+        assert solve_calls == solves and eig_calls == eigs
+
+    @pytest.mark.parametrize("b_field, delta_397_mhz", [
+        (5.767680221990505, -16.410953073344743),
+        (5.620417648466382, -13.573302790587634)])
+    def test_repumper_scan_survives_unsplit_jordan_blocks(
+            self, b_field, delta_397_mhz):
+        # on these weak-preset points the eig of the 16x16 K returned its
+        # Jordan blocks at 0 unsplit: half the scan, or all of it, failed
+        _assert_matches_oracle(get_preset("weak").replace(
+            b_field=b_field, delta_397=TWO_PI * delta_397_mhz * 1e6),
+            np.linspace(-TWO_PI * 40e6, TWO_PI * 40e6, 401))
+
+    def test_delta_866_term_has_half_its_coordinates_in_each_block(self):
+        even, odd = dynamics._PARITY_BLOCKS
+        assert not dynamics._D866[np.ix_(even, odd)].any()
+        assert not dynamics._D866[np.ix_(odd, even)].any()
+        for block in (even, odd):
+            assert dynamics._D866_MASK[block].sum() == 16
 
     def test_nan_between_blocks_is_numerical_error(self):
         # NaN fails the block test, so R is one block and eig rejects it
@@ -681,3 +716,21 @@ class TestParityBlocks:
         _assert_cumulative_matches_van_loan(model, mat, _random_state(seed),
                                             grid)
         assert len(model._blocks) == 2
+
+    # the ranges of the sampler's renewal-identity test, sigma-only
+    # drive; the scan sets its own repumper detuning
+    @settings(max_examples=20, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0))
+    def test_sigma_drive_spectra_match_per_point_solve(
+            self, log10_b, delta_397_mhz, omega_397_mhz, omega_866_mhz):
+        params = get_preset("weak").replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=0.5 * math.pi, alpha_866=0.5 * math.pi)
+        assert len(Model(params)._blocks) == 2
+        _assert_matches_oracle(params, np.concatenate(
+            [np.linspace(-TWO_PI * 40e6, TWO_PI * 40e6, 41), _FAR]))

@@ -86,6 +86,17 @@ class TestClickStream:
             ClickStream(np.array([], dtype=np.int64), np.array([]),
                         np.array([]), duration_ps=0)
 
+    @pytest.mark.parametrize("pol, wavelength, message", [
+        ([1, 3], [0, 0], "polarization tag 3 is not 0, 1 or 2"),
+        ([0, 2], [0, 2], "wavelength tag 2 is not 0 or 1"),
+        ([7, 0], [0, 5], "polarization tag 7"),
+        ([[0, 1]], [[0, 1]], "must be 1-D")])
+    def test_tags_outside_the_format_rejected(self, pol, wavelength,
+                                              message):
+        ts = np.array([1, 3]).reshape(np.shape(pol))
+        with pytest.raises(ValueError, match=message):
+            ClickStream(ts, pol, wavelength, duration_ps=10)
+
     def test_decrease_across_the_int64_range_rejected(self):
         # the difference -2**63 - 5 wraps to a positive int64, so a check
         # on np.diff would pass this stream
