@@ -28,12 +28,12 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import atom, correlations as corr
+from . import atom, correlations as corr, fitting
 from .correlator import CorrelatorConfig, correlate, correlate_brute_force
 from .dynamics import Model
 from .fitting import DataSet, fit_g2_joint, fit_spectrum
@@ -200,11 +200,11 @@ def cmd_purity(args) -> int:
     grid = _grid(args)      # only -o reads it
     model = Model(params)   # one generator for every read-out
     p = corr.purity(model, args.t_window)
-    print(f"pair purity p({args.t_window * 1e9:.1f} ns) = {p:.4f}")
+    print(f"pair purity p({args.t_window * 1e9:g} ns) = {p:.4f}")
     print(f"pair probability p/(1+p) = {corr.pair_probability(p):.6f}")
     for pol in ("sigma-", "sigma+"):
         n = corr.mean_photon_number(model, pol, args.t_window)
-        print(f"mean {pol} photons in window = {n:.4f}")
+        print(f"mean {pol} photons in window = {n:#.4g}")
     if args.output:
         tau, curve = corr.purity_curve(model, grid)
         _save(args, tau * 1e9, {"purity": curve}, "tau_ns", params)
@@ -293,8 +293,6 @@ def _read_fit_table(path, kind, x_unit):
 
 
 # value and one-sigma text of a fitted parameter by its declared unit
-_FIT_UNIT = {f.name: f.metadata["unit"]
-             for c in (ExperimentParams, corr.ErrorModel) for f in fields(c)}
 _FIT_TEXT = {
     "mhz": (lambda v: f"2pi x {_to_mhz(v):.6g} MHz",
             lambda s: f"2pi x {_to_mhz(s):.3g} MHz"),
@@ -310,7 +308,7 @@ def _print_fit(res) -> None:
           f"(reduced {res.reduced_chi2():.3f}), nfev = {res.nfev}")
     for name, value in res.params.items():
         sig = res.sigma.get(name) if res.sigma else None
-        text, sig_text = _FIT_TEXT[_FIT_UNIT.get(name)]
+        text, sig_text = _FIT_TEXT[fitting._DECLARED[name]["unit"]]
         err = "" if sig is None else f" +- {sig_text(sig)}"
         print(f"  {name} = {text(value)}{err}")
 

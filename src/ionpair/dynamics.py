@@ -2,23 +2,24 @@
 
 A Model holds one parameter set's Liouvillian as a real 64x64 matrix R
 in the Hermitian operator basis of _real_basis(), its steady state and
-one real eigendecomposition per block of R, and serves every read-out
-of that set: populations, states and the exact cumulative integrals of
-the populations for any initial state, and the steady populations over
-a scan of the repumper detuning.  It is the only entry to the master
-equation; it raises params.NumericalError, or its subclass below.  It
-needs numpy only: the eigenvectors are inverted once per block, and no
-scipy module is loaded.
+the real eigendecompositions of R that its read-outs need, and serves
+every read-out of that set: populations, states and the exact
+cumulative integrals of the populations for any initial state, and the
+steady populations over a scan of the repumper detuning.  It is the only
+entry to the master equation; it raises params.NumericalError, or its
+subclass below.  It needs numpy only: each decomposition's eigenvectors
+are inverted once, and no scipy module is loaded.
 
 The coordinate of rho_ij has the parity c(i) xor c(j) of atom._PARITY.
 Without a pi drive R keeps that parity, R = R_even + R_odd: the even
 block holds the 8 populations and the 24 same-class coherence
-coordinates, the odd block the 32 cross-class ones.  A Model whose R has
-no entry between them above atom._PARITY_TOL max|R| works on the two
-32x32 blocks; the steady state, the repumper scan and every population
-read-out of a diagonal rho0 live in the even block, and the odd block
-is decomposed only for a rho0 with cross-class coherences.  Any other
-R is one block of all 64 coordinates.
+coordinates, the odd block the 32 cross-class ones.  If R has no entry
+between them above atom._PARITY_TOL max|R|, the populations' block is
+the even one; otherwise it is all 64 coordinates.  Each read-out works
+on one coordinate set, populations first: the populations' block, or
+all 64 coordinates for a rho0 with cross-class coherences.  The steady
+state, the repumper scan and every read-out of a diagonal rho0 take the
+populations' block.
 """
 
 from __future__ import annotations
@@ -82,12 +83,12 @@ _UH = _U.conj().T
 # atom.LIOUVILLIAN_TERMS in the real basis, one flattened row per term
 _REAL_TERMS = np.array([(_UH @ term @ _U).real.ravel()
                         for term in atom.LIOUVILLIAN_TERMS])
-# The coordinates of each parity, even (populations first), then odd,
-# and the entries of R between the two
+# The cross-class coordinates, the even ones (populations first), all
+# 64, and the entries of R between the two parities
 _CROSS = (atom._PARITY[:, None] != atom._PARITY).ravel() @ np.abs(_U) > 0
-_PARITY_BLOCKS = (np.flatnonzero(~_CROSS), np.flatnonzero(_CROSS))
-_BETWEEN = np.flatnonzero(_CROSS[:, None] != _CROSS)
+_EVEN = np.flatnonzero(~_CROSS)
 _ALL = np.arange(_U.shape[1])
+_BETWEEN = np.flatnonzero(_CROSS[:, None] != _CROSS)
 # The delta_866 term, entries +-1 on the Re and Im coordinates of the 16
 # coherences between D and the S and P levels, 16 in each parity block.
 _D866 = _REAL_TERMS[atom.DELTA_866_TERM].reshape(_U.shape)
@@ -109,29 +110,29 @@ class Model:
 
     Model(params) assembles R = sum_k c_k (U^H B_k U) from
     atom.liouvillian_coefficients(params) and the fixed real terms.  On
-    the first read-out R is split into its parity blocks: the even and
-    the odd coordinates if the entries between them are at most
-    atom._PARITY_TOL max|R| (a pi-free drive; NaN never is), else one
-    block of all 64.  Every steady-state read-out solves the block that
-    holds the populations; the steady state's residual is checked on the
-    whole R.  Each block's eigendecomposition is computed once, when a
-    read-out first needs it: the populations' block always, any other
-    block only for a rho0 with a part in it.  One real eig serves a whole
-    grid (Moler & Van Loan, SIAM Rev. 45, 3, 2003), on half its spectrum:
-    x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0, with c = 2 for a
-    complex mode (its conjugate partner) and 1 for a real one, and
-    vec(rho(t)) = U x(t); the modes of the blocks a rho0 needs are
-    concatenated.  The explicit inverse of each block's eigenvectors,
-    kept with its spectrum, gives any rho0's mode coefficients by one
-    product.  On a uniform grid t_k = k dt, exactly as default_grid
-    builds it, exp(lam t) comes from a two-level table: with B =
-    ceil(sqrt(n)), exp(lam (jB + i) dt) = exp(lam jB dt) exp(lam i dt),
-    two tables of about sqrt(n) rows and one product in place of n exps;
-    any other grid takes exp(lam t) point by point.  The integral from 0
-    to t takes expm1(lam t) / lam (t if lam = 0) in place of exp(lam t),
-    on every grid, because expm1 keeps a small |lam t| free of
-    cancellation; on a uniform grid expm1(a + b) = expm1(a) expm1(b) +
-    expm1(a) + expm1(b) takes it from the same two tables.
+    the first read-out it finds the populations' block of R: the even
+    coordinates if the entries between the parities are at most
+    atom._PARITY_TOL max|R| (a pi-free drive; NaN never is), else all 64.
+    Every steady-state read-out solves that block; the steady state's
+    residual is checked on the whole R.  A propagation works on one
+    coordinate set: the populations' block, or all 64 coordinates if
+    rho0 has a cross-class part.  Each set's eigendecomposition is
+    computed once, when a read-out first needs it, and one real eig
+    serves a whole grid (Moler & Van Loan, SIAM Rev. 45, 3, 2003), on
+    half its spectrum: x(t) = Re sum_{Im lam >= 0} c v exp(lam t) y0,
+    with c = 2 for a complex mode (its conjugate partner) and 1 for a
+    real one, and vec(rho(t)) = U x(t) on the set's columns of U.  The
+    explicit inverse of the eigenvectors, kept with the spectrum, gives
+    any rho0's mode coefficients by one product.  On a uniform grid
+    t_k = k dt, exactly as default_grid builds it, exp(lam t) comes from
+    a two-level table: with B = ceil(sqrt(n)), exp(lam (jB + i) dt) =
+    exp(lam jB dt) exp(lam i dt), two tables of about sqrt(n) rows and
+    one product in place of n exps; any other grid takes exp(lam t)
+    point by point.  The integral from 0 to t takes expm1(lam t) / lam
+    (t if lam = 0) in place of exp(lam t), on every grid, because expm1
+    keeps a small |lam t| free of cancellation; on a uniform grid
+    expm1(a + b) = expm1(a) expm1(b) + expm1(a) + expm1(b) takes it from
+    the same two tables.
     """
 
     def __init__(self, params):
@@ -141,16 +142,16 @@ class Model:
         self._spectra: dict[int, tuple] = {}
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, ...]:
-        """Coordinates of each block of R, populations first in block 0."""
-        return _PARITY_BLOCKS if atom._pi_free(self.real, _BETWEEN) \
-            else (_ALL,)
+    def _block(self) -> np.ndarray:
+        """Coordinates of the block of R that holds the populations, first:
+        the even ones on a pi-free drive, else all 64."""
+        return _EVEN if atom._pi_free(self.real, _BETWEEN) else _ALL
 
     def _steady_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs on the populations' block, with A = R there
         and population 0's row replaced by the unit-trace row; A x = e_0
         is the steady state."""
-        coords = self._blocks[0]
+        coords = self._block
         a = self.real.take(coords, 0).take(coords, 1)
         a[0] = 0.0
         a[0, :N_LEVELS] = 1.0
@@ -164,7 +165,7 @@ class Model:
     @cached_property
     def steady(self) -> np.ndarray:
         """Stationary rho: R x = 0 at unit trace."""
-        coords = self._blocks[0]
+        coords = self._block
         x = np.zeros(len(self.real))
         x[coords] = self._steady_solve(np.eye(coords.size)[0])
         resid = (np.linalg.norm(self.real @ x)
@@ -175,53 +176,46 @@ class Model:
         _check_drift(x[:N_LEVELS].sum())
         return (_U @ x).reshape(N_LEVELS, N_LEVELS)
 
-    def _spectrum(self, k: int):
-        """(lam, vec, weight) of block k's kept half spectrum, one row of
-        vec per mode on all coordinates, and the kept rows of the inverse
-        of all the block's eigenvectors; computed once per block."""
-        if k in self._spectra:
-            return self._spectra[k]
-        coords = self._blocks[k]
+    def _spectrum(self, coords: np.ndarray):
+        """(lam, vec, weight, inverse): R's kept half spectrum on coords,
+        populations first, one column of vec per mode, and the kept rows
+        of the inverse of all its eigenvectors; computed once per set."""
+        if coords.size in self._spectra:
+            return self._spectra[coords.size]
         try:
             lam, vec = np.linalg.eig(self.real[np.ix_(coords, coords)])
             real, upper = lam.imag == 0.0, lam.imag > 0.0
             # dgeev returns complex eigenvalues as exact conjugate pairs;
-            # the block of the populations holds the stationary mode
-            if 2 * upper.sum() + real.sum() != lam.size \
-                    or (k == 0 and not real.any()):
+            # the populations' coordinates hold the stationary mode
+            if 2 * upper.sum() + real.sum() != lam.size or not real.any():
                 raise NumericalError(
                     "generator eigenvalues are not conjugate pairs around a "
                     "real stationary mode")
-            if k == 0:
-                # L preserves the trace, so its stationary eigenvalue is 0
-                # and every other mode is traceless; eig's round-off (the
-                # traces by eps ||R|| / gap) would become trace drift at
-                # long delays.  Pin the real mode that carries the trace,
-                # so no conjugate pair is broken, and project it out of
-                # the other modes' traces.
-                trace = vec[:N_LEVELS].sum(axis=0)
-                pin = np.flatnonzero(real)[np.argmax(np.abs(trace[real]))]
-                lam[pin] = 0.0
-                share = trace / trace[pin]
-                share[pin] = 0.0
-                vec -= np.outer(vec[:, pin], share)
+            # L preserves the trace, so its stationary eigenvalue is 0 and
+            # every other mode is traceless; eig's round-off (the traces by
+            # eps ||R|| / gap) would become trace drift at long delays.
+            # Pin the real mode that carries the trace, so no conjugate
+            # pair is broken, and project it out of the other modes' traces.
+            trace = vec[:N_LEVELS].sum(axis=0)
+            pin = np.flatnonzero(real)[np.argmax(np.abs(trace[real]))]
+            lam[pin] = 0.0
+            share = trace / trace[pin]
+            share[pin] = 0.0
+            vec -= np.outer(vec[:, pin], share)
             keep = real | upper
             inverse = np.linalg.inv(vec)[keep]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"eigendecomposition of the generator failed: {exc}")
-        # one row per kept mode: the transposed concatenation in _modes
-        # then has the column-major layout of eig's output, so the one
-        # block of a pi drive gives the same products, to the last bit
-        rows = np.zeros((keep.sum(), len(self.real)), dtype=complex)
-        rows[:, coords] = vec[:, keep].T
-        self._spectra[k] = (lam[keep], rows, np.where(upper, 2.0, 1.0)[keep],
-                            inverse)
-        return self._spectra[k]
+        self._spectra[coords.size] = (lam[keep], vec[:, keep],
+                                      np.where(upper, 2.0, 1.0)[keep], inverse)
+        return self._spectra[coords.size]
 
     def _modes(self, rho0):
-        """(lam, vec, coef) with x(t) = Re(vec @ (exp(lam t) * coef)),
-        after checking rho0 (8x8, unit trace, Hermitian)."""
+        """(lam, vec, coef, coords) with x(t) = Re(vec @ (exp(lam t) *
+        coef)) on the coordinates coords, after checking rho0 (8x8, unit
+        trace, Hermitian): the populations' block of R, or all 64
+        coordinates if rho0 has a cross-class part."""
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.shape != (N_LEVELS, N_LEVELS):
             raise ValueError(f"rho0 must be 8x8, got {rho0.shape}")
@@ -232,23 +226,19 @@ class Model:
             raise ValueError(
                 f"rho0 is not Hermitian (|rho0 - rho0^H| = {skew:.3e})")
         y0 = (_UH @ rho0.reshape(-1)).real
-        modes = []
-        for k, coords in enumerate(self._blocks):
-            # a block that rho0 has no part in stays empty
-            if k == 0 or y0[coords].any():
-                lam, vec, weight, inverse = self._spectrum(k)
-                modes.append((lam, vec, weight * (inverse @ y0[coords])))
-        lam, vec, coef = zip(*modes)
-        return (np.concatenate(lam), np.concatenate(vec).T,
-                np.concatenate(coef))
+        coords = _ALL if y0[_CROSS].any() else self._block
+        lam, vec, weight, inverse = self._spectrum(coords)
+        return lam, vec, weight * (inverse @ y0[coords]), coords
 
     def _series(self, rho0, grid, rows: int,
-                cumulative: bool = False) -> np.ndarray:
-        """x(t)[:rows] on the grid, x(0) exact; or, if cumulative, its
-        integral from 0 to t, exactly zero at t = 0.  The trace drift is
-        checked: against 1, or against t for the integral."""
+                cumulative: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(x, coords): x(t) on the grid at coords, the first `rows`
+        coordinates of the read-out's set, x(0) exact; or, if cumulative,
+        its integral from 0 to t, exactly zero at t = 0.  The trace drift
+        is checked: against 1, or against t for the integral."""
         grid = _check_grid(grid)
-        lam, vec, coef = self._modes(rho0)
+        lam, vec, coef, coords = self._modes(rho0)
+        coords = coords[:rows]
         fn = np.expm1 if cumulative else np.exp
         if grid.size > 1 and np.array_equal(
                 grid, np.arange(grid.size) * grid[1]):
@@ -269,24 +259,24 @@ class Model:
         w = coef[:, None] * vec[:rows].T
         x = f.real @ w.real - f.imag @ w.imag
         if not cumulative:
-            x[0] = (_UH[:rows] @ np.ravel(rho0)).real
+            x[0] = (_UH[coords] @ np.ravel(rho0)).real
         traces = x[:, :N_LEVELS].sum(axis=1)
         _check_drift(traces[1:] / grid[1:] if cumulative else traces)
-        return x
+        return x, coords
 
     def populations(self, rho0: np.ndarray, grid) -> np.ndarray:
         """Populations on the grid, shape (n, 8), without coherences."""
-        return self._series(rho0, grid, N_LEVELS)
+        return self._series(rho0, grid, N_LEVELS)[0]
 
     def cumulative(self, rho0: np.ndarray, grid) -> np.ndarray:
         """Exact integrals int_0^t of the populations at each grid point
         t, shape (n, 8); a bin integral is a difference of two rows."""
-        return self._series(rho0, grid, N_LEVELS, cumulative=True)
+        return self._series(rho0, grid, N_LEVELS, cumulative=True)[0]
 
     def states(self, rho0: np.ndarray, grid) -> np.ndarray:
         """Density matrices on the grid, shape (n, 8, 8)."""
-        out = (self._series(rho0, grid, _U.shape[0]) @ _U.T).reshape(
-            -1, N_LEVELS, N_LEVELS)
+        x, coords = self._series(rho0, grid, _U.shape[1])
+        out = (x @ _U[:, coords].T).reshape(-1, N_LEVELS, N_LEVELS)
         out[0] = rho0
         return out
 
@@ -316,7 +306,7 @@ class Model:
         raises DegenerateSteadyStateError, a failed eig NumericalError.
         """
         u = np.ravel(delta_866) - self.params.delta_866
-        coords = self._blocks[0]
+        coords = self._block
         p = np.flatnonzero(_D866_MASK[coords])
         cols = np.concatenate(([0], p))     # e_0, then P
         x = self._steady_solve(np.eye(coords.size)[:, cols])
@@ -324,7 +314,7 @@ class Model:
         k = bx[:, 1:]
         try:
             theta, w = np.linalg.eig(k)
-            if len(self._blocks) > 1:     # the Jordan blocks at 0
+            if coords.size < _ALL.size:     # the Jordan blocks at 0
                 zero = np.abs(theta) <= _ZERO_POLE * np.abs(theta).max()
                 w[:, zero] = np.linalg.svd(k @ k)[2][(~zero).sum():].T
             r = np.linalg.solve(w, bx[:, 0])

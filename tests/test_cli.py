@@ -250,6 +250,19 @@ class TestPurityCommand:
         assert (code, stdout) == (3, "")
         assert "lost in round-off" in err
 
+    def test_short_window_prints_the_digits_it_has(self, capsys):
+        # a 40 ps window on strong holds about 1e-8 photons per polarization
+        code, stdout, _ = run(capsys, "purity", "--params", "strong",
+                              "--t-window", "40ps")
+        assert code == 0
+        assert "pair purity p(0.04 ns) = " in stdout
+        printed = [float(v) for v in re.findall(
+            r"^mean sigma. photons in window = (\S+)$", stdout, re.M)]
+        exact = [corr.mean_photon_number(get_preset("strong"), pol, 40e-12)
+                 for pol in ("sigma-", "sigma+")]
+        assert printed == pytest.approx(exact, rel=1e-3)
+        assert min(exact) > 1e-9
+
     def test_builds_no_g2_curve(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("purity built a g2 curve")
@@ -260,7 +273,7 @@ class TestPurityCommand:
         code, stdout, _ = run(capsys, "purity", "--t-max", "100ns",
                               "--dt", "1ns", "-o", str(out))
         assert code == 0
-        printed = float(re.search(r"p\(24\.0 ns\) = (\S+)", stdout).group(1))
+        printed = float(re.search(r"p\(24 ns\) = (\S+)", stdout).group(1))
         tau, cols, meta = read_table_csv(out)
         assert tau.size == 100 and tau[0] == pytest.approx(1.0)
         assert cols["purity"][tau == 24.0][0] == pytest.approx(printed,

@@ -9,7 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ionpair import atom, dynamics
-from ionpair.correlations import default_grid, g2_pair
+from ionpair.correlations import (default_grid, default_spectrum_grid,
+                                  excitation_spectrum, g2_pair)
 from ionpair.params import ExperimentParams, TWO_PI, get_preset
 from ionpair.dynamics import (DegenerateSteadyStateError, Model,
                               NumericalError)
@@ -183,6 +184,28 @@ def _assert_matches_expm(params):
     ref = _expm_populations(mat, rho0, _ORACLE_GRID)
     assert np.abs(np.einsum("kii->ki", states).real - ref).max() <= 1e-12
     assert np.abs(np.einsum("kii->k", states).real - 1.0).max() <= 1e-10
+
+
+class TestStatesAgainstExpm:
+    """Every entry of Model.states, coherences included, against expm."""
+
+    @pytest.mark.parametrize("preset", ["weak", "strong", "spectrum"])
+    def test_random_rho0(self, preset):
+        params = get_preset(preset)
+        rho0 = _random_state(7)
+        want = _expm_states(atom.build_liouvillian(params), rho0,
+                            _ORACLE_GRID)
+        got = Model(params).states(rho0, _ORACLE_GRID)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_heralded_rho0_keeps_cross_class_coherences_zero(self):
+        params = get_preset("weak")
+        rho0 = _heralded_ground(0.3)
+        want = _expm_states(atom.build_liouvillian(params), rho0,
+                            _ORACLE_GRID)
+        got = Model(params).states(rho0, _ORACLE_GRID)
+        assert not got[:, atom._PARITY[:, None] != atom._PARITY].any()
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestAgainstExpm:
@@ -614,28 +637,37 @@ def _heralded_ground(w):
     return np.diag([1.0 - w, w, 0, 0, 0, 0, 0, 0]).astype(complex)
 
 
+def _parity_blocks():
+    """The even coordinates, populations first, and the odd ones."""
+    return np.flatnonzero(~dynamics._CROSS), np.flatnonzero(dynamics._CROSS)
+
+
 class TestParityBlocks:
-    """A pi-free drive splits R into its even and odd 32x32 blocks; any
-    other R is one block of all 64 coordinates."""
+    """On a pi-free drive the populations' block of R is its even 32x32
+    block; any other R is one block of all 64 coordinates."""
 
     def test_pi_drive_takes_one_full_block(self, monkeypatch):
         model = Model(get_preset("spectrum"))
         calls = _counted_linalg(monkeypatch)
         model.populations(_heralded_ground(1.0), _ORACLE_GRID)
         model.populations(_random_state(4), _ORACLE_GRID)
-        assert len(model._blocks) == 1 and calls == [(64, 64)]
+        assert model._block.size == 64 and calls == [(64, 64)]
 
-    def test_coherent_rho0_takes_both_blocks(self, monkeypatch):
+    def test_coherent_rho0_takes_all_coordinates(self, monkeypatch):
+        # a pi-free drive decomposes its even block for a heralded rho0
+        # and all 64 coordinates, in place of the odd block, for a rho0
+        # with cross-class coherences
         model = Model(get_preset("weak"))
         calls = _counted_linalg(monkeypatch)
         model.populations(_heralded_ground(0.5), _ORACLE_GRID)
         assert calls == [(32, 32)]
         rho0 = _random_state(5)
         half = model._modes(rho0)[0]
-        assert calls == [(32, 32), (32, 32)]
+        assert calls == [(32, 32), (64, 64)]
         assert 2 * np.sum(half.imag > 0) + np.sum(half.imag == 0) == 64
         model.states(rho0, _ORACLE_GRID)
-        assert calls == [(32, 32), (32, 32)]
+        model.states(_heralded_ground(1.0), _ORACLE_GRID)
+        assert calls == [(32, 32), (64, 64)]
 
     @pytest.mark.parametrize("preset, solves, eigs", [
         ("weak", [((32, 32), (32, 17)), ((16, 16), (16,))], [(16, 16)]),
@@ -663,7 +695,7 @@ class TestParityBlocks:
             np.linspace(-TWO_PI * 40e6, TWO_PI * 40e6, 401))
 
     def test_delta_866_term_has_half_its_coordinates_in_each_block(self):
-        even, odd = dynamics._PARITY_BLOCKS
+        even, odd = _parity_blocks()
         assert not dynamics._D866[np.ix_(even, odd)].any()
         assert not dynamics._D866[np.ix_(odd, even)].any()
         for block in (even, odd):
@@ -671,7 +703,7 @@ class TestParityBlocks:
 
     def test_nan_between_blocks_is_numerical_error(self):
         # NaN fails the block test, so R is one block and eig rejects it
-        even, odd = dynamics._PARITY_BLOCKS
+        even, odd = _parity_blocks()
         broken = Model(get_preset("weak"))
         broken.real[even[3], odd[5]] = np.nan
         grid = np.array([0.0, 1e-9])
@@ -681,7 +713,7 @@ class TestParityBlocks:
                      lambda: broken.cumulative(_heralded_ground(1.0), grid)):
             with pytest.raises(NumericalError):
                 call()
-        assert len(broken._blocks) == 1
+        assert broken._block.size == 64
 
     # the ranges of the sampler's renewal-identity test, sigma-only drive
     @settings(max_examples=20, database=None)
@@ -715,7 +747,7 @@ class TestParityBlocks:
         grid = np.array([0.0, 0.5e-9, 4e-9, 24e-9, 400e-9, 5e-6])
         _assert_cumulative_matches_van_loan(model, mat, _random_state(seed),
                                             grid)
-        assert len(model._blocks) == 2
+        assert model._block.size == 32
 
     # the ranges of the sampler's renewal-identity test, sigma-only
     # drive; the scan sets its own repumper detuning
@@ -731,6 +763,59 @@ class TestParityBlocks:
             omega_397=TWO_PI * omega_397_mhz * 1e6,
             omega_866=TWO_PI * omega_866_mhz * 1e6,
             alpha_397=0.5 * math.pi, alpha_866=0.5 * math.pi)
-        assert len(Model(params)._blocks) == 2
+        assert Model(params)._block.size == 32
         _assert_matches_oracle(params, np.concatenate(
             [np.linspace(-TWO_PI * 40e6, TWO_PI * 40e6, 41), _FAR]))
+
+
+# -- guards, forced ----------------------------------------------------
+
+class TestGuards:
+    def test_trace_drift_raises(self, monkeypatch):
+        tol = dynamics.RESIDUAL_TOL
+        dynamics._check_drift(np.array([1.0, 1.0 - 0.5 * tol]))
+        for traces in ([1.0, 1.0 + 2.0 * tol], [np.nan]):
+            with pytest.raises(NumericalError, match="trace drift"):
+                dynamics._check_drift(np.array(traces))
+        # below a negative tolerance every read-out drifts
+        monkeypatch.setattr(dynamics, "RESIDUAL_TOL", -1.0)
+        model = Model(get_preset("weak"))
+        for read in (model.populations, model.cumulative):
+            with pytest.raises(NumericalError, match="trace drift"):
+                read(_heralded_ground(1.0), _ORACLE_GRID)
+
+    @pytest.mark.parametrize("preset, rho0", [
+        ("weak", _heralded_ground(1.0)), ("weak", _random_state(8)),
+        ("spectrum", _heralded_ground(1.0))])
+    @pytest.mark.parametrize("broken", ["unpaired", "no real mode"])
+    def test_spectrum_without_conjugate_pairs_raises(
+            self, monkeypatch, preset, rho0, broken):
+        # every decomposition holds the populations, so each is checked
+        eig = np.linalg.eig
+
+        def broken_eig(a):
+            lam, vec = eig(a)
+            if broken == "unpaired":
+                top = np.argmax(lam.imag)
+                lam[top] = lam[top].conj()
+            else:
+                lam = -1.0 + 1j * np.where(np.arange(lam.size) % 2, 1, -1)
+            return lam, vec
+
+        model = Model(get_preset(preset))
+        monkeypatch.setattr(np.linalg, "eig", broken_eig)
+        with pytest.raises(NumericalError, match="not conjugate pairs"):
+            model.populations(rho0, _ORACLE_GRID)
+
+    @pytest.mark.parametrize("preset", ["weak", "spectrum"])
+    def test_failed_repumper_scan_flags_every_point(self, monkeypatch,
+                                                    preset):
+        def failed(a):
+            raise np.linalg.LinAlgError("forced")
+
+        params, grid = get_preset(preset), default_spectrum_grid(points=9)
+        monkeypatch.setattr(np.linalg, "eig", failed)
+        with pytest.raises(NumericalError, match="factorization failed"):
+            Model(params).steady_populations(grid)
+        curve = excitation_spectrum(params, grid)
+        assert not curve.ok.any() and np.isnan(curve.values).all()

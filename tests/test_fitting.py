@@ -464,6 +464,26 @@ class TestBudget:
         assert res.nfev == calls.count("g2_pair") > 3
 
 
+class TestCovariance:
+    def test_inverse_of_the_normal_matrix(self):
+        cov, sigma = fitting._covariance(np.diag([2.0, 4.0]), ["a", "b"])
+        assert np.array_equal(cov, np.diag([0.25, 0.0625]))
+        assert sigma == {"a": 0.5, "b": 0.25}
+
+    @pytest.mark.parametrize("jac", [np.diag([np.nan, 1.0]),
+                                     np.diag([1.0, 1e-160])])
+    def test_non_finite_covariance_gives_no_sigma(self, jac):
+        # a NaN column, or J^T J with a subnormal pivot that inv overflows
+        assert fitting._covariance(jac, ["a", "b"]) == (None, None)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0])
+    def test_non_positive_variance_gives_no_sigma(self, monkeypatch,
+                                                   variance):
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: np.diag([1.0, variance]))
+        assert fitting._covariance(np.eye(2), ["a", "b"]) == (None, None)
+
+
 class TestDeclaredBounds:
     """Fit bounds and optimizer units come from the parameter classes'
     field declarations; they equal the literal table they replaced."""

@@ -224,6 +224,26 @@ class TestJumpSampler:
         with pytest.raises(ValueError):
             _JumpSampler(p)
 
+    def test_inaccurate_h_eff_decomposition_raises(self, monkeypatch):
+        eig = np.linalg.eig
+
+        def detuned(a):
+            w, v = eig(a)
+            return w * (1.0 + 1e-6), v
+
+        monkeypatch.setattr(np.linalg, "eig", detuned)
+        with pytest.raises(NumericalError, match="residual"):
+            _JumpSampler(WEAK)
+
+    def test_survival_above_the_floor_after_the_last_doubling_raises(
+            self, monkeypatch):
+        # one doubling of 2 / gamma leaves a weak-preset ground level's
+        # survival far above TABLE_FLOOR
+        monkeypatch.setattr(_JumpSampler, "MAX_DOUBLINGS", 1)
+        sampler = _JumpSampler(WEAK)
+        with pytest.raises(NumericalError, match="does not converge"):
+            sampler._table(atom.S_PLUS)
+
 
 def _assert_sampler_generates_liouvillian(params):
     """The sampler's no-jump evolution plus its jump channels is the
