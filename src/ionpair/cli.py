@@ -57,6 +57,11 @@ def _reason(exc: Exception) -> str:
     return getattr(exc, "strerror", None) or str(exc)
 
 
+class _UnitError(ValueError, argparse.ArgumentTypeError):
+    """A bad unit argument: argparse prints an ArgumentTypeError's text,
+    where for a plain ValueError it prints only "invalid ... value"."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would exit(2); the contract here is exit code 1 for usage
     def error(self, message):
@@ -75,12 +80,12 @@ def _with_unit(text, what, units, factor=1.0, flags=0) -> float:
     m = re.fullmatch(r"\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)\s*(%s)\s*"
                      % "|".join(units), str(text), flags)
     if not m:
-        raise ValueError(
+        raise _UnitError(
             f"{what} {text!r} needs a unit suffix ({'/'.join(units)})")
     value = factor * float(m.group(1)) * next(
         v for k, v in units.items() if k.lower() == m.group(2).lower())
     if not math.isfinite(value):
-        raise ValueError(f"{text!r} overflows to {value}")
+        raise _UnitError(f"{text!r} overflows to {value}")
     return value
 
 
@@ -90,7 +95,13 @@ def parse_time(text: str) -> float:
 
 
 def parse_time_ps(text: str) -> int:
-    return int(round(parse_time(text) / 1e-12))
+    """'1ns' -> 1000; the time must be a whole number of picoseconds to
+    within the parse's round-off, 4 eps."""
+    ps = parse_time(text) / 1e-12
+    if abs(ps - round(ps)) > 4.0 * np.finfo(float).eps * abs(ps):
+        raise _UnitError(f"time {text!r} is not a whole number of "
+                         "picoseconds")
+    return round(ps)
 
 
 def parse_freq(text: str) -> float:
@@ -124,7 +135,7 @@ def _sized(request: str):
 def _grid(args) -> np.ndarray:
     """The --t-max / --dt delay grid."""
     with _sized(f"--t-max {args.t_max:g} s at --dt {args.dt:g} s needs a "
-                f"grid of {round(args.t_max / args.dt) + 1} points"):
+                f"grid of {corr._steps(args.t_max, args.dt) + 1} points"):
         return corr.default_grid(args.t_max, args.dt)
 
 
@@ -515,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream_b", nargs="?", default=None,
                    help="omit to autocorrelate stream_a")
     p.add_argument("--bin", type=parse_time_ps, default=1000,
-                   help="bin width (time with unit)")
+                   help="bin width (time with unit, whole ps)")
     p.add_argument("--window", type=parse_time_ps, default=2_000_000,
-                   help="correlation window (time with unit)")
+                   help="correlation window (time with unit, whole ps)")
     p.add_argument("--pol-a", choices=("sigma-", "pi", "sigma+"))
     p.add_argument("--pol-b", choices=("sigma-", "pi", "sigma+"))
     p.add_argument("--wavelength", choices=("397", "866"))

@@ -75,12 +75,18 @@ class CorrelationCurve:
         return float(self.tau[i]), float(self.values[i])
 
 
-def default_grid(t_max: float = 1000e-9, dt: float = 0.5e-9) -> np.ndarray:
+def _steps(t_max: float, dt: float) -> int:
+    """The last multiple of dt not above t_max, in steps; a ratio t_max /
+    dt within 8 eps below an integer, round-off, counts as that integer."""
     if not (0 < dt <= t_max < math.inf):     # also rejects NaN
         raise ValueError(
             f"need finite t_max >= dt > 0, got t_max={t_max}, dt={dt}")
-    n = int(round(t_max / dt))
-    return np.arange(n + 1) * dt
+    return math.floor(t_max / dt * (1.0 + 8.0 * np.finfo(float).eps))
+
+
+def default_grid(t_max: float = 1000e-9, dt: float = 0.5e-9) -> np.ndarray:
+    """Delays k dt from 0 up to the last multiple of dt not above t_max."""
+    return np.arange(_steps(t_max, dt) + 1) * dt
 
 
 def _window(t_window: float) -> list[float]:
@@ -146,13 +152,8 @@ def _feeding(model: Model, grid: np.ndarray | None, first: str | None = None,
     grid = default_grid() if grid is None else grid
     read = model.cumulative if cumulative else model.populations
     pops = read(_heralded(weight), grid)    # validates the grid
-    grid = np.asarray(grid, dtype=float)
-    if cumulative:
-        # the eigenbasis sums terms of size up to t into a population's
-        # integral over [0, t]; one within eps t of zero is round-off
-        pops[np.abs(pops) <= np.finfo(float).eps * grid[:, None]] = 0.0
     gm, gp = pops[:, P_MINUS] / p_minus, pops[:, P_PLUS] / p_plus
-    return (grid, weight,
+    return (np.asarray(grid, dtype=float), weight,
             (1.0 - errors.eps_minus) * gm + errors.eps_minus * gp,
             (1.0 - errors.eps_plus) * gp + errors.eps_plus * gm)
 
@@ -226,9 +227,9 @@ def purity_curve(params: ExperimentParams | Model,
     length, p(T) = int_0^T g2(sigma-|sigma-) / int_0^T g2(sigma-|sigma+),
     exact at each T of the grid (default_grid() if None); `errors` as
     in g2_pair.  Returns (grid[1:], p): the ratio is undefined at T = 0,
-    and NaN where either integral is non-positive, as it is wherever a
-    population's integral is within its round-off eps T of zero (a few
-    tens of ps and below).
+    and NaN where either integral is non-positive, as it is where
+    Model.cumulative reads one as round-off, 0 (a few tens of ps and
+    below).
     """
     grid, _, im, ip = _feeding(_model(params), grid, SIGMA_MINUS, errors,
                                cumulative=True)
@@ -419,8 +420,12 @@ def write_table_csv(path, x: np.ndarray, columns: dict[str, np.ndarray],
 
 
 def read_table_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
-    """Inverse of write_table_csv: (x, columns, meta)."""
+    """Inverse of write_table_csv: (x, columns, meta); a column name
+    that the header repeats is a ValueError."""
     meta, header, records = read_csv(path)
+    for j, name in enumerate(header[1:], 1):
+        if name in header[1:j]:
+            raise ValueError(f"column {name!r} appears more than once")
     if not len(records):
         raise ValueError("no tabular data found")
     columns = {name: records[f"c{j}"]

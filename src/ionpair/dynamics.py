@@ -212,8 +212,8 @@ class Model:
         return self._spectra[coords.size]
 
     def _modes(self, rho0):
-        """(lam, vec, coef, coords) with x(t) = Re(vec @ (exp(lam t) *
-        coef)) on the coordinates coords, after checking rho0 (8x8, unit
+        """(lam, vec, coef, coords, x(0)) with x(t) = Re(vec @ (exp(lam t)
+        * coef)) on the coordinates coords, after checking rho0 (8x8, unit
         trace, Hermitian): the populations' block of R, or all 64
         coordinates if rho0 has a cross-class part."""
         rho0 = np.asarray(rho0, dtype=complex)
@@ -228,16 +228,16 @@ class Model:
         y0 = (_UH @ rho0.reshape(-1)).real
         coords = _ALL if y0[_CROSS].any() else self._block
         lam, vec, weight, inverse = self._spectrum(coords)
-        return lam, vec, weight * (inverse @ y0[coords]), coords
+        return lam, vec, weight * (inverse @ y0[coords]), coords, y0[coords]
 
     def _series(self, rho0, grid, rows: int,
                 cumulative: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(x, coords): x(t) on the grid at coords, the first `rows`
         coordinates of the read-out's set, x(0) exact; or, if cumulative,
-        its integral from 0 to t, exactly zero at t = 0.  The trace drift
-        is checked: against 1, or against t for the integral."""
+        its integral from 0 to t, exactly zero within eps t of zero.  The
+        trace drift is checked: against 1, or against t for the integral."""
         grid = _check_grid(grid)
-        lam, vec, coef, coords = self._modes(rho0)
+        lam, vec, coef, coords, x0 = self._modes(rho0)
         coords = coords[:rows]
         fn = np.expm1 if cumulative else np.exp
         if grid.size > 1 and np.array_equal(
@@ -258,8 +258,10 @@ class Model:
             f[:, lam == 0.0] = grid[:, None]
         w = coef[:, None] * vec[:rows].T
         x = f.real @ w.real - f.imag @ w.imag
-        if not cumulative:
-            x[0] = (_UH[coords] @ np.ravel(rho0)).real
+        if cumulative:  # terms of size t cancel: eps t is round-off
+            x[np.abs(x) <= np.finfo(float).eps * grid[:, None]] = 0.0
+        else:
+            x[0] = x0[:rows]
         traces = x[:, :N_LEVELS].sum(axis=1)
         _check_drift(traces[1:] / grid[1:] if cumulative else traces)
         return x, coords
@@ -270,7 +272,8 @@ class Model:
 
     def cumulative(self, rho0: np.ndarray, grid) -> np.ndarray:
         """Exact integrals int_0^t of the populations at each grid point
-        t, shape (n, 8); a bin integral is a difference of two rows."""
+        t, shape (n, 8); a bin integral is a difference of two rows.  One
+        within eps t of zero is eigenbasis round-off and reads 0."""
         return self._series(rho0, grid, N_LEVELS, cumulative=True)[0]
 
     def states(self, rho0: np.ndarray, grid) -> np.ndarray:

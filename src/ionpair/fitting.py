@@ -48,7 +48,11 @@ _BOUNDS = {n: m["range"] for n, m in _DECLARED.items()}
 _UNIT = {n: TWO_PI * 1e6 if m["unit"] == "mhz" else 1.0
          for n, m in _DECLARED.items()}
 
-# relative finite-difference step of the Jacobian in optimizer units
+# finite-difference step of the Jacobian.  least_squares steps an
+# optimizer value t = v / _UNIT by diff_step * t, signed and relative to t
+# (sqrt(eps) at t = 0), flipped where it leaves the bounds; the profiled
+# fit's re-take at the optimum steps v by _DIFF_STEP * max(_UNIT, |v|),
+# forward, flipped at the upper bound.  They agree only for t >= 1.
 _DIFF_STEP = 1e-7
 
 # every residual of an evaluation whose model could not be solved
@@ -346,7 +350,10 @@ def _fit(datasets, params_init, free, errors, affine, restarts, seed,
         # columns, so J is taken again at the optimum with (a, b) held
         r, a, b, s = profiled(vals)
         columns = {"scale": -s / err, "background": -1.0 / err}
-        for n in searched:   # the step of _minimize
+        # _DIFF_STEP * max(_UNIT, |v|) forward, flipped at the upper
+        # bound; _minimize's step is diff_step * t, signed, t = v / _UNIT.
+        # They agree only for t >= 1 (see _DIFF_STEP)
+        for n in searched:
             h = _DIFF_STEP * max(_UNIT[n], abs(vals[n]))
             h = -h if vals[n] + h > _BOUNDS[n][1] else h
             s_h = values({**vals, n: vals[n] + h})

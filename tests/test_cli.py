@@ -52,6 +52,21 @@ class TestUnitParsing:
         with pytest.raises(ValueError):
             parse_time("5 minutes")
 
+    @pytest.mark.parametrize("text, ps", [
+        ("1ps", 1), ("0.5ns", 500), ("4ns", 4000), ("400ns", 400_000),
+        ("50us", 50_000_000), ("600ms", 600_000_000_000),
+        ("1s", 1_000_000_000_000)])
+    def test_whole_picoseconds(self, text, ps):
+        assert parse_time_ps(text) == ps
+
+    # 1.0000000000005s is 0.5 ps, 5e-13 relative, off a whole ps
+    @pytest.mark.parametrize("text", ["2.5ps", "1.5ps", "0.4ps", "2.0004ns",
+                                      "1.0000000000005s"])
+    def test_fractional_picoseconds_rejected(self, text):
+        with pytest.raises(ValueError, match=f"time '{text}' is not a "
+                                             "whole number of picoseconds"):
+            parse_time_ps(text)
+
     def test_frequencies(self):
         assert parse_freq("-15MHz") == pytest.approx(-TWO_PI * 15e6)
         assert parse_freq("5kHz") == pytest.approx(TWO_PI * 5e3)
@@ -140,6 +155,16 @@ class TestG2Command:
             assert code == 1
             assert "--eps" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("dt, want", [
+        ("0.6ns", [0.0, 0.6]), ("0.4ns", [0.0, 0.4, 0.8]),
+        ("0.5ns", [0.0, 0.5, 1.0]), ("1ns", [0.0, 1.0])])
+    def test_grid_ends_at_or_below_t_max(self, capsys, tmp_path, dt, want):
+        out = tmp_path / "g.csv"
+        code, _, _ = run(capsys, "g2", "--t-max", "1ns", "--dt", dt,
+                         "-o", str(out))
+        assert code == 0
+        assert read_table_csv(out)[0] == pytest.approx(want, abs=1e-12)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -806,6 +831,30 @@ class TestExitCodes:
         assert "dark state" in err and "zero magnetic field" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("g2", "--t-max", "5"),
+         "argument --t-max: time '5' needs a unit suffix (ps/ns/us/ms/s)"),
+        (("g2", "--t-max", "1e999ns"),
+         "argument --t-max: '1e999ns' overflows to inf"),
+        (("purity", "--t-window", "24"),
+         "argument --t-window: time '24' needs a unit suffix"),
+        (("spectrum", "--lo", "5"),
+         "argument --lo: frequency '5' needs a unit suffix"),
+        (("correlate", "a.clk", "--bin", "2.5ps"),
+         "argument --bin: time '2.5ps' is not a whole number of picoseconds"),
+        (("correlate", "a.clk", "--bin", "1.5ps", "--window", "3ps"),
+         "argument --bin: time '1.5ps' is not a whole number"),
+        (("correlate", "a.clk", "--bin", "0.4ps"),
+         "argument --bin: time '0.4ps' is not a whole number"),
+        (("correlate", "a.clk", "--window", "2.0004ns"),
+         "argument --window: time '2.0004ns' is not a whole number"),
+        (("g2", "--dt", "0ns"), "need finite t_max >= dt > 0"),
+    ])
+    def test_unit_arguments_say_what_is_wrong(self, capsys, args, message):
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and message in err
+
     def test_grid_too_large_to_allocate(self, capsys, monkeypatch):
         def no_memory(t_max, dt):
             raise MemoryError("Unable to allocate 7.28 TiB")
@@ -947,6 +996,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "correlate", str(headless))
         assert code == 2
         assert err == f"error: {headless}: no header row\n"
+
+    @pytest.mark.parametrize("mode, head", [
+        ("g2", "tau_ns,g2,g2"), ("spectrum", "delta_866_mhz,rate,ok,rate")])
+    def test_repeated_table_column_names_the_file_once(self, capsys,
+                                                       tmp_path, mode, head):
+        # a fit of the last of two same-named columns would exit 0
+        path = tmp_path / "dup.csv"
+        width = head.count(",")
+        path.write_text(head + "\n" + "".join(
+            f"{x}" + ",1" * width + "\n" for x in range(5)))
+        extra = ["--kinds", "total"] if mode == "g2" else []
+        code, out, err = run(capsys, "fit", mode, str(path), *extra,
+                             "--free", "omega_397")
+        name = head.rsplit(",", 1)[1]
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot read {path}: column {name!r} "
+                       "appears more than once\n")
+        assert err.count(str(path)) == 1
 
     def test_missing_fit_table_names_the_file_once(self, capsys, tmp_path):
         path = tmp_path / "missing.csv"

@@ -301,6 +301,28 @@ class TestShortTimeExponents:
             C.short_time_exponent(zero)
 
 
+class TestDefaultGrid:
+    @pytest.mark.parametrize("t_max, dt, steps", [
+        (1e-9, 0.6e-9, 1),          # round() took 2: 1.2 ns
+        (1e-9, 0.4e-9, 2),
+        (1e-9, 0.5e-9, 2),
+        (1e-9, 1e-9, 1),
+        (0.7e-9, 0.1e-9, 7),        # 6.999999999999999 by division
+        (2e-9 * (1 - 1e-12), 1e-9, 1),
+        (1.0, 1e-12, 10**12)])
+    def test_last_multiple_not_above_t_max(self, t_max, dt, steps):
+        assert C._steps(t_max, dt) == steps
+        if steps < 10**6:
+            grid = C.default_grid(t_max, dt)
+            assert grid.size == steps + 1 and grid[1] == dt
+            assert grid[-1] <= t_max * (1 + 1e-15)
+
+    @settings(max_examples=200, database=None)
+    @given(dt=st.floats(1e-12, 1e-6), n=st.integers(1, 10**6))
+    def test_round_off_below_a_multiple_keeps_it(self, dt, n):
+        assert C._steps(n * dt, dt) == n
+
+
 class TestPurity:
     def test_frozen_purity_and_pair_probability(self):
         p24 = C.purity(WEAK, 24e-9)
@@ -796,6 +818,18 @@ _CELLS = st.one_of(
 
 
 class TestCsvRoundTrip:
+    def test_repeated_column_name_is_rejected(self, tmp_path):
+        # a dict by name would keep only the last of the two columns
+        path = tmp_path / "dup.csv"
+        path.write_text("tau_ns,g2,err,g2\n0,1,0.1,2\n1,1,0.1,2\n")
+        with pytest.raises(ValueError, match="column 'g2' appears more "
+                                             "than once"):
+            C.read_table_csv(path)
+        # the x column is not a data column: its name may recur
+        path.write_text("tau_ns,tau_ns\n0,1\n1,1\n")
+        x, cols, _ = C.read_table_csv(path)
+        assert list(cols) == ["tau_ns"] and cols["tau_ns"].tolist() == [1, 1]
+
     def test_table_round_trip(self, tmp_path, weak_pair):
         minus, plus = weak_pair
         path = tmp_path / "curves.csv"

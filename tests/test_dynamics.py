@@ -103,7 +103,8 @@ class TestPropagate:
             with pytest.raises(ValueError, match="finite"):
                 g2_pair(get_preset("weak"), "sigma-", grid)
         for t_max, dt in ((np.inf, 1e-9), (np.nan, 1e-9), (1e-6, np.nan),
-                          (1e-6, np.inf), (np.inf, np.inf)):
+                          (1e-6, np.inf), (np.inf, np.inf), (1e-9, 0.0),
+                          (1e-9, 2e-9), (1e-9, -1e-9)):
             with pytest.raises(ValueError, match="finite"):
                 default_grid(t_max, dt)
 
