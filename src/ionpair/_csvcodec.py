@@ -22,38 +22,49 @@ def write_csv(path, header: list[str], row: str, cells: np.ndarray,
 
 def read_csv(path, dtype=None, convert=None):
     """(meta, header, records): meta from the '#' lines before the
-    header, records by one np.loadtxt into `dtype`, by default a float
-    per header cell, then through `convert` if given.  Blank lines and
-    later '#' lines are skipped; a row that np.loadtxt or `convert`
-    rejects (with a ValueError saying "at row i") is reported by its
-    line number in the file; the caller names the file."""
-    meta: dict[str, str] = {}
+    header, records by np.loadtxt into `dtype`, by default a float per
+    header cell, then through `convert` if given.  The body is parsed
+    straight from the open file, blank and later '#' lines skipped; a
+    body that this parse rejects is parsed again from its stripped non-blank
+    lines, which a hand-edited file may need (whitespace-only lines,
+    padded rows).  A row that this second parse or `convert` rejects
+    (with a ValueError saying "at row i") is reported by its line number
+    in the file; the caller names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = filter(None, map(str.strip, fh))
-        for line in lines:
-            if not line.startswith("#"):
-                break
-            key, eq, val = line[1:].partition("=")
-            if eq:
-                meta[key.strip()] = val.strip()
-        else:
-            raise ValueError("no header row")
-        header = next(csv.reader([line]))
+        meta, header = _head(fh)
         if dtype is None:
             dtype = [(f"c{j}", "f8") for j in range(len(header))]
         load = functools.partial(np.loadtxt, dtype=dtype, delimiter=",",
-                                 quotechar='"', ndmin=1)
+                                 quotechar='"', comments="#", ndmin=1)
         parse = load if convert is None else lambda rows: convert(load(rows))
         with warnings.catch_warnings():   # no rows: empty, not a warning
             warnings.simplefilter("ignore", UserWarning)
             try:
-                records = parse(lines)
+                return meta, header, parse(fh)
+            except ValueError:
+                fh.seek(0)
+                _head(fh)
+            try:
+                records = parse(filter(None, map(str.strip, fh)))
             except ValueError as exc:
                 text = str(exc).split("; use `usecols`")[0]
                 bad = _first_bad_line(path, parse)
                 raise ValueError(re.sub(r"at row \d+", f"at line {bad}",
                                         text)) from None
     return meta, header, records
+
+
+def _head(lines) -> tuple[dict[str, str], list[str]]:
+    """Meta and header cells from the lines up to the header row, which
+    is the last line taken; blank lines are skipped."""
+    meta: dict[str, str] = {}
+    for line in filter(None, map(str.strip, lines)):
+        if not line.startswith("#"):
+            return meta, next(csv.reader([line]))
+        key, eq, val = line[1:].partition("=")
+        if eq:
+            meta[key.strip()] = val.strip()
+    raise ValueError("no header row")
 
 
 def _first_bad_line(path, parse) -> int:

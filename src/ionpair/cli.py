@@ -98,6 +98,8 @@ def parse_time_ps(text: str) -> int:
     """'1ns' -> 1000; the time must be a whole number of picoseconds to
     within the parse's round-off, 4 eps."""
     ps = parse_time(text) / 1e-12
+    if not math.isfinite(ps):
+        raise _UnitError(f"time {text!r} overflows to {ps} ps")
     if abs(ps - round(ps)) > 4.0 * np.finfo(float).eps * abs(ps):
         raise _UnitError(f"time {text!r} is not a whole number of "
                          "picoseconds")

@@ -81,7 +81,12 @@ def _steps(t_max: float, dt: float) -> int:
     if not (0 < dt <= t_max < math.inf):     # also rejects NaN
         raise ValueError(
             f"need finite t_max >= dt > 0, got t_max={t_max}, dt={dt}")
-    return math.floor(t_max / dt * (1.0 + 8.0 * np.finfo(float).eps))
+    # Python floats: an overflow is inf, not a numpy warning
+    steps = float(t_max) / float(dt) * (1.0 + 8.0 * math.ulp(1.0))
+    if not math.isfinite(steps):
+        raise ValueError(f"t_max={t_max} over dt={dt} is not a finite "
+                         "number of steps")
+    return math.floor(steps)
 
 
 def default_grid(t_max: float = 1000e-9, dt: float = 0.5e-9) -> np.ndarray:

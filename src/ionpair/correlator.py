@@ -13,15 +13,25 @@ the searches, one stable sort of the N_a slice lengths on a 16-bit key
 pair, and one pass per offset up to the longest slice; scratch memory
 is O(N_a).  Counts are bin-exact, integer arithmetic throughout.
 
+One recording with one filter on both sides is one-sided: the
+timestamps are strictly increasing, so event i takes only its later
+partners, the slice (i, hi) with delays d in (0, window], found by one
+searchsorted.  Each pass gathers once and bins two keys per pair,
+(d + window) // w for +d and (window - d) // w for -d, in one bincount
+whose extra last bin holds the d = window keys: +window lies outside
+the histogram, -window in its lowest bin.  So such a call costs one
+search and one gather per unordered pair, through the same sort and
+offset loop.
+
 Normalization divides each bin by rate_a * rate_b * T * bin_width, the
 expectation for uncorrelated streams, turning the histogram into a g2
 estimate.
 
 Self pairs: when both sides come from one recording (b is None or a
 itself), no click pairs with itself, whatever the polarization
-filters; the clicks that pass both filters are taken out of the
-zero-delay bin and the pair total.  With two recordings every pair
-counts.
+filters.  The one-sided pass never forms a self pair; with different
+filters the clicks that pass both are taken out of the zero-delay bin
+and the pair total.  With two recordings every pair counts.
 """
 
 from __future__ import annotations
@@ -91,16 +101,21 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
 
     Costs two searches of b, one narrow-key sort of the N_a slice
     lengths, then one gather per pair, in one pass per offset up to the
-    longest slice of b in the window; O(N_a) scratch memory.
+    longest slice of b in the window; O(N_a) scratch memory.  One
+    recording with one filter on both sides (b None or a, pol_a ==
+    pol_b) costs one search and one gather per unordered pair.
     """
     if config is None:
         config = CorrelatorConfig()
     same = b is None or b is a
+    one_sided = same and pol_a == pol_b
     if same:
         b = a
     if pol_a:
         a = a.select(pol=pol_a)
-    if pol_b:
+    if one_sided:
+        b = a
+    elif pol_b:
         b = b.select(pol=pol_b)
     ts_a = a.timestamps_ps
     ts_b = b.timestamps_ps
@@ -115,36 +130,21 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
     rate_a = n_a_overlap / overlap_s
     rate_b = n_b_overlap / overlap_s
 
-    counts = np.zeros(n_bins, dtype=np.int64)
-    # slice [lo, hi) of b with tau = b - a in [-window, +window), n = hi - lo
-    lo = np.searchsorted(ts_b, ts_a - window, side="left")
-    n = np.searchsorted(ts_b, ts_a + window, side="left") - lo
-    total = int(n.sum())
-    longest = int(n.max()) if n.size else 0
-    # a-events longest slice first: the ones still paired at offset j are
-    # the first active[j] = #(n >= j).  A stable sort of 16-bit keys is a
-    # radix sort; wider keys only for slices of 2**15 b-events or more.
-    key = n.astype(np.int16 if longest < 2**15 else np.int64)
-    order = np.argsort(key, kind="stable")[::-1]
-    active = np.cumsum(np.bincount(n)[::-1])[::-1].tolist()
-    lo_s = lo[order]
-    base = ts_a[order] - window
-    scratch = np.empty_like(base)    # tau + window, then the bin, per pass
-    for j in range(1, longest + 1):
-        m = active[j]
-        tau = scratch[:m]
-        # the indices are in range by construction; mode "clip" skips the
-        # bounds-checked copy that take makes into `out`
-        np.take(ts_b[j - 1:], lo_s[:m], out=tau, mode="clip")
-        tau -= base[:m]
-        tau //= width
-        counts += np.bincount(tau, minlength=n_bins)
-
-    if same:
+    if one_sided:
+        # later partners only: event i pairs with (i, hi), delays d in
+        # (0, window], each binned at +d and at -d
+        lo = np.arange(1, ts_a.size + 1)
+        n = np.searchsorted(ts_a, ts_a + window, side="right") - lo
+    else:
+        # slice [lo, hi) of b with tau = b - a in [-window, +window)
+        lo = np.searchsorted(ts_b, ts_a - window, side="left")
+        n = np.searchsorted(ts_b, ts_a + window, side="left") - lo
+    counts = _offset_loop(ts_b, lo, n, ts_a - window, config, one_sided)
+    if same and not one_sided:
         # remove the zero-delay self pairs of the clicks on both sides
         n_self = len(a.select(pol=pol_b)) if pol_b else len(a)
         counts[window // width] -= n_self
-        total -= n_self
+    total = int(counts.sum())
 
     flagged = rate_a <= 0.0 or rate_b <= 0.0
     if flagged:
@@ -157,6 +157,37 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
         rate_a=rate_a, rate_b=rate_b, overlap_s=overlap_s, flagged=flagged,
         meta={"channel_a": a.channel, "channel_b": b.channel,
               "auto": same})
+
+
+def _offset_loop(ts_b, lo, n, base, config, mirror) -> np.ndarray:
+    """Counts per bin of the delays ts_b[lo[i] + j] - a[i], j < n[i],
+    with base = a - window, in one pass per offset j; with `mirror`,
+    each delay d is also binned at -d, and the pass's extra last bin
+    drops the d = +window keys."""
+    width, n_bins = config.bin_width_ps, config.n_bins
+    longest = int(n.max()) if n.size else 0
+    # events longest slice first: the ones still paired at offset j are
+    # the first active[j] = #(n >= j).  A stable sort of 16-bit keys is a
+    # radix sort; wider keys only for slices of 2**15 b-events or more.
+    key = n.astype(np.int16 if longest < 2**15 else np.int64)
+    order = np.argsort(key, kind="stable")[::-1]
+    active = np.cumsum(np.bincount(n)[::-1])[::-1].tolist()
+    lo, base = lo[order], base[order]
+    # the bin keys of a pass, tau + window then -tau + window
+    scratch = np.empty((1 + mirror) * base.size, dtype=np.int64)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for j in range(1, longest + 1):
+        m = active[j]
+        keys = scratch[:(1 + mirror) * m]
+        # the indices are in range by construction; mode "clip" skips the
+        # bounds-checked copy that take makes into `out`
+        np.take(ts_b[j - 1:], lo[:m], out=keys[:m], mode="clip")
+        keys[:m] -= base[:m]
+        if mirror:
+            np.subtract(2 * config.window_ps, keys[:m], out=keys[m:])
+        keys //= width
+        counts += np.bincount(keys, minlength=n_bins + mirror)[:n_bins]
+    return counts
 
 
 def correlate_brute_force(a: ClickStream, b: ClickStream | None = None,

@@ -35,9 +35,12 @@ _CSV_HEADER = ["timestamp_ps", "pol", "wavelength"]
 _TAG_WIDTH = 16
 _CSV_DTYPE = np.dtype([("ts", "i8"), ("pol", f"S{_TAG_WIDTH}"),
                        ("wl", f"S{_TAG_WIDTH}")])
-# field -> (file column, tag names in sorted order, their codes)
+# field -> (file column, tag names in sorted order, their codes, and the
+# names as the first of a cell's two uint64 words: each fits in 8 bytes,
+# so the second word of a cell that equals a tag is 0)
 _CSV_TAGS = {field: (column, np.array(sorted(tags), dtype="S"),
-                     np.array([tags[k] for k in sorted(tags)], dtype=np.uint8))
+                     np.array([tags[k] for k in sorted(tags)], dtype=np.uint8),
+                     np.array(sorted(tags), dtype="S8").view(np.uint64))
              for field, column, tags in (("pol", 2, atom.POL_TAGS),
                                          ("wl", 3, atom.WL_TAGS))}
 _POL_CELLS = np.array(list(atom.POL_NAMES.values()), dtype=object)
@@ -97,20 +100,34 @@ def write_stream_csv(path, stream: ClickStream) -> None:
 
 def _tag_codes(rows: np.ndarray) -> dict[str, np.ndarray]:
     """The pol and wavelength cells of the parsed rows as uint8 codes, by
-    field; a cell that names no tag is a ValueError at its row."""
+    field; a cell that names no tag is a ValueError at its row.  A cell
+    that equals a tag byte for byte maps by a compare of its two words;
+    only the other cells are stripped and searched."""
     codes = {"ts": rows["ts"]}
-    for field, (column, names, values) in _CSV_TAGS.items():
+    for field, (column, names, values, words) in _CSV_TAGS.items():
         cells = rows[field]
-        stripped = np.char.strip(cells)
-        at = np.searchsorted(names, stripped).clip(max=names.size - 1)
-        bad = (names[at] != stripped) | (np.char.str_len(cells)
-                                         >= _TAG_WIDTH)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"could not convert string {cells[i].decode('latin-1')!r} "
-                f"to uint8 at row {i + 1}, column {column}.")
-        codes[field] = values[at]
+        cell_words = cells.view(np.dtype((np.uint64, 2)))
+        first = cell_words[:, 0].copy()
+        code = np.zeros(cells.size, dtype=np.uint8)
+        exact = np.zeros(cells.size, dtype=bool)
+        for word, value in zip(words, values):
+            hit = first == word
+            code += hit * value
+            exact |= hit
+        rest = np.flatnonzero(~exact | (cell_words[:, 1] != 0))
+        if rest.size:
+            odd = cells[rest]
+            stripped = np.char.strip(odd)
+            at = np.searchsorted(names, stripped).clip(max=names.size - 1)
+            bad = (names[at] != stripped) | (np.char.str_len(odd)
+                                             >= _TAG_WIDTH)
+            if bad.any():
+                i = int(rest[np.argmax(bad)])
+                raise ValueError(
+                    f"could not convert string {cells[i].decode('latin-1')!r} "
+                    f"to uint8 at row {i + 1}, column {column}.")
+            code[rest] = values[at]
+        codes[field] = code
     return codes
 
 

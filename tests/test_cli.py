@@ -849,11 +849,19 @@ class TestExitCodes:
         (("correlate", "a.clk", "--window", "2.0004ns"),
          "argument --window: time '2.0004ns' is not a whole number"),
         (("g2", "--dt", "0ns"), "need finite t_max >= dt > 0"),
+        # finite in seconds, not in picoseconds or in steps
+        (("correlate", "a.clk", "--window", "1e300s"),
+         "argument --window: time '1e300s' overflows to inf ps"),
+        (("correlate", "a.clk", "--bin", "1e300s"),
+         "argument --bin: time '1e300s' overflows to inf ps"),
+        (("g2", "--t-max", "1e300s", "--dt", "2ns"),
+         "t_max=1e+300 over dt=2e-09 is not a finite number of steps"),
     ])
     def test_unit_arguments_say_what_is_wrong(self, capsys, args, message):
         code, out, err = run(capsys, *args)
         assert code == 1 and out == ""
-        assert err.count("\n") == 1 and message in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
 
     def test_grid_too_large_to_allocate(self, capsys, monkeypatch):
         def no_memory(t_max, dt):

@@ -9,6 +9,7 @@ any eight-level numerics.
 
 import csv
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -316,6 +317,14 @@ class TestDefaultGrid:
             grid = C.default_grid(t_max, dt)
             assert grid.size == steps + 1 and grid[1] == dt
             assert grid[-1] <= t_max * (1 + 1e-15)
+
+    @pytest.mark.parametrize("t_max, dt", [(1e300, 2e-9),
+                                           (np.float64(1e300), 2e-9),
+                                           (1.7976931348623157e308, 1.0)])
+    def test_steps_past_the_float_range_are_rejected(self, t_max, dt):
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_max={t_max} over dt={dt} is not a finite")):
+            C._steps(t_max, dt)
 
     @settings(max_examples=200, database=None)
     @given(dt=st.floats(1e-12, 1e-6), n=st.integers(1, 10**6))

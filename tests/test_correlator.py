@@ -1,6 +1,7 @@
 """Histogram correlator against an O(N^2) oracle and analytic cases."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from ionpair import atom
 from ionpair.cli import main
+from ionpair.correlations import read_table_csv
 from ionpair.correlator import (CorrelatorConfig, correlate,
                                 correlate_brute_force)
 from ionpair.params import get_preset
+from ionpair.streams import save_stream
 from ionpair.trajectory import (ClickStream, DetectionConfig, DetectorChannel,
                                 detect, simulate_emissions)
 
@@ -97,7 +100,9 @@ class TestWork:
     @pytest.mark.parametrize("mode", ["auto", "cross", "empty"])
     def test_one_prefix_pass_per_offset(self, mode, monkeypatch):
         # ~40 b-events per slice.  The binning calls are the bincounts
-        # with minlength n_bins; the one count of slice lengths has none.
+        # with minlength n_bins, n_bins + 1 on the one-sided auto, whose
+        # last bin takes the +window keys; the one count of slice lengths
+        # has none.
         rng = np.random.default_rng(31)
         a = stream_from_gaps(rng, 1000, 1000)
         b = stream_from_gaps(rng, 1000, 1000) if mode == "cross" else None
@@ -109,27 +114,45 @@ class TestWork:
         tau = ts_b[None, :] - ts_a[:, None]
         slices = ((tau >= -cfg.window_ps) & (tau < cfg.window_ps)).sum(1)
 
-        bincount, passes = np.bincount, []
+        bincount, passes, binned = np.bincount, [], []
 
         def counted(arg, *args, **kwargs):
-            if kwargs.get("minlength") == cfg.n_bins:
+            if kwargs.get("minlength") in (cfg.n_bins, cfg.n_bins + 1):
+                assert kwargs["minlength"] == cfg.n_bins + (mode == "auto")
                 passes.append(arg)
+                binned.append(arg.copy())
             return bincount(arg, *args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", counted)
         got = correlate(a, b, cfg)
         monkeypatch.undo()
         sizes = [p.size for p in passes]
-        # one pass per offset up to the longest slice, one binned delay
-        # per pair, self pairs included
-        assert len(sizes) == (slices.max() if slices.size else 0)
-        assert sum(sizes) == slices.sum()
         assert got.total_pairs == slices.sum() - (len(a) if b is None else 0)
-        # every pass bins a shrinking prefix of one scratch of N_a delays:
+        if mode == "auto":
+            # one recording, one filter: one pass per offset up to the
+            # longest slice of later partners, d = t_j - t_i in (0, window],
+            # and two keys per such pair, (d + window) // w for +d and
+            # (window - d) // w for -d; d = 0, a self pair, is never formed
+            later = (tau > 0) & (tau <= cfg.window_ps)
+            d = tau[later]
+            assert len(sizes) == later.sum(1).max()
+            assert sum(sizes) == 2 * d.size
+            want = np.concatenate([(d + cfg.window_ps) // cfg.bin_width_ps,
+                                   (cfg.window_ps - d) // cfg.bin_width_ps])
+            assert np.array_equal(np.sort(np.concatenate(binned)),
+                                  np.sort(want))
+            scratch = 2 * len(a)
+        else:
+            # one pass per offset up to the longest slice, one binned
+            # delay per pair
+            assert len(sizes) == (slices.max() if slices.size else 0)
+            assert sum(sizes) == slices.sum()
+            scratch = len(a)
+        # every pass bins a shrinking prefix of one scratch buffer:
         # nothing is compressed or reallocated per pass
         assert sizes == sorted(sizes, reverse=True)
         assert all(p.base is passes[0].base for p in passes)
-        assert all(p.base.size == len(a) for p in passes)
+        assert all(p.base.size == scratch for p in passes)
 
 
 class TestLongSlices:
@@ -235,6 +258,64 @@ class TestProperties:
         assert np.array_equal(got.counts, want)
         assert got.total_pairs == int(want.sum())
         assert got.meta["auto"] is (mode != "cross")
+
+
+class TestMirrorEdges:
+    """One recording whose delays sit on the window edge (d = 12 ps), on
+    bin edges (d = k w) and one off them (k w +- 1): the one-sided auto
+    bins each later partner at +d and -d, and -window lands in the
+    lowest bin while +window leaves the histogram."""
+
+    # isolated pairs at each delay, sigma- first and sigma- or sigma+
+    # second, then a cluster of sigma- clicks at 0, 4, 12, 13 and a pi
+    DELAYS = (1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 24)
+
+    @classmethod
+    def recording(cls):
+        ts, pol = [], []
+        for k, d in enumerate(cls.DELAYS):
+            ts += [100 * k, 100 * k + d]
+            pol += [0, 0 if k % 2 else 2]
+        end = 100 * len(cls.DELAYS)
+        ts += [end, end + 4, end + 12, end + 13, end + 20]
+        pol += [0, 0, 0, 0, 1]
+        return ClickStream(ts, pol, np.zeros(len(ts)), duration_ps=end + 100)
+
+    @pytest.mark.parametrize("width", [1, 4, 12])
+    @pytest.mark.parametrize("pols", [(None, None), ("sigma-", "sigma-"),
+                                      ("sigma-", "sigma+"),
+                                      ("sigma+", "sigma-")])
+    def test_matches_brute_force(self, width, pols):
+        s = self.recording()
+        cfg = CorrelatorConfig(bin_width_ps=width, window_ps=12)
+        got = correlate(s, None, cfg, *pols)
+        want = _self_pair_oracle(s, None, cfg, *pols)
+        assert np.array_equal(got.counts, want)
+        assert got.total_pairs == got.counts.sum() > 0
+        if pols[0] == pols[1]:
+            sel = s.select(pol=pols[0])
+            assert np.array_equal(got.counts,
+                                  correlate_brute_force(sel, None, cfg))
+
+    @pytest.mark.parametrize("suffix", [".clk", ".csv"])
+    @pytest.mark.parametrize("pols", [("sigma-", "sigma-"),
+                                      ("sigma-", "sigma+")])
+    def test_cli_filters_on_one_file(self, tmp_path, capsys, suffix, pols):
+        s = self.recording()
+        path = tmp_path / f"edges{suffix}"
+        save_stream(path, s)
+        for width in (1, 12):
+            out = tmp_path / "hist.csv"
+            assert main(["correlate", str(path), "--pol-a", pols[0],
+                         "--pol-b", pols[1], "--bin", f"{width}ps",
+                         "--window", "12ps", "-o", str(out)]) == 0
+            pairs = re.search(r"pairs = (\d+),", capsys.readouterr().out)
+            _, cols, meta = read_table_csv(out)
+            want = _self_pair_oracle(s, None, CorrelatorConfig(width, 12),
+                                     *pols)
+            assert np.array_equal(cols["counts"], want)
+            assert int(pairs.group(1)) == int(meta["total_pairs"]) \
+                == want.sum() > 0
 
 
 class TestAnalyticCases:

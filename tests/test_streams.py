@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionpair import atom
+from ionpair.correlations import read_table_csv, write_table_csv
 from ionpair.streams import (MAGIC, StreamFormatError, load_stream,
                              read_stream, read_stream_csv, save_stream,
                              write_stream, write_stream_csv)
 from ionpair.trajectory import ClickStream
+from test_correlations import _CELLS, _per_line_csv
 
 
 def random_stream(rng, n=257, channel=1):
@@ -298,3 +300,116 @@ class TestCsvCodec:
         path.write_text(text)
         with pytest.raises(StreamFormatError, match="bad.csv"):
             read_stream_csv(path)
+
+
+@st.composite
+def _hand_edited(draw, text):
+    """`text`, a written CSV file, as a person might leave it: body
+    cells quoted and padded with spaces, in some files outside the
+    quotes (which both readers reject), blank, whitespace-only and '#'
+    lines anywhere, LF or CRLF line ends."""
+    lines = text.splitlines()
+    head = next(i for i, line in enumerate(lines) if line[0] != "#")
+    outside = draw(st.booleans())
+    pad = st.sampled_from(["", "", " ", "  "])
+    out = []
+    for i, line in enumerate(lines):
+        out += draw(st.lists(st.sampled_from(["", " ", "\t ", "# note",
+                                              "  # a note, 1"]),
+                             max_size=2))
+        if i > head:
+            cells = []
+            for cell in line.split(","):
+                left, right = draw(pad), draw(pad)
+                if draw(st.booleans()):
+                    cell = (f'{left}"{cell}"{right}' if outside
+                            else f'"{left}{cell}{right}"')
+                else:
+                    cell = left + cell + right
+                cells.append(cell)
+            line = ",".join(cells)
+        out.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + end
+
+
+def _outcome(read, path):
+    """What `read` makes of the file: its result, or None if it raises."""
+    try:
+        return read(path)
+    except Exception:       # the per-line references raise what they hit
+        return None
+
+
+class TestHandEditedParity:
+    """read_stream_csv and read_table_csv parse a written file straight
+    from the file object, and a hand-edited one again line by line if
+    that parse fails: either way they read what the per-line references
+    read and reject what those reject."""
+
+    @settings(max_examples=50, database=None)
+    @given(data=st.data(), s=streams())
+    def test_streams(self, data, s):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            write_stream_csv(path, s)
+            path.write_bytes(data.draw(_hand_edited(path.read_text()))
+                             .encode())
+            want = _outcome(_per_line_stream_csv, path)
+            if want is None:
+                with pytest.raises(StreamFormatError):
+                    read_stream_csv(path)
+            else:
+                assert_streams_equal(read_stream_csv(path), want)
+
+    @settings(max_examples=50, database=None)
+    @given(data=st.data(), rows=st.integers(1, 20), ncols=st.integers(0, 3))
+    def test_tables(self, data, rows, ncols):
+        x, *columns = (np.array(data.draw(st.lists(_CELLS, min_size=rows,
+                                                   max_size=rows)))
+                       for _ in range(1 + ncols))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_table_csv(path, x, {f"c{j}": c for j, c in
+                                      enumerate(columns)}, "tau_ns",
+                            {"bin": 4})
+            path.write_bytes(data.draw(_hand_edited(path.read_text()))
+                             .encode())
+            want = _outcome(_per_line_csv, path)
+            if want is None:
+                with pytest.raises(ValueError):
+                    read_table_csv(path)
+            else:
+                got = read_table_csv(path)
+                for g, w in zip((got[0], *got[1].values()),
+                                (want[0], *want[1].values())):
+                    np.testing.assert_array_equal(g, w)
+                assert got[1].keys() == want[1].keys()
+                assert got[2] == want[2] == {"bin": "4"}
+
+
+@pytest.mark.parametrize("kind", ["stream", "table"])
+def test_a_written_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch,
+                                                   stream, kind):
+    path = tmp_path / "run.csv"
+    if kind == "stream":
+        write_stream_csv(path, stream)
+    else:
+        write_table_csv(path, stream.timestamps_ps / 1e3,
+                        {"pol": stream.pol}, "tau_ns", {"bin": 4})
+    loadtxt, calls = np.loadtxt, []
+
+    def counted(rows, *args, **kwargs):
+        calls.append(rows)
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    got = (read_stream_csv if kind == "stream" else read_table_csv)(path)
+    assert len(calls) == 1 and hasattr(calls[0], "read")
+    if kind == "stream":
+        assert_streams_equal(got, stream)
+    # a whitespace-only line takes the second, line-by-line parse
+    path.write_text(path.read_text() + "   \n")
+    calls.clear()
+    (read_stream_csv if kind == "stream" else read_table_csv)(path)
+    assert len(calls) == 2 and not hasattr(calls[1], "read")
