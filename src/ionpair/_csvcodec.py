@@ -2,7 +2,6 @@
 meta lines, a csv header row, one record a line."""
 
 import csv
-import functools
 import re
 import warnings
 
@@ -24,23 +23,28 @@ def read_csv(path, dtype=None, convert=None):
     """(meta, header, records): meta from the '#' lines before the
     header, records by np.loadtxt into `dtype`, by default a float per
     header cell, then through `convert` if given.  The body is parsed
-    straight from the open file, blank and later '#' lines skipped; a
-    body that this parse rejects is parsed again from its stripped non-blank
-    lines, which a hand-edited file may need (whitespace-only lines,
-    padded rows).  A row that this second parse or `convert` rejects
-    (with a ValueError saying "at row i") is reported by its line number
-    in the file; the caller names the file."""
+    from the path by numpy's chunked reader, skipping every line through
+    the header (blank ones counted) and any later blank or '#' line; a
+    body that this parse rejects is parsed again from its stripped
+    non-blank lines, which a hand-edited file may need (whitespace-only
+    lines, padded rows).  A row that this second parse or `convert`
+    rejects (with a ValueError saying "at row i") is reported by its
+    line number in the file; the caller names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        meta, header = _head(fh)
+        meta, header, skip = _head(fh)
         if dtype is None:
             dtype = [(f"c{j}", "f8") for j in range(len(header))]
-        load = functools.partial(np.loadtxt, dtype=dtype, delimiter=",",
-                                 quotechar='"', comments="#", ndmin=1)
-        parse = load if convert is None else lambda rows: convert(load(rows))
+
+        def parse(rows, skiprows=0):
+            records = np.loadtxt(rows, dtype=dtype, delimiter=",",
+                                 quotechar='"', comments="#", ndmin=1,
+                                 skiprows=skiprows, encoding="utf-8")
+            return records if convert is None else convert(records)
+
         with warnings.catch_warnings():   # no rows: empty, not a warning
             warnings.simplefilter("ignore", UserWarning)
             try:
-                return meta, header, parse(fh)
+                return meta, header, parse(path, skip)
             except ValueError:
                 fh.seek(0)
                 _head(fh)
@@ -54,13 +58,15 @@ def read_csv(path, dtype=None, convert=None):
     return meta, header, records
 
 
-def _head(lines) -> tuple[dict[str, str], list[str]]:
-    """Meta and header cells from the lines up to the header row, which
-    is the last line taken; blank lines are skipped."""
+def _head(lines) -> tuple[dict[str, str], list[str], int]:
+    """Meta, header cells and the number of lines taken, the header row
+    being the last of them; blank lines are skipped but counted."""
     meta: dict[str, str] = {}
-    for line in filter(None, map(str.strip, lines)):
+    for count, line in enumerate(map(str.strip, lines), 1):
+        if not line:
+            continue
         if not line.startswith("#"):
-            return meta, next(csv.reader([line]))
+            return meta, next(csv.reader([line])), count
         key, eq, val = line[1:].partition("=")
         if eq:
             meta[key.strip()] = val.strip()

@@ -23,6 +23,13 @@ the histogram, -window in its lowest bin.  So such a call costs one
 search and one gather per unordered pair, through the same sort and
 offset loop.
 
+At least 2 * _MIN_BLOCK clicks of a are split into contiguous blocks,
+one per usable CPU, each with its own searches, sort and offset loop
+over the whole of b.  The calling thread runs the first block and a
+thread pool the rest (numpy releases the GIL in these calls); the int64
+counts of the blocks are summed, so they do not depend on the split.
+Scratch stays O(N_a), plus one malloc arena per helper thread.
+
 Normalization divides each bin by rate_a * rate_b * T * bin_width, the
 expectation for uncorrelated streams, turning the histogram into a g2
 estimate.
@@ -36,11 +43,18 @@ and the pair total.  With two recordings every pair counts.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .trajectory import ClickStream
+
+# fewest clicks of a per block, so below 2 * _MIN_BLOCK clicks one block
+# on the calling thread: a helper thread takes about 0.13 ms to start and
+# join, a block of 2**14 replay clicks about 1.5 ms at 4 ns/+-400 ns
+_MIN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -103,7 +117,11 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
     lengths, then one gather per pair, in one pass per offset up to the
     longest slice of b in the window; O(N_a) scratch memory.  One
     recording with one filter on both sides (b None or a, pol_a ==
-    pol_b) costs one search and one gather per unordered pair.
+    pol_b) costs one search and one gather per unordered pair.  At
+    least 2 * _MIN_BLOCK clicks of a are split into contiguous blocks,
+    one per usable CPU, each with its own searches, sort and offset
+    loop; their counts are summed.  Scratch is then O(N_a) plus one
+    malloc arena per helper thread.
     """
     if config is None:
         config = CorrelatorConfig()
@@ -130,16 +148,18 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
     rate_a = n_a_overlap / overlap_s
     rate_b = n_b_overlap / overlap_s
 
-    if one_sided:
-        # later partners only: event i pairs with (i, hi), delays d in
-        # (0, window], each binned at +d and at -d
-        lo = np.arange(1, ts_a.size + 1)
-        n = np.searchsorted(ts_a, ts_a + window, side="right") - lo
+    # contiguous blocks of a, one per usable CPU; the first runs here
+    edges = np.linspace(0, ts_a.size, _workers(ts_a.size) + 1).astype(int)
+    blocks = [(ts_a, ts_b, start, stop, config, one_sided)
+              for start, stop in zip(edges[:-1], edges[1:])]
+    if len(blocks) == 1:
+        counts = _block_counts(*blocks[0])
     else:
-        # slice [lo, hi) of b with tau = b - a in [-window, +window)
-        lo = np.searchsorted(ts_b, ts_a - window, side="left")
-        n = np.searchsorted(ts_b, ts_a + window, side="left") - lo
-    counts = _offset_loop(ts_b, lo, n, ts_a - window, config, one_sided)
+        with ThreadPoolExecutor(len(blocks) - 1) as pool:
+            rest = [pool.submit(_block_counts, *args) for args in blocks[1:]]
+            counts = _block_counts(*blocks[0])
+            for block in rest:
+                counts += block.result()
     if same and not one_sided:
         # remove the zero-delay self pairs of the clicks on both sides
         n_self = len(a.select(pol=pol_b)) if pol_b else len(a)
@@ -157,6 +177,32 @@ def correlate(a: ClickStream, b: ClickStream | None = None,
         rate_a=rate_a, rate_b=rate_b, overlap_s=overlap_s, flagged=flagged,
         meta={"channel_a": a.channel, "channel_b": b.channel,
               "auto": same})
+
+
+def _workers(n_a: int) -> int:
+    """Blocks for N_a clicks of a: one per usable CPU, each of at least
+    _MIN_BLOCK clicks, and one below 2 * _MIN_BLOCK."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_a // _MIN_BLOCK))
+
+
+def _block_counts(ts_a, ts_b, start, stop, config, one_sided) -> np.ndarray:
+    """Counts of the pairs of clicks start..stop - 1 of a with all of b."""
+    window = config.window_ps
+    t = ts_a[start:stop]
+    if one_sided:
+        # later partners only: event i pairs with (i, hi), delays d in
+        # (0, window], each binned at +d and at -d
+        lo = np.arange(start + 1, stop + 1)
+        n = np.searchsorted(ts_b, t + window, side="right") - lo
+    else:
+        # slice [lo, hi) of b with tau = b - a in [-window, +window)
+        lo = np.searchsorted(ts_b, t - window, side="left")
+        n = np.searchsorted(ts_b, t + window, side="left") - lo
+    return _offset_loop(ts_b, lo, n, t - window, config, one_sided)
 
 
 def _offset_loop(ts_b, lo, n, base, config, mirror) -> np.ndarray:

@@ -238,6 +238,11 @@ class Model:
         trace drift is checked: against 1, or against t for the integral."""
         grid = _check_grid(grid)
         lam, vec, coef, coords, x0 = self._modes(rho0)
+        rate = float(np.abs(lam).max())
+        if not math.isfinite(float(grid[-1]) * rate):   # Python floats: inf
+            raise ValueError(
+                f"time t = {grid[-1]:g} s is out of range: t times the "
+                f"generator's fastest rate, {rate:.3g}/s, overflows")
         coords = coords[:rows]
         fn = np.expm1 if cumulative else np.exp
         if grid.size > 1 and np.array_equal(

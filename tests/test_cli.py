@@ -1095,6 +1095,16 @@ class TestExitCodes:
             assert "1e999" in err
         assert not out.exists()
 
+    def test_window_whose_exponent_overflows(self, capsys):
+        # t max|lam| is inf at 1e300 s: a usage error before any expm1,
+        # not a numerical failure; at 1e200 s the model still answers
+        code, stdout, err = run(capsys, "purity", "--t-window", "1e300s")
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: time t = 1e+300 s is out of range")
+        code, stdout, _ = run(capsys, "purity", "--t-window", "1e200s")
+        assert code == 0
+        assert "p(1e+209 ns) = 1.0000" in stdout
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--dark-rate", "nan", "dark_rate must be finite"),
         ("--dark-rate", "inf", "dark_rate must be finite"),

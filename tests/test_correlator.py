@@ -1,13 +1,15 @@
 """Histogram correlator against an O(N^2) oracle and analytic cases."""
 
+import contextlib
 import hashlib
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionpair import atom
+from ionpair import atom, correlator
 from ionpair.cli import main
 from ionpair.correlations import read_table_csv
 from ionpair.correlator import (CorrelatorConfig, correlate,
@@ -316,6 +318,173 @@ class TestMirrorEdges:
             assert np.array_equal(cols["counts"], want)
             assert int(pairs.group(1)) == int(meta["total_pairs"]) \
                 == want.sum() > 0
+
+
+@contextlib.contextmanager
+def _split(cpus):
+    """correlate with _MIN_BLOCK = 1 and `cpus` usable CPUs, so a stream
+    of a few clicks takes up to `cpus` blocks; yields the (start, stop,
+    thread) of each block that ran."""
+    spans, block_counts = [], correlator._block_counts
+
+    def spy(ts_a, ts_b, start, stop, *rest):
+        spans.append((start, stop, threading.get_ident()))
+        return block_counts(ts_a, ts_b, start, stop, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlator, "_MIN_BLOCK", 1)
+        mp.setattr(correlator.os, "sched_getaffinity",
+                   lambda pid: set(range(cpus)), raising=False)
+        mp.setattr(correlator, "_block_counts", spy)
+        yield spans
+
+
+def _check_split(a, b, cfg, cpus, pol_a=None, pol_b=None):
+    """The split call equals the one-block call and the oracle; its
+    blocks tile the clicks of a, the first on the calling thread, and no
+    thread outlives it."""
+    whole = correlate(a, b, cfg, pol_a, pol_b)
+    threads = threading.active_count()
+    with _split(cpus) as spans:
+        got = correlate(a, b, cfg, pol_a, pol_b)
+    assert threading.active_count() == threads
+    n_a = len(a.select(pol=pol_a)) if pol_a else len(a)
+    spans.sort()
+    assert len(spans) == max(1, min(cpus, n_a))
+    assert [s[0] for s in spans] + [n_a] == [0] + [s[1] for s in spans]
+    assert spans[0][2] == threading.get_ident()
+    assert np.array_equal(got.counts, whole.counts)
+    assert np.array_equal(got.values, whole.values)
+    assert got.total_pairs == whole.total_pairs == int(got.counts.sum())
+    want = _self_pair_oracle(a, b, cfg, pol_a, pol_b)
+    assert np.array_equal(got.counts, want)
+    return spans
+
+
+class TestBlocks:
+    """At least 2 * _MIN_BLOCK clicks of a run as one contiguous block per
+    usable CPU; small streams take the same split here."""
+
+    CFG = CorrelatorConfig(bin_width_ps=1000, window_ps=20_000)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_one_sided_auto(self, cpus):
+        a = stream_from_gaps(np.random.default_rng(cpus), 500, 1000)
+        _check_split(a, None, self.CFG, cpus)
+        _check_split(a, a, self.CFG, cpus, "sigma-", "sigma-")
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("pols", [("sigma-", "sigma+"), ("sigma-", None),
+                                      (None, "pi")])
+    def test_mixed_filters_remove_self_pairs_once(self, cpus, pols):
+        a = stream_from_gaps(np.random.default_rng(cpus), 500, 1000)
+        _check_split(a, None, self.CFG, cpus, *pols)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_cross(self, cpus):
+        rng = np.random.default_rng(cpus)
+        a, b = (stream_from_gaps(rng, 400, 1000) for _ in range(2))
+        _check_split(a, b, self.CFG, cpus)
+        _check_split(a, b, self.CFG, cpus, "sigma-", "sigma+")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_burst_across_a_block_boundary(self, cpus):
+        # 40 clicks 1 ps apart, indices 30-69, around the boundaries at
+        # 50 (two blocks) or 33 and 66 (three), a 20 ps window
+        sparse = 10_000 * np.arange(1, 31, dtype=np.int64)
+        ts = np.concatenate([sparse, 400_000 + np.arange(40),
+                             500_000 + sparse])
+        a = _stream(ts, [0, 2])
+        cfg = CorrelatorConfig(bin_width_ps=1, window_ps=20)
+        spans = _check_split(a, None, cfg, cpus)
+        assert all(30 < start < 70 for start, _, _ in spans[1:])
+        _check_split(a, None, cfg, cpus, "sigma-", "sigma+")
+        _check_split(a, _stream(ts + 3, [2, 0]), cfg, cpus)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_fewer_clicks_than_cpus(self, n):
+        ts = 5 * np.arange(n, dtype=np.int64)
+        a = _stream(ts, [0])
+        cfg = CorrelatorConfig(bin_width_ps=1, window_ps=20)
+        _check_split(a, None, cfg, 4)
+        _check_split(a, _stream(ts + 2, [0]), cfg, 4)
+
+    @settings(max_examples=100, database=None)
+    @given(data=st.data(), width=st.integers(1, 50),
+           n_half=st.integers(1, 20), cpus=st.integers(2, 4),
+           mode=st.sampled_from(["auto", "same object", "cross"]),
+           pol=st.lists(st.integers(0, 2), min_size=1, max_size=7),
+           pol_a=st.sampled_from([None, "sigma-", "pi", "sigma+"]),
+           pol_b=st.sampled_from([None, "sigma-", "pi", "sigma+"]))
+    def test_matches_one_block(self, data, width, n_half, cpus, mode, pol,
+                               pol_a, pol_b):
+        # the streams of TestProperties
+        cfg = CorrelatorConfig(bin_width_ps=width, window_ps=width * n_half)
+        ts_a = data.draw(_timestamps(cfg.window_ps))
+        a = _stream(ts_a, pol)
+        if mode == "cross":
+            b = _stream(data.draw(_timestamps(cfg.window_ps, ts_a)), pol[::-1])
+        else:
+            b = None if mode == "auto" else a
+        _check_split(a, b, cfg, cpus)
+        _check_split(a, b, cfg, cpus, pol_a, pol_b)
+
+    def test_an_error_in_a_helper_block_propagates(self):
+        a = stream_from_gaps(np.random.default_rng(5), 500, 1000)
+        caller, loop = threading.get_ident(), correlator._offset_loop
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper block failed")
+            return loop(*args)
+
+        threads = threading.active_count()
+        with _split(3), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlator, "_offset_loop", failing)
+            with pytest.raises(RuntimeError, match="helper block failed"):
+                correlate(a, None, self.CFG)
+        assert threading.active_count() == threads
+
+    def test_declared_threshold(self, monkeypatch):
+        # one block below 2 * _MIN_BLOCK clicks, then one per usable CPU
+        block = correlator._MIN_BLOCK
+        monkeypatch.setattr(correlator.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        assert [correlator._workers(n) for n in
+                (0, block, 2 * block - 1, 2 * block, 3 * block, 9 * block)] \
+            == [1, 1, 1, 2, 3, 3]
+        monkeypatch.delattr(correlator.os, "sched_getaffinity")
+        monkeypatch.setattr(correlator.os, "cpu_count", lambda: 2)
+        assert correlator._workers(9 * block) == 2
+
+    def test_replay_sized_stream(self, monkeypatch):
+        # 2.5 * _MIN_BLOCK clicks of a at the declared threshold: two
+        # blocks on two CPUs, the counts of one
+        n = 5 * correlator._MIN_BLOCK // 2
+        rng = np.random.default_rng(9)
+        a, b = (stream_from_gaps(rng, n, 3000) for _ in range(2))
+        cfg = CorrelatorConfig(bin_width_ps=4000, window_ps=400_000)
+        spans, block_counts = [], correlator._block_counts
+
+        def spy(*args):
+            spans.append(args[2:4])
+            return block_counts(*args)
+
+        monkeypatch.setattr(correlator, "_block_counts", spy)
+        for other, pols in ((None, (None, None)), (None, (None, "pi")),
+                            (b, (None, None))):
+            for cpus in (1, 2):
+                monkeypatch.setattr(correlator.os, "sched_getaffinity",
+                                    lambda pid: set(range(cpus)),
+                                    raising=False)
+                spans.clear()
+                got = correlate(a, other, cfg, *pols)
+                assert sorted(spans) == ([(0, n)] if cpus == 1 else
+                                         [(0, n // 2), (n // 2, n)])
+                if cpus == 1:
+                    whole = got
+            assert np.array_equal(got.counts, whole.counts)
+            assert got.total_pairs == whole.total_pairs > 0
 
 
 class TestAnalyticCases:

@@ -108,6 +108,17 @@ class TestPropagate:
             with pytest.raises(ValueError, match="finite"):
                 default_grid(t_max, dt)
 
+    def test_grid_whose_exponent_overflows(self):
+        # weak's fastest rate is 2.05e8/s: t max|lam| overflows at 1e300 s,
+        # and is refused before exp or expm1 warns; 1e299 s still reads
+        model = Model(get_preset("weak"))
+        rho0 = np.eye(8, dtype=complex) / 8
+        reads = (model.states, model.populations, model.cumulative)
+        for read in reads:
+            with pytest.raises(ValueError, match="t = 1e\\+300 s is out"):
+                read(rho0, np.array([0.0, 1e-9, 1e300]))
+            assert np.isfinite(read(rho0, np.array([0.0, 1e299]))).all()
+
     def test_rho0_validation(self):
         model = Model(get_preset("weak"))
         with pytest.raises(ValueError):

@@ -400,16 +400,55 @@ def test_a_written_file_parses_in_one_loadtxt_call(tmp_path, monkeypatch,
     loadtxt, calls = np.loadtxt, []
 
     def counted(rows, *args, **kwargs):
-        calls.append(rows)
+        calls.append((rows, kwargs.get("skiprows", 0)))
         return loadtxt(rows, *args, **kwargs)
 
+    # the path itself, past the meta lines and the header row: numpy
+    # reads a path in chunks, a file object one Python line at a time
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line[0] != "#")
     monkeypatch.setattr(np, "loadtxt", counted)
     got = (read_stream_csv if kind == "stream" else read_table_csv)(path)
-    assert len(calls) == 1 and hasattr(calls[0], "read")
+    assert calls == [(path, header + 1)]
     if kind == "stream":
         assert_streams_equal(got, stream)
     # a whitespace-only line takes the second, line-by-line parse
     path.write_text(path.read_text() + "   \n")
     calls.clear()
     (read_stream_csv if kind == "stream" else read_table_csv)(path)
-    assert len(calls) == 2 and not hasattr(calls[1], "read")
+    assert len(calls) == 2 and not isinstance(calls[1][0], Path)
+
+
+@pytest.mark.parametrize("kind", ["stream", "table"])
+def test_blank_head_lines_count_toward_skiprows(tmp_path, monkeypatch,
+                                                stream, kind):
+    # blank and whitespace-only lines before the header, LF or CRLF:
+    # the one parse from the path still starts at the first record
+    path = tmp_path / "run.csv"
+    write = write_stream_csv if kind == "stream" else \
+        lambda p, s: write_table_csv(p, s.timestamps_ps / 1e3,
+                                     {"pol": s.pol}, "tau_ns", {"bin": 4})
+    read = read_stream_csv if kind == "stream" else read_table_csv
+    write(path, stream)
+    want = read(path)
+    head, sep, body = path.read_text().partition("\n")
+    loadtxt, calls = np.loadtxt, []
+
+    def counted(rows, *args, **kwargs):
+        calls.append(rows)
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    for newline in ("\n", "\r\n"):
+        text = "\n  \n" + head + "\n\n\t\n" + body
+        path.write_bytes(text.replace("\n", newline).encode())
+        calls.clear()
+        got = read(path)
+        assert calls == [path]
+        if kind == "stream":
+            assert_streams_equal(got, want)
+        else:
+            for g, w in zip((got[0], *got[1].values()),
+                            (want[0], *want[1].values())):
+                np.testing.assert_array_equal(g, w)
+            assert got[2] == want[2]
