@@ -135,10 +135,15 @@ def _sized(request: str):
 
 
 def _grid(args) -> np.ndarray:
-    """The --t-max / --dt delay grid."""
+    """The --t-max / --dt delay grid, which tables and the g2 peak lines
+    give in ns."""
     with _sized(f"--t-max {args.t_max:g} s at --dt {args.dt:g} s needs a "
                 f"grid of {corr._steps(args.t_max, args.dt) + 1} points"):
-        return corr.default_grid(args.t_max, args.dt)
+        grid = corr.default_grid(args.t_max, args.dt)
+    if not math.isfinite(args.t_max * 1e9):     # Python floats: inf
+        raise ValueError(f"--t-max {args.t_max:g} s overflows in ns, the "
+                         "unit of every delay column")
+    return grid
 
 
 def _errors(args) -> corr.ErrorModel:
@@ -158,6 +163,16 @@ def _save(args, x, columns, x_label, params=None, **meta) -> None:
 
 # -- g2 ------------------------------------------------------------------
 
+# A peak delay of this many ns or more prints in 6 significant digits,
+# not in hundredths of a ns with up to 300 digits before the point
+_PEAK_FIXED_NS = 1e9
+
+
+def _peak_ns(tau: float) -> str:
+    ns = tau * 1e9
+    return f"{ns:.2f}" if ns < _PEAK_FIXED_NS else f"{ns:.6g}"
+
+
 def cmd_g2(args) -> int:
     errors = _errors(args)
     # the column names do not carry the errors, the header does
@@ -175,7 +190,7 @@ def cmd_g2(args) -> int:
                   "both": [minus, plus]}[args.second]
     for c in curves:
         tau, peak = c.peak()
-        print(f"{c.kind}: peak g2 = {peak:.4f} at tau = {tau * 1e9:.2f} ns")
+        print(f"{c.kind}: peak g2 = {peak:.4f} at tau = {_peak_ns(tau)} ns")
     _save(args, grid * 1e9, {c.kind: c.values for c in curves}, "tau_ns",
           params, first="-" if args.total else args.first, **eps)
     return 0
@@ -211,15 +226,14 @@ def cmd_spectrum(args) -> int:
 def cmd_purity(args) -> int:
     params = _load_params(args.params)
     grid = _grid(args)      # only -o reads it
-    model = Model(params)   # one generator for every read-out
-    p = corr.purity(model, args.t_window)
+    p = corr.purity(params, args.t_window)
     print(f"pair purity p({args.t_window * 1e9:g} ns) = {p:.4f}")
     print(f"pair probability p/(1+p) = {corr.pair_probability(p):.6f}")
     for pol in ("sigma-", "sigma+"):
-        n = corr.mean_photon_number(model, pol, args.t_window)
+        n = corr.mean_photon_number(params, pol, args.t_window)
         print(f"mean {pol} photons in window = {n:#.4g}")
     if args.output:
-        tau, curve = corr.purity_curve(model, grid)
+        tau, curve = corr.purity_curve(params, grid)
         _save(args, tau * 1e9, {"purity": curve}, "tau_ns", params)
     return 0
 

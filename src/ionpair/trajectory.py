@@ -391,8 +391,10 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
 
     draw = [itertools.chain.from_iterable(channels(level))
             for level in range(atom.N_LEVELS)]
-    # the level each channel lands in, plus a last entry for the start
+    # the level each channel lands in, plus a last entry for the start;
+    # the walk's channel ids index it and pass through bytes()
     lower = np.append(sampler.ch_lower, start_level).astype(np.uint8)
+    assert lower.size <= 256, "channel ids must fit in one byte"
     after = [draw[level] for level in lower.tolist()]
     t, prev = 0.0, len(after) - 1
     ts_parts, pol_parts, wl_parts = [], [], []
@@ -410,7 +412,7 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
                 map(next, map(after.__getitem__, seq)), steps))
         except NumericalError as exc:   # a dark level's first draw
             dark = exc
-        chans = np.array(seq, dtype=np.intp)
+        chans = np.frombuffer(bytes(seq), np.uint8)
         source = lower[chans[:-1]]
         counts = np.bincount(source, minlength=atom.N_LEVELS)
         waits = np.empty(source.size)

@@ -3,8 +3,9 @@
 Every property test runs under one hypothesis profile: no per-example
 deadline, because an example's run time depends on the host, and
 derandomized draws, so that every run of the suite tests the same
-examples.  The models_built fixture records each dynamics.Model a test
-constructs.
+examples.  Every test starts with an empty correlations Model memo, so
+that no test reads a Model that an earlier one built.  The models_built
+fixture records each dynamics.Model a test constructs.
 """
 
 import pytest
@@ -12,6 +13,13 @@ from hypothesis import settings
 
 settings.register_profile("ionpair", deadline=None, derandomize=True)
 settings.load_profile("ionpair")
+
+
+@pytest.fixture(autouse=True)
+def _cold_models():
+    """Empty the memo of correlations._model before each test."""
+    from ionpair import correlations
+    correlations._models.clear()
 
 
 @pytest.fixture

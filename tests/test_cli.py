@@ -1,5 +1,7 @@
 """Command line interface: option parsing, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -22,7 +24,7 @@ from ionpair.correlator import (CorrelatorConfig, correlate,
 from ionpair.fitting import (AFFINE_PARAMS, ERROR_PARAMS, PHYSICS_PARAMS,
                              FitResult)
 from ionpair.params import TWO_PI, format_angle, get_preset, parse_angle
-from ionpair.streams import load_stream
+from ionpair.streams import load_stream, save_stream
 
 
 def run(capsys, *argv):
@@ -1244,3 +1246,193 @@ class TestExitCodes:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "pair purity" in proc.stdout
+
+
+class TestPeakLine:
+    """The g2 peak delay reads in hundredths of a ns below a declared
+    size and in 6 significant digits from it on."""
+
+    def test_fixed_below_the_declared_size(self):
+        assert cli._PEAK_FIXED_NS == 1e9
+        assert cli._peak_ns(0.0) == "0.00"
+        assert cli._peak_ns(28.5e-9) == "28.50"
+        assert cli._peak_ns(0.99) == "990000000.00"
+
+    def test_significant_digits_from_the_declared_size(self):
+        assert cli._peak_ns(1.0) == "1e+09"
+        assert cli._peak_ns(1.2345678) == "1.23457e+09"
+
+    def test_huge_grid_prints_a_short_delay(self, capsys):
+        code, stdout, err = run(capsys, "g2", "--t-max", "1e299s",
+                                "--dt", "1e298s", "--total")
+        assert (code, err) == (0, "")
+        assert re.fullmatch(
+            r"total: peak g2 = \d\.\d{4} at tau = \d(\.\d+)?e\+30\d ns\n",
+            stdout)
+
+
+# -- grammar fuzz --------------------------------------------------------
+#
+# Each option value is drawn from edge values one time in four, else
+# from valid ones.  Valid values keep a grid, a scan or a fit to
+# milliseconds, and no pair of values makes a grid that numpy would
+# allocate rather than refuse (20 ns over 1e-30 s is 2e22 points).  "@"
+# values name the files of _fuzz_files.
+
+def _pool(valid, edge):
+    return st.integers(0, 3).flatmap(
+        lambda k: st.sampled_from(edge if k == 0 else valid))
+
+
+_TIME = _pool(("20ns", "2ns"), ("0ns", "-5ns", "nanns", "infns", "1e300s",
+                                "1e-30s", "5", "5MHz"))
+_FREQ = _pool(("10MHz", "-10MHz"), ("0MHz", "nanMHz", "infMHz", "1e300MHz",
+                                    "1e-30MHz", "5", "5ns"))
+_FLOAT = _pool(("0", "0.01"), ("-1", "nan", "inf", "1e300", "1e-30", "x"))
+_INT_EDGE = ("0", "-1", "nan", "1e300", "2.5")
+_PARAMS = _pool(("weak", "strong", "spectrum", "@params"),
+                ("nope", "@empty", "@badjson", "@nanjson", "@dir",
+                 "@missing"))
+_OUTPUT = _pool(("@out",), ("@dir", "@nodir"))
+_NOT_A_TABLE = ("@empty", "@header", "@dir", "@missing", "@params")
+_STREAM = _pool(("@clk", "@csv"), ("@empty", "@header", "@dir", "@missing",
+                                   "@g2"))
+_EPS = {"--eps-init": _FLOAT, "--eps-minus": _FLOAT, "--eps-plus": _FLOAT}
+_FIT = {"--restarts": _pool(("1",), _INT_EDGE),
+        "--maxfev": _pool(("1", "2"), _INT_EDGE)}   # never the defaults
+
+
+def _argv(command, positional=(), required=None, optional=None):
+    """argv strategy: command, positional values (None drops one), every
+    `required` option and any subset of the `optional` ones; an option
+    whose pool is None is a flag."""
+    options = st.fixed_dictionaries(required or {}, optional={
+        name: st.none() if pool is None else pool
+        for name, pool in (optional or {}).items()})
+    return st.tuples(st.tuples(*positional), options).map(
+        lambda drawn: [*command, *(p for p in drawn[0] if p is not None),
+                       *(item for name, value in drawn[1].items()
+                         for item in ((name,) if value is None
+                                      else (name, value)))])
+
+
+_ARGV = st.one_of(
+    _argv(["g2"], optional={
+        "--params": _PARAMS, "--first": _pool(("sigma-", "sigma+"), ("pi",)),
+        "--second": st.sampled_from(("sigma-", "sigma+", "both")),
+        "--total": None, "--t-max": _TIME, "--dt": _TIME, "-o": _OUTPUT,
+        **_EPS}),
+    _argv(["purity"], optional={
+        "--params": _PARAMS, "--t-window": _TIME, "--t-max": _TIME,
+        "--dt": _TIME, "-o": _OUTPUT}),
+    _argv(["spectrum"], optional={
+        "--params": _PARAMS, "--lo": _FREQ, "--hi": _FREQ,
+        "--points": _pool(("3", "1"), _INT_EDGE), "--scale": _FLOAT,
+        "--background": _FLOAT, "--dips": None, "-o": _OUTPUT}),
+    _argv(["correlate"], (_STREAM, st.one_of(st.none(), _STREAM)), optional={
+        "--bin": _TIME, "--window": _TIME,
+        "--pol-a": _pool(("sigma-", "pi", "sigma+"), ("x",)),
+        "--pol-b": st.sampled_from(("sigma-", "sigma+")),
+        "--wavelength": st.sampled_from(("397", "866")), "-o": _OUTPUT}),
+    _argv(["fit", "spectrum"], (_pool(("@spectrum",), _NOT_A_TABLE),), {
+        "--free": _pool(("omega_866", "scale,background"),
+                        ("nope", ",", "eps_init")), **_FIT}, {
+        "--params": _PARAMS, "--seed": _pool(("1",), _INT_EDGE),
+        "--scale": _FLOAT, "--background": _FLOAT}),
+    _argv(["fit", "g2"], (_pool(("@g2",), _NOT_A_TABLE),), {
+        "--free": _pool(("omega_397", "omega_397,eps_init"),
+                        ("nope", ",", "scale")), **_FIT}, {
+        "--params": _PARAMS, "--kinds": _pool(
+            ("total", "sigma-|sigma-"), ("sigma-|sigma-,sigma-|sigma+",
+                                         "nope")), **_EPS}))
+
+
+def _fuzz_files(root: Path) -> dict[str, str]:
+    """Pool key -> path of every fixture file the grammar names."""
+    files = {key: root / name for key, name in (
+        ("@params", "p.json"), ("@empty", "empty.csv"),
+        ("@badjson", "bad.json"), ("@nanjson", "nan.json"),
+        ("@dir", "adir"), ("@missing", "missing.csv"),
+        ("@out", "out.csv"), ("@nodir", "nodir/out.csv"),
+        ("@g2", "g2.csv"), ("@spectrum", "spec.csv"),
+        ("@header", "header.csv"), ("@clk", "a.clk"),
+        ("@csv", "a.csv"))}
+    weak = get_preset("weak")
+    weak.save(files["@params"])
+    files["@empty"].write_text("")
+    files["@badjson"].write_text("{")
+    files["@nanjson"].write_text(json.dumps(
+        {**weak.to_dict(), "omega_397_mhz": math.nan}))
+    files["@dir"].mkdir()
+    minus, plus = corr.g2_pair(weak, "sigma-",
+                               corr.default_grid(20e-9, 2e-9))
+    corr.write_table_csv(files["@g2"], minus.tau * 1e9, {
+        "sigma-|sigma-": minus.values, "sigma-|sigma+": plus.values,
+        "total": 0.5 * (minus.values + plus.values)}, "tau_ns")
+    axis = corr.default_spectrum_grid(points=9)
+    corr.write_table_csv(files["@spectrum"], axis / TWO_PI / 1e6, {
+        "spectrum": corr.excitation_spectrum(
+            get_preset("spectrum"), axis).values}, "delta_866_mhz")
+    files["@header"].write_text("tau_ns,total\n")
+    files["@csv"].write_text(_STREAM_A)
+    save_stream(files["@clk"], load_stream(files["@csv"]))
+    return {key: str(path) for key, path in files.items()}
+
+
+def _main_in_bounds(argv: list[str], files: dict[str, str]) -> None:
+    """cli.main on argv, its @keys replaced by files, returns 0-3, raises
+    nothing and lets no warning escape; a nonzero exit ends in one line
+    of error, after any warning: lines."""
+    argv = [files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code:
+        *warned, last = err.getvalue().splitlines() or [""]
+        assert last.startswith(("error: ", "numerical failure: ")) and all(
+            line.startswith("warning: ") for line in warned), (argv, warned,
+                                                                last)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return _fuzz_files(tmp_path_factory.mktemp("fuzz"))
+
+
+class TestGrammarFuzz:
+    """The exit-code contract over the argument grammar of g2, purity,
+    spectrum, correlate and fit.  The examples share one process, so
+    most read a Model that an earlier one kept."""
+
+    @settings(max_examples=300, database=None)
+    @given(argv=_ARGV)
+    def test_main_exits_in_contract(self, fuzz_files, argv):
+        _main_in_bounds(argv, fuzz_files)
+
+    @pytest.mark.parametrize("command", [["g2"], ["purity", "-o", "@out"]])
+    def test_grid_whose_ns_axis_overflows(self, capsys, fuzz_files,
+                                          command):
+        # found by the grammar: at the spectrum preset's fastest rate,
+        # 1.7e8/s, the model takes t = 1e300 s, and tau * 1e9 overflowed
+        # into the ns column and the peak line
+        argv = [fuzz_files.get(a, a) for a in command]
+        code, stdout, err = run(capsys, *argv, "--params", "spectrum",
+                                "--t-max", "1e300s", "--dt", "1e300s")
+        assert (code, stdout) == (1, "")
+        assert err == ("error: --t-max 1e+300 s overflows in ns, the unit "
+                       "of every delay column\n")
+
+    def test_held_scale_that_overflows_chi2(self, capsys, fuzz_files):
+        # found by the grammar: least_squares warned of overflow in its
+        # cost and the fit went on
+        code, stdout, err = run(capsys, "fit", "spectrum",
+                                fuzz_files["@spectrum"], "--free",
+                                "omega_866", "--restarts", "1",
+                                "--maxfev", "1", "--scale", "1e300")
+        assert (code, stdout) == (1, "")
+        assert err == ("error: chi2 on this data and its err overflows at "
+                       "scale 1e+300 and background 0\n")

@@ -10,7 +10,9 @@ any eight-level numerics.
 import csv
 import math
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +536,152 @@ class TestPhotonBudget:
         for t_window in (0.0, -1e-9, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="window"):
                 C.mean_photon_number(WEAK, "sigma-", t_window)
+
+
+class TestModelMemo:
+    """Read-outs given a parameter set share one Model per bit-identical
+    set, for the _MODELS_KEPT most recently used sets."""
+
+    GRID = C.default_grid(100e-9, 2e-9)
+
+    def test_equal_sets_share_one_model(self, tmp_path, models_built):
+        path = tmp_path / "p.json"
+        WEAK.save(path)
+        a, b = ExperimentParams.load(path), ExperimentParams.load(path)
+        assert a is not b and a == b
+        C.g2_pair(a, "sigma-", self.GRID)
+        C.g2_total(b, self.GRID)
+        C.g2_pair(a, "sigma+", self.GRID, C.ErrorModel(0.02, 0.01, 0.01))
+        C.purity(b, 24e-9)
+        C.mean_photon_number(a, "sigma-", 24e-9)
+        C.mean_photon_number(b, "sigma+", 24e-9)
+        C.emission_rate(a, "sigma-")
+        C.emission_rate(b, "sigma+")
+        assert models_built == [a]
+
+    def test_bit_distinct_sets_get_distinct_models(self, models_built):
+        # omega_397 two and three ulps above weak's: one MHz file value,
+        # so one fingerprint, for two sets
+        up = math.nextafter(math.nextafter(WEAK.omega_397, math.inf),
+                            math.inf)
+        ulp = [WEAK.replace(omega_397=v)
+               for v in (up, math.nextafter(up, math.inf))]
+        assert ulp[0].fingerprint() == ulp[1].fingerprint()
+        sets = [WEAK.replace(delta_866=-0.0), WEAK.replace(delta_866=0.0),
+                *ulp]
+        for _ in range(2):
+            for p in sets:
+                minus, plus = C.g2_pair(p, "sigma-", self.GRID)
+                total = C.g2_total(p, self.GRID)
+                for curve in (minus, plus, total):
+                    assert curve.meta["params"] == p.fingerprint()
+        assert [repr(p) for p in models_built] == [repr(p) for p in sets]
+
+    def test_least_recently_used_set_gives_way(self, models_built):
+        sets = [WEAK.replace(b_field=1.0 + 0.5 * k)
+                for k in range(C._MODELS_KEPT + 1)]
+        for p in sets[:-1]:
+            C.emission_rate(p, "sigma-")
+        C.emission_rate(sets[0], "sigma-")      # now the most recent
+        C.emission_rate(sets[-1], "sigma-")
+        assert C._MODELS_KEPT == 8 == len(C._models)
+        assert repr(sets[1]) not in C._models
+        assert len(models_built) == 9
+        C.emission_rate(sets[0], "sigma-")
+        assert len(models_built) == 9
+        C.emission_rate(sets[1], "sigma-")
+        assert models_built[9:] == [sets[1]]
+        assert repr(sets[2]) not in C._models
+
+    def test_model_argument_is_not_kept(self):
+        model = Model(WEAK)
+        C.g2_pair(model, "sigma-", self.GRID)
+        C.purity(model, 24e-9)
+        C.emission_rate(model, "sigma+")
+        assert C._models == {}
+        assert C._model(WEAK) is not model
+        assert C._model(model) is model
+
+    def test_failed_set_raises_again(self, models_built):
+        trapped = WEAK.replace(b_field=0.0)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="stationary state"):
+                C.emission_rate(trapped, "sigma-")
+            with pytest.raises(NumericalError, match="stationary state"):
+                C.g2_total(trapped, self.GRID)
+        assert models_built == [trapped]
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores, switching every microsecond: a lost
+        # update would raise in the dict, keep more than _MODELS_KEPT
+        # sets or hand one set another set's Model
+        sets = [WEAK.replace(b_field=1.0 + 0.25 * k) for k in range(12)]
+        errors = []
+
+        def hammer(offset):
+            try:
+                for i in range(300):
+                    p = sets[(offset + i) % len(sets)]
+                    assert C._model(p.replace()).params == p
+            except BaseException as exc:
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(C._models) == C._MODELS_KEPT
+        assert all(C._models[repr(p)].params == p
+                   for p in sets if repr(p) in C._models)
+
+    @settings(max_examples=30, database=None)
+    @given(log10_b=st.floats(-1.0, 1.0),
+           delta_397_mhz=st.floats(-40.0, 0.0),
+           delta_866_mhz=st.floats(-40.0, 40.0),
+           omega_397_mhz=st.floats(1.0, 40.0),
+           omega_866_mhz=st.floats(0.5, 20.0),
+           alpha_397_pi=st.floats(0.1, 0.9),
+           alpha_866_pi=st.floats(0.1, 0.9))
+    def test_warm_reads_equal_a_cold_model(
+            self, log10_b, delta_397_mhz, delta_866_mhz, omega_397_mhz,
+            omega_866_mhz, alpha_397_pi, alpha_866_pi):
+        # the ranges of test_trajectory.TestRenewalIdentity
+        p = WEAK.replace(
+            b_field=10.0 ** log10_b, delta_397=TWO_PI * delta_397_mhz * 1e6,
+            delta_866=TWO_PI * delta_866_mhz * 1e6,
+            omega_397=TWO_PI * omega_397_mhz * 1e6,
+            omega_866=TWO_PI * omega_866_mhz * 1e6,
+            alpha_397=alpha_397_pi * math.pi,
+            alpha_866=alpha_866_pi * math.pi)
+        errors = C.ErrorModel(0.02, 0.01, 0.03)
+
+        def read(x):
+            pair = C.g2_pair(x, "sigma-", self.GRID, errors)
+            return [*(c.values for c in pair),
+                    C.g2_total(x, self.GRID).values,
+                    *C.purity_curve(x, self.GRID, errors),
+                    [C.mean_photon_number(x, pol, 24e-9)
+                     for pol in (C.SIGMA_MINUS, C.SIGMA_PLUS)],
+                    [C.emission_rate(x, pol)
+                     for pol in (C.SIGMA_MINUS, C.SIGMA_PLUS)]]
+
+        C.emission_rate(p, "sigma-")            # keeps p's Model
+        warm = C._model(p.replace())
+        assert warm is C._models[repr(p)]
+        cold = read(Model(p))
+        for got, want in zip(read(p.replace()), cold, strict=True):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert C._model(p) is warm
 
 
 @pytest.fixture(scope="module")
