@@ -134,13 +134,13 @@ def _sized(request: str):
         raise ValueError(f"{request}, more than fits in memory") from None
 
 
-def _grid(args) -> np.ndarray:
-    """The --t-max / --dt delay grid, which tables and the g2 peak lines
-    give in ns."""
+def _grid(args, ns: bool) -> np.ndarray:
+    """The --t-max / --dt delay grid; ns if its delays are printed or
+    written in ns, which must then be finite."""
     with _sized(f"--t-max {args.t_max:g} s at --dt {args.dt:g} s needs a "
                 f"grid of {corr._steps(args.t_max, args.dt) + 1} points"):
         grid = corr.default_grid(args.t_max, args.dt)
-    if not math.isfinite(args.t_max * 1e9):     # Python floats: inf
+    if ns and not math.isfinite(args.t_max * 1e9):  # Python floats: inf
         raise ValueError(f"--t-max {args.t_max:g} s overflows in ns, the "
                          "unit of every delay column")
     return grid
@@ -181,7 +181,7 @@ def cmd_g2(args) -> int:
         raise ValueError("--total is polarization-blind and takes no "
                          "--eps-* detection errors")
     params = _load_params(args.params)
-    grid = _grid(args)
+    grid = _grid(args, ns=True)
     if args.total:
         curves = [corr.g2_total(params, grid)]
     else:
@@ -225,7 +225,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_purity(args) -> int:
     params = _load_params(args.params)
-    grid = _grid(args)      # only -o reads it
+    grid = _grid(args, ns=bool(args.output))     # only -o reads it
     p = corr.purity(params, args.t_window)
     print(f"pair purity p({args.t_window * 1e9:g} ns) = {p:.4f}")
     print(f"pair probability p/(1+p) = {corr.pair_probability(p):.6f}")

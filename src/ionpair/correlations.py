@@ -17,8 +17,8 @@ spectrum that of one Model at an anchor repumper detuning.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -112,36 +112,25 @@ def _heralded(w: float) -> np.ndarray:
     return rho
 
 
-# The Models of the latest parameter sets that _model was given, least
-# recently used first, keyed by repr; the lock guards the dict
-_MODELS_KEPT = 8
-_models: dict[str, Model] = {}
-_models_lock = threading.Lock()
-
-
 def _model(x: ExperimentParams | Model) -> Model:
     """Every read-out below takes a parameter set or its shared Model.
 
     A Model is returned as it is and never kept.  A parameter set reads
-    the process's Model of the same set, built on its first use: up to
-    _MODELS_KEPT recent sets keep theirs, and the least recently used
-    one gives way.  The key is repr(x), which spells every float field
-    in its shortest round-trip text, so two sets share a Model only if
-    every field is bit-identical (-0.0 is not 0.0); fingerprint() hashes
-    the MHz file layout and could join two distinct sets.  A Model whose
-    read-out raised stays kept and raises again on the next call.
+    the process's Model of the last set it was given, if the two are
+    bit-identical, and builds and keeps its own otherwise: consecutive
+    read-outs of one set share one Model.  Bit-identical means an equal
+    repr(x), which spells every float field in its shortest round-trip
+    text (-0.0 is not 0.0); fingerprint() hashes the MHz file layout and
+    could join two distinct sets.  A Model whose read-out raised stays
+    kept and raises again on the next call.
     """
-    if isinstance(x, Model):
-        return x
-    key = repr(x)
-    with _models_lock:
-        model = _models.pop(key, None)
-        if model is None:
-            model = Model(x)    # assembles R; each read-out is lazy
-            if len(_models) >= _MODELS_KEPT:
-                del _models[next(iter(_models))]
-        _models[key] = model
-    return model
+    return x if isinstance(x, Model) else _kept(repr(x), x)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept(key: str, params: ExperimentParams) -> Model:
+    """The Model of the last parameter set, keyed by its repr."""
+    return Model(params)    # assembles R; each read-out is lazy
 
 
 @dataclass(frozen=True)

@@ -323,16 +323,18 @@ def _fit(datasets, params_init, free, errors, affine, restarts, seed,
 
     y = np.concatenate([d.y for d in datasets])
     err = np.concatenate([d.err for d in datasets])
+    fit_a, fit_b = "scale" in free, "background" in free
     # bounds the residuals of a model curve in [0, 1], as a spectrum's
-    # P population is: their squares must sum to a finite chi2
+    # P population is, at the held scale and background (free ones are
+    # profiled): their squares must sum to a finite chi2
     with np.errstate(over="ignore"):
-        worst = (np.abs(y) + abs(affine[0]) + abs(affine[1])) / err
+        worst = (np.abs(y) + abs(affine[0]) * (not fit_a)
+                 + abs(affine[1]) * (not fit_b)) / err
         if not math.isfinite(worst @ worst):
             raise ValueError(
                 f"chi2 on this data and its err overflows at scale "
                 f"{affine[0]:g} and background {affine[1]:g}")
     w = 1.0 / err ** 2
-    fit_a, fit_b = "scale" in free, "background" in free
 
     def residuals(s: np.ndarray, a: float, b: float) -> np.ndarray:
         return (y - (a * s + b)) / err
@@ -389,10 +391,11 @@ def fit_spectrum(data: DataSet, params_init: ExperimentParams,
     "scale" or "background" are free they are profiled out analytically,
     so the optimizer only searches the physics parameters.  `scale` and
     `background` arguments are the fixed values when not free, and must
-    be finite in any case, and small enough that chi2 on the data stays
-    finite (a ValueError otherwise).  An evaluation whose model flags any detuning
-    raises NumericalError as a whole, as a g2 evaluation does: a scan
-    point that fails for every parameter set fails the fit, on every path.
+    be finite in any case; held ones must be small enough that chi2 on
+    the data stays finite (a ValueError otherwise).  An evaluation whose
+    model flags any detuning raises NumericalError as a whole, as a g2
+    evaluation does: a scan point that fails for every parameter set
+    fails the fit, on every path.
     """
     if data.kind != "spectrum":
         raise ValueError(f"fit_spectrum needs a spectrum dataset, "

@@ -392,9 +392,9 @@ def simulate_emissions(params: ExperimentParams, duration: float, seed: int,
     draw = [itertools.chain.from_iterable(channels(level))
             for level in range(atom.N_LEVELS)]
     # the level each channel lands in, plus a last entry for the start;
-    # the walk's channel ids index it and pass through bytes()
+    # the walk's channel ids index it, and bytes() below raises
+    # ValueError on any id that does not fit in one byte
     lower = np.append(sampler.ch_lower, start_level).astype(np.uint8)
-    assert lower.size <= 256, "channel ids must fit in one byte"
     after = [draw[level] for level in lower.tolist()]
     t, prev = 0.0, len(after) - 1
     ts_parts, pol_parts, wl_parts = [], [], []

@@ -19,7 +19,7 @@ settings.load_profile("ionpair")
 def _cold_models():
     """Empty the memo of correlations._model before each test."""
     from ionpair import correlations
-    correlations._models.clear()
+    correlations._kept.cache_clear()
 
 
 @pytest.fixture

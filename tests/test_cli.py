@@ -1406,7 +1406,8 @@ def fuzz_files(tmp_path_factory):
 class TestGrammarFuzz:
     """The exit-code contract over the argument grammar of g2, purity,
     spectrum, correlate and fit.  The examples share one process, so
-    most read a Model that an earlier one kept."""
+    those that follow one on the same parameter set read the Model it
+    kept."""
 
     @settings(max_examples=300, database=None)
     @given(argv=_ARGV)
@@ -1425,6 +1426,22 @@ class TestGrammarFuzz:
         assert (code, stdout) == (1, "")
         assert err == ("error: --t-max 1e+300 s overflows in ns, the unit "
                        "of every delay column\n")
+
+    def test_purity_without_output_prints_no_ns_axis(self, capsys):
+        code, stdout, err = run(capsys, "purity", "--params", "spectrum",
+                                "--t-max", "1e300s", "--dt", "1e300s")
+        assert (code, err) == (0, "")
+        assert stdout.startswith("pair purity p(24 ns) = ")
+
+    @pytest.mark.parametrize("free", ["scale,background", "omega_866,scale"])
+    def test_free_scale_may_start_anywhere(self, capsys, fuzz_files, free):
+        # a free scale is profiled: its initial value is not in chi2
+        code, stdout, err = run(capsys, "fit", "spectrum",
+                                fuzz_files["@spectrum"], "--free", free,
+                                "--restarts", "1", "--maxfev", "1",
+                                "--scale", "1e300")
+        assert (code, err) == (0, "")
+        assert "\n  scale = " in stdout
 
     def test_held_scale_that_overflows_chi2(self, capsys, fuzz_files):
         # found by the grammar: least_squares warned of overflow in its

@@ -539,8 +539,8 @@ class TestPhotonBudget:
 
 
 class TestModelMemo:
-    """Read-outs given a parameter set share one Model per bit-identical
-    set, for the _MODELS_KEPT most recently used sets."""
+    """Consecutive read-outs given one bit-identical parameter set share
+    one Model."""
 
     GRID = C.default_grid(100e-9, 2e-9)
 
@@ -569,36 +569,27 @@ class TestModelMemo:
         assert ulp[0].fingerprint() == ulp[1].fingerprint()
         sets = [WEAK.replace(delta_866=-0.0), WEAK.replace(delta_866=0.0),
                 *ulp]
-        for _ in range(2):
-            for p in sets:
+        for p in sets:
+            for _ in range(2):
                 minus, plus = C.g2_pair(p, "sigma-", self.GRID)
                 total = C.g2_total(p, self.GRID)
                 for curve in (minus, plus, total):
                     assert curve.meta["params"] == p.fingerprint()
         assert [repr(p) for p in models_built] == [repr(p) for p in sets]
 
-    def test_least_recently_used_set_gives_way(self, models_built):
-        sets = [WEAK.replace(b_field=1.0 + 0.5 * k)
-                for k in range(C._MODELS_KEPT + 1)]
-        for p in sets[:-1]:
+    def test_only_the_last_set_is_kept(self, models_built):
+        a, b = WEAK, WEAK.replace(b_field=2.0)
+        for p in (a, a, b, b, a):
             C.emission_rate(p, "sigma-")
-        C.emission_rate(sets[0], "sigma-")      # now the most recent
-        C.emission_rate(sets[-1], "sigma-")
-        assert C._MODELS_KEPT == 8 == len(C._models)
-        assert repr(sets[1]) not in C._models
-        assert len(models_built) == 9
-        C.emission_rate(sets[0], "sigma-")
-        assert len(models_built) == 9
-        C.emission_rate(sets[1], "sigma-")
-        assert models_built[9:] == [sets[1]]
-        assert repr(sets[2]) not in C._models
+        assert models_built == [a, b, a]
+        assert C._kept.cache_info().currsize == 1
 
     def test_model_argument_is_not_kept(self):
         model = Model(WEAK)
         C.g2_pair(model, "sigma-", self.GRID)
         C.purity(model, 24e-9)
         C.emission_rate(model, "sigma+")
-        assert C._models == {}
+        assert C._kept.cache_info().currsize == 0
         assert C._model(WEAK) is not model
         assert C._model(model) is model
 
@@ -612,16 +603,15 @@ class TestModelMemo:
         assert models_built == [trapped]
 
     def test_threads_share_the_memo(self):
-        # more threads than cores, switching every microsecond: a lost
-        # update would raise in the dict, keep more than _MODELS_KEPT
-        # sets or hand one set another set's Model
+        # more threads than cores, switching every microsecond: no thread
+        # may be handed another set's Model
         sets = [WEAK.replace(b_field=1.0 + 0.25 * k) for k in range(12)]
         errors = []
 
         def hammer(offset):
             try:
                 for i in range(300):
-                    p = sets[(offset + i) % len(sets)]
+                    p = sets[(offset + i // 3) % len(sets)]
                     assert C._model(p.replace()).params == p
             except BaseException as exc:
                 errors.append(exc)
@@ -640,9 +630,7 @@ class TestModelMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(C._models) == C._MODELS_KEPT
-        assert all(C._models[repr(p)].params == p
-                   for p in sets if repr(p) in C._models)
+        assert C._kept.cache_info().currsize == 1
 
     @settings(max_examples=30, database=None)
     @given(log10_b=st.floats(-1.0, 1.0),
@@ -675,9 +663,8 @@ class TestModelMemo:
                     [C.emission_rate(x, pol)
                      for pol in (C.SIGMA_MINUS, C.SIGMA_PLUS)]]
 
-        C.emission_rate(p, "sigma-")            # keeps p's Model
-        warm = C._model(p.replace())
-        assert warm is C._models[repr(p)]
+        warm = C._model(p)                      # keeps p's Model
+        assert C._model(p.replace()) is warm
         cold = read(Model(p))
         for got, want in zip(read(p.replace()), cold, strict=True):
             assert np.array_equal(got, want, equal_nan=True)
